@@ -29,7 +29,7 @@ def train_variant(variant, vocab, examples, visual, out_dir, args):
     config = ModelConfig(vocab_size=len(vocab), d_model=args.d_model,
                          n_heads=4, n_enc_layers=2, n_dec_layers=2,
                          d_v=args.d_v, variant=variant, dropout=0.0,
-                         eps_ls=0.0)
+                         eps_ls=0.0, n_langs=len(vocab.languages))
     model = MultimodalTranslator(config, seed=args.seed)
     tcfg = TrainConfig(lr_peak=2e-3, warmup_steps=30, epochs=300,
                        max_tokens=512, seed=args.seed)

@@ -42,6 +42,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled() -> bool:
+    """Whether operations record the graph (False inside ``no_grad``)."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the dtype used for newly created tensors.

@@ -62,6 +62,7 @@ def cmd_train(args) -> int:
     else:
         mcfg = dict(raw.get("model", {}))
         mcfg.setdefault("vocab_size", len(vocab))
+        mcfg.setdefault("n_langs", len(vocab.languages))
         if mcfg.get("variant", "full") != "text_only" and not mcfg.get("d_v"):
             if manifest.vtok_path is None:
                 raise ConfigError("model.d_v not set and manifest has no "

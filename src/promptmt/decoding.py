@@ -9,6 +9,12 @@ pool, ties broken toward the lexicographically smaller token sequence, so
 decoding is fully deterministic. With beam 1 this reduces to greedy
 decoding; with a beam at least as wide as the expansion tree it is
 exhaustive search.
+
+Decoding is incremental: the model keeps each layer's keys and values in
+a decoder state, so a step feeds only the newest token of every live
+hypothesis and the state's rows follow the surviving hypotheses' parents.
+Continuations are scored as one [live, V] array and only those that can
+reach the beam are sorted.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import autodiff as ad
 from .errors import ConfigError
-from .model import MultimodalTranslator
+from .model import MultimodalTranslator, log_softmax
 from .text import BOS_ID, EOS_ID, Vocabulary
 from .vision import VisualTokens
 
@@ -64,34 +72,53 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
 
 def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
             ) -> Hypothesis:
-    alive: list[tuple[float, list[int]]] = [(0.0, [BOS_ID])]
+    state = model.decoder_state(memory)
+    alive: list[list[int]] = [[BOS_ID]]    # live prefixes, all one length
+    alive_lp = np.zeros(1)                 # their cumulative logprobs
     finished: list[Hypothesis] = []
+    every_token = np.arange(vocab_size)
+    only_eos = np.array([EOS_ID])
     for step in range(1, max_len + 1):
         if not alive:
             break
-        # alive prefixes always share a length, so one batched decode covers
-        # the whole beam
-        logprobs = model.next_token_logprobs_batch(
-            memory, [toks for _, toks in alive], src_mask)
-        candidates: list[tuple[float, list[int], bool]] = []
+        newest = [[toks[-1]] for toks in alive]
+        logits = model.decode(memory, newest, src_mask, state).data[:, -1]
         at_cap = step == max_len
-        for (lp, toks), row in zip(alive, logprobs):
-            if at_cap:
-                candidates.append((lp + float(row[EOS_ID]),
-                                   toks + [EOS_ID], True))
-            else:
-                for tok in range(vocab_size):
-                    candidates.append((lp + float(row[tok]),
-                                       toks + [tok], False))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        alive = []
-        for lp, toks, forced in candidates[:beam]:
+        tokens = only_eos if at_cap else every_token
+        scores = (alive_lp[:, None]
+                  + log_softmax(logits)[:, tokens].astype(np.float64)).ravel()
+        parents, next_alive, next_lp = [], [], []
+        for i in _best(scores, beam, alive, tokens):
+            row, col = divmod(i, len(tokens))
+            toks = alive[row] + [int(tokens[col])]
+            lp = float(scores[i])
             if toks[-1] == EOS_ID:
                 finished.append(Hypothesis(tokens=toks, logprob=lp,
-                                           alpha=alpha, forced=forced))
+                                           alpha=alpha, forced=at_cap))
             else:
-                alive.append((lp, toks))
+                parents.append(row)
+                next_alive.append(toks)
+                next_lp.append(lp)
+        state.reorder(parents)
+        alive, alive_lp = next_alive, np.array(next_lp)
     return min(finished, key=lambda h: (-h.score, h.tokens))
+
+
+def _best(scores: np.ndarray, beam: int, alive: list[list[int]],
+          tokens: np.ndarray) -> list[int]:
+    """Flat indices of the ``beam`` best candidates of a [live, tokens]
+    score array, ordered by (-score, prefix, token): the order of a full
+    sort of the continued token sequences. A partition finds the beam-th
+    best score first; every candidate tied with it stays in the sort, so
+    ties break as they would over all candidates."""
+    if scores.size > beam:
+        kth = np.partition(scores, scores.size - beam)[scores.size - beam]
+        pool = np.flatnonzero(scores >= kth).tolist()
+    else:
+        pool = list(range(scores.size))
+    width = len(tokens)
+    return sorted(pool, key=lambda i: (-scores[i], alive[i // width],
+                                       tokens[i % width]))[:beam]
 
 
 def greedy_decode(model: MultimodalTranslator, vocab: Vocabulary,

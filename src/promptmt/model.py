@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (ConfigError, FormatError, ShapeError, VariantError)
 from .seeding import derive_seed, rng_for
-from .text import BOS_ID, PAD_ID
+from .text import BOS_ID, PAD_ID, RESERVED_TOKENS
 from .vision import VisualTokens
 
 VARIANTS = ("full", "no_lvpg", "static", "text_only")
@@ -57,6 +57,8 @@ class ModelConfig:
     variant: str = "full"
     dropout: float = 0.3
     eps_ls: float = 0.1
+    n_langs: int = 0        # language tags, the ids after the reserved ones;
+                            # 0: not recorded, any non-reserved id may be one
 
     def __post_init__(self):
         if self.d_ffn == 0:
@@ -80,8 +82,10 @@ class ModelConfig:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
 
-def sinusoidal_positions(n: int, d: int, dtype=np.float32) -> np.ndarray:
-    pos = np.arange(n, dtype=np.float64)[:, None]
+def sinusoidal_positions(n: int, d: int, dtype=np.float32,
+                         start: int = 0) -> np.ndarray:
+    """Encodings of positions ``start`` .. ``start + n - 1``."""
+    pos = np.arange(start, start + n, dtype=np.float64)[:, None]
     dim = np.arange((d + 1) // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * dim / d)
     out = np.zeros((n, d), dtype=np.float64)
@@ -193,42 +197,56 @@ class MultimodalTranslator:
         return ad.layer_norm(x, self.params[f"{prefix}.gain"],
                              self.params[f"{prefix}.bias"])
 
-    def _split_heads(self, x: Tensor) -> tuple[Tensor, tuple]:
-        """lead + (n, d) -> lead + (heads, n, head_dim); lead is () or (B,)."""
+    def _heads(self, prefix: str, x: Tensor) -> Tensor:
+        """Project lead + (n, d) through ``prefix`` and split the heads:
+        lead + (heads, n, head_dim); lead is () or (B,)."""
         h = self.config.n_heads
-        c = self.config.d_model // h
-        lead = x.shape[:-2]
-        n = x.shape[-2]
-        split = ad.reshape(x, lead + (n, h, c))
-        perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead),
-                                          len(lead) + 2)
-        return ad.transpose(split, perm), perm
+        y = self._lin(prefix, x)
+        lead = y.shape[:-2]
+        split = ad.reshape(y, lead + (y.shape[-2], h, y.shape[-1] // h))
+        return ad.transpose(split, _swap_head_axes(len(lead)))
 
-    def _mha(self, prefix: str, query: Tensor, memory: Tensor,
-             key_mask: Optional[np.ndarray] = None,
-             causal: bool = False) -> Tensor:
-        """Multi-head attention over lead+(n, d) queries; ``key_mask`` marks
-        key positions (True) no query may attend to. Queries may carry one
-        leading batch dimension; the memory is shared across it."""
-        d = self.config.d_model
-        c = d // self.config.n_heads
-        lead = query.shape[:-2]
-        n, m = query.shape[-2], memory.shape[-2]
-        qh, perm = self._split_heads(self._lin(f"{prefix}.q", query))
-        kh, _ = self._split_heads(self._lin(f"{prefix}.k", memory))
-        vh, _ = self._split_heads(self._lin(f"{prefix}.v", memory))
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(c))
+    def _attention_bias(self, n: int, m: int,
+                        key_mask: Optional[np.ndarray] = None,
+                        start: Optional[int] = None) -> Optional[np.ndarray]:
+        """Additive [n, m] score bias, None when nothing is masked. Keys
+        marked (True) in ``key_mask`` are hidden from every query; with a
+        ``start``, query i sits at position start + i and sees no key
+        after it."""
         bias = np.zeros((n, m), dtype=self.dtype)
-        if causal:
-            bias += np.triu(np.full((n, m), _NEG_INF, dtype=self.dtype), k=1)
+        if start is not None:
+            bias += np.triu(np.full((n, m), _NEG_INF, dtype=self.dtype),
+                            k=start + 1)
         if key_mask is not None and key_mask.any():
             bias += np.where(key_mask, _NEG_INF, 0.0).astype(self.dtype)[None, :]
-        if bias.any():
+        return bias if bias.any() else None
+
+    def _attend(self, prefix: str, qh: Tensor, kh: Tensor, vh: Tensor,
+                bias: Optional[np.ndarray]) -> Tensor:
+        """Scaled dot-product attention of split-head queries over split-head
+        keys and values (which may lack the queries' batch dimension), heads
+        merged and projected through ``prefix.o``."""
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
+                          1.0 / np.sqrt(qh.shape[-1]))
+        if bias is not None:
             scores = ad.add(scores, self._const(bias))
         probs = self._dropout(ad.softmax(scores, axis=-1))
         ctx = ad.matmul(probs, vh)
-        merged = ad.reshape(ad.transpose(ctx, perm), lead + (n, d))
+        lead = ctx.shape[:-3]
+        merged = ad.reshape(ad.transpose(ctx, _swap_head_axes(len(lead))),
+                            lead + (ctx.shape[-2], self.config.d_model))
         return self._lin(f"{prefix}.o", merged)
+
+    def _mha(self, prefix: str, query: Tensor, memory: Tensor,
+             key_mask: Optional[np.ndarray] = None) -> Tensor:
+        """Multi-head attention of lead + (n, d) queries over an (m, d)
+        memory shared across the lead; ``key_mask`` marks key positions
+        (True) no query may attend to."""
+        return self._attend(prefix, self._heads(f"{prefix}.q", query),
+                            self._heads(f"{prefix}.k", memory),
+                            self._heads(f"{prefix}.v", memory),
+                            self._attention_bias(query.shape[-2],
+                                                 memory.shape[-2], key_mask))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         h = self._dropout(ad.relu(self._lin(f"{prefix}.1", x)))
@@ -241,12 +259,14 @@ class MultimodalTranslator:
         f = self._ffn(f"{prefix}.ffn", x)
         return self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(f)))
 
-    def _embed(self, ids) -> Tensor:
+    def _embed(self, ids, start: int = 0) -> Tensor:
+        """Scaled embeddings of ``ids`` at positions ``start`` onwards."""
         ids = np.asarray(ids, dtype=np.int64)
         d = self.config.d_model
         x = ad.scale(ad.embedding_lookup(self.params["embedding"], ids),
                      np.sqrt(d))
-        pos = self._const(sinusoidal_positions(ids.shape[-1], d, self.dtype))
+        pos = self._const(sinusoidal_positions(ids.shape[-1], d, self.dtype,
+                                               start))
         return self._dropout(ad.add(x, pos))
 
     # -- public forward stages ----------------------------------------------
@@ -337,6 +357,11 @@ class MultimodalTranslator:
         """Everything up to the decoder: returns the cross-attention memory
         and the source key mask, per the configured variant."""
         ids = np.asarray(source_ids, dtype=np.int64)
+        first = len(RESERVED_TOKENS)
+        end = first + (self.config.n_langs or self.config.vocab_size)
+        if len(ids) and not first <= ids[0] < end:
+            raise ConfigError(f"source id {int(ids[0])} at position 0 is not "
+                              f"a language tag (tags lie in {first}..{end - 1})")
         key_mask = ids == PAD_ID
         s0 = self.encode_source(source_ids)
         if self.config.variant == "text_only":
@@ -348,24 +373,68 @@ class MultimodalTranslator:
         s, p = self.self_fuse(s0, p0, key_mask)
         return self.co_attention(s, p), key_mask
 
-    def decode(self, memory: Tensor, input_ids,
-               src_key_mask: Optional[np.ndarray] = None) -> Tensor:
-        """Teacher-forcing decoder pass over already-shifted inputs.
+    def decoder_state(self, memory: Tensor) -> "DecoderState":
+        """An empty state for incremental decoding over ``memory``; the
+        cross-attention keys and values of the memory are projected here,
+        once for every decoder layer. Only valid under ``no_grad`` with
+        ``train_mode`` off."""
+        self._require_inference()
+        return self._new_state(memory)
 
-        ``input_ids`` is the BOS-led prefix; row t of the returned
-        [T, vocab] logits scores the token following position t and sees
-        only positions <= t of the input. A [B, T] id matrix decodes a
-        batch of prefixes over the shared memory, returning [B, T, vocab].
+    def _new_state(self, memory: Tensor) -> "DecoderState":
+        return DecoderState(cross=[
+            (self._heads(f"dec.{i}.cross.k", memory),
+             self._heads(f"dec.{i}.cross.v", memory))
+            for i in range(self.config.n_dec_layers)])
+
+    def _require_inference(self):
+        if ad.grad_enabled() or self.train_mode:
+            raise ConfigError("a decoder state is only valid under no_grad "
+                              "with train_mode off")
+
+    def decode(self, memory: Tensor, input_ids,
+               src_key_mask: Optional[np.ndarray] = None,
+               state: Optional["DecoderState"] = None) -> Tensor:
+        """Decoder pass over already-shifted inputs.
+
+        Without ``state`` this is the teacher-forcing pass: ``input_ids`` is
+        the BOS-led prefix, and row t of the returned [T, vocab] logits
+        scores the token following position t and sees only positions <= t
+        of the input. A [B, T] id matrix decodes a batch of prefixes over
+        the shared memory, returning [B, T, vocab].
+
+        With a ``state`` from ``decoder_state`` the [B, n] ids sit at the
+        next positions, ``state.length`` onwards: their self-attention keys
+        and values join the state's cache, the memory's come from the
+        state, and the [B, n, vocab] logits are those the teacher-forcing
+        pass gives at these positions.
         """
-        x = self._embed(input_ids)
+        ids = np.asarray(input_ids, dtype=np.int64)
+        if state is None:
+            state = self._new_state(memory)
+        else:
+            self._require_inference()
+            if ids.ndim != 2:
+                raise ShapeError(f"decode: a decoder state takes [B, n] ids, "
+                                 f"got shape {ids.shape}")
+        start, n = state.length, ids.shape[-1]
+        x = self._embed(ids, start)
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}"
-            a = self._mha(f"{prefix}.self", x, x, causal=True)
+            q, k, v = (self._heads(f"{prefix}.self.{p}", x) for p in "qkv")
+            k, v = state.append(i, k, v)
+            a = self._attend(f"{prefix}.self", q, k, v,
+                             self._attention_bias(n, start + n, start=start))
             x = self._ln(f"{prefix}.ln1", ad.add(x, self._dropout(a)))
-            a = self._mha(f"{prefix}.cross", x, memory, key_mask=src_key_mask)
+            k, v = state.cross[i]
+            a = self._attend(f"{prefix}.cross",
+                             self._heads(f"{prefix}.cross.q", x), k, v,
+                             self._attention_bias(n, k.shape[-2],
+                                                  src_key_mask))
             x = self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(a)))
             f = self._ffn(f"{prefix}.ffn", x)
             x = self._ln(f"{prefix}.ln3", ad.add(x, self._dropout(f)))
+        state.length += n
         return ad.matmul(x, ad.transpose(self.params["embedding"]))
 
     def forward_example(self, example, visual: Optional[VisualTokens]
@@ -409,20 +478,57 @@ class MultimodalTranslator:
     def next_token_logprobs(self, memory: Tensor, prefix_ids: Sequence[int],
                             src_key_mask: Optional[np.ndarray] = None
                             ) -> np.ndarray:
-        """Log-softmax over the next token given a decoded prefix (no graph)."""
+        """Log-softmax over the next token given a decoded prefix, by a full
+        teacher-forcing pass (no graph)."""
         logits = self.decode(memory, prefix_ids, src_key_mask).data[-1]
-        shifted = logits - logits.max()
-        return shifted - np.log(np.exp(shifted).sum())
+        return log_softmax(logits)
 
-    def next_token_logprobs_batch(self, memory: Tensor, prefix_ids,
-                                  src_key_mask: Optional[np.ndarray] = None
-                                  ) -> np.ndarray:
-        """[B, V] next-token log-softmax for equal-length prefixes sharing
-        one source."""
-        logits = self.decode(memory, np.asarray(prefix_ids),
-                             src_key_mask).data[:, -1, :]
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+@dataclass
+class DecoderState:
+    """Incremental decoding over one memory (``MultimodalTranslator.decode``).
+
+    ``length`` positions have been decoded. ``cache[i]`` holds decoder layer
+    i's self-attention keys and values of them, [B, heads, length,
+    head_dim] for B rows, and ``cross[i]`` its keys and values of the
+    memory, [heads, m, head_dim], shared by every row.
+    """
+    cross: list[tuple[Tensor, Tensor]]
+    cache: list[Optional[tuple[Tensor, Tensor]]] = field(init=False)
+    length: int = 0
+
+    def __post_init__(self):
+        self.cache = [None] * len(self.cross)
+
+    def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Add new positions' keys and values to a layer's cache; returns
+        the whole cache of that layer."""
+        if self.cache[layer] is not None:
+            old_k, old_v = self.cache[layer]
+            k = ad.concat([old_k, k], axis=-2)
+            v = ad.concat([old_v, v], axis=-2)
+        self.cache[layer] = (k, v)
+        return k, v
+
+    def reorder(self, rows) -> None:
+        """Keep the cached rows ``rows``, in that order (repeats allowed):
+        beam search passes the parent row of every surviving hypothesis."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.cache = [None if kv is None else
+                      tuple(Tensor(t.data[rows], dtype=t.data.dtype)
+                            for t in kv) for kv in self.cache]
+
+
+def _swap_head_axes(n_lead: int) -> tuple[int, ...]:
+    """The permutation exchanging the head and position axes after
+    ``n_lead`` leading axes (its own inverse)."""
+    return tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, in the dtype of ``logits``."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def check_model_gradients(model: MultimodalTranslator, batch,

@@ -169,24 +169,29 @@ def train_loop(model: MultimodalTranslator,
     """Run the optimization loop; returns per-step metrics.
 
     Checkpoints (parameters + moments) are written per epoch when
-    ``out_dir`` is set. ``stop_loss`` stops once the mean loss over a full
-    epoch's worth of recent steps falls below it (a single lucky batch is
-    not convergence); ``max_steps`` is a hard cap. Resuming from a saved
-    state reproduces the exact continuation.
+    ``out_dir`` is set, and ``checkpoint_last.lvpm`` also on an early stop,
+    so it always holds the returned model. ``stop_loss`` stops once the
+    mean loss over a full epoch's worth of recent steps falls below it (a
+    single lucky batch is not convergence); ``max_steps`` is a hard cap.
+    Resuming from a saved state, mid-epoch ones included, reproduces the
+    exact continuation.
     """
     cfg = state.config
     epochs = cfg.epochs if epochs is None else epochs
     out_dir = Path(out_dir) if out_dir else None
     log = MetricsLog(out_dir / "metrics.csv" if out_dir else None)
     model.train_mode = True
-    start_epoch = _epoch_of(state.step, examples, cfg)
+    start_epoch, done_in_epoch = _position_of(state.step, examples, cfg)
     recent: deque = deque(maxlen=1)
+    stopped = False
     try:
         for epoch in range(start_epoch, epochs):
             batches = make_batches(examples, cfg.max_tokens,
                                    seed=derive_seed(cfg.seed, "epoch", epoch))
             if recent.maxlen != len(batches):
                 recent = deque(recent, maxlen=len(batches))
+            if epoch == start_epoch:
+                batches = batches[done_in_epoch:]
             for batch in batches:
                 state.step += 1
                 lr = lr_schedule(state.step, cfg)
@@ -205,26 +210,31 @@ def train_loop(model: MultimodalTranslator,
                 if log_every and state.step % log_every == 0:
                     print(f"step {row.step} epoch {row.epoch} lr {row.lr:.3g} "
                           f"loss {row.loss:.4f} tok/s {row.tokens_per_sec:.0f}")
-                if (stop_loss is not None and len(recent) == recent.maxlen
-                        and sum(recent) / len(recent) < stop_loss):
-                    return log.rows
-                if max_steps is not None and state.step >= max_steps:
-                    return log.rows
-            if out_dir:
+                stopped = ((stop_loss is not None
+                            and len(recent) == recent.maxlen
+                            and sum(recent) / len(recent) < stop_loss)
+                           or (max_steps is not None
+                               and state.step >= max_steps))
+                if stopped:
+                    break
+            if out_dir and not stopped:
                 save_checkpoint(out_dir / f"checkpoint_epoch{epoch + 1}.lvpm",
                                 model, state.to_checkpoint_dict())
+            if out_dir:
                 save_checkpoint(out_dir / "checkpoint_last.lvpm",
                                 model, state.to_checkpoint_dict())
+            if stopped:
+                break
     finally:
         model.train_mode = False
     return log.rows
 
 
-def _epoch_of(step: int, examples: Sequence[ParallelExample],
-              cfg: TrainConfig) -> int:
-    """Epoch index a resumed run should continue from (epoch sizes are
-    deterministic given the corpus and token budget)."""
+def _position_of(step: int, examples: Sequence[ParallelExample],
+                 cfg: TrainConfig) -> tuple[int, int]:
+    """Epoch a resumed run continues in and the batches of it already done
+    (every epoch holds the same batches, only their order changes)."""
     if step == 0:
-        return 0
+        return 0, 0
     per_epoch = len(make_batches(examples, cfg.max_tokens))
-    return step // per_epoch if per_epoch else 0
+    return divmod(step, per_epoch) if per_epoch else (0, 0)

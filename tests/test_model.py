@@ -325,6 +325,80 @@ def test_decode_causality_perturbation_oracle():
         assert np.abs(out[t:] - base[t:]).max() > 0
 
 
+def test_prepare_source_rejects_untagged_source():
+    m = tiny_model()
+    with pytest.raises(ConfigError, match=r"\b1\b.*not a language tag"):
+        m.prepare_source([BOS_ID, 10, 11, EOS_ID], visual_map()["img0"])
+
+
+def test_prepare_source_checks_recorded_tag_block():
+    m = tiny_model(n_langs=2)  # tags are ids 5 and 6
+    for tag in (TAG_DE, TAG_FR):
+        m.prepare_source([tag, BOS_ID, 10, EOS_ID], visual_map()["img0"])
+    for bad in (7, 10):
+        with pytest.raises(ConfigError, match=rf"\b{bad}\b.*not a language"):
+            m.prepare_source([bad, BOS_ID, 10, EOS_ID], visual_map()["img0"])
+
+
+@pytest.mark.parametrize("variant", ["full", "static", "no_lvpg", "text_only"])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-5), (np.float32, 1e-4)])
+def test_incremental_decode_matches_teacher_forcing(variant, dtype, tol):
+    text_only = variant == "text_only"
+    m = tiny_model(variant=variant, d_v=0 if text_only else 8,
+                   n_dec_layers=2).astype(dtype)
+    visual = None if text_only else visual_map()["img0"]
+    source = [TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID]
+    rng = np.random.default_rng(0)
+    ids = rng.integers(5, 24, (3, 8))
+    ids[:, 0] = BOS_ID
+    with ad.no_grad():
+        memory, mask = m.prepare_source(source, visual)
+        state = m.decoder_state(memory)
+        # one position at a time, then chunks of several
+        for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 8)):
+            if lo == 4:
+                # beam reorder: row 1 dropped, row 0 continued twice, and
+                # the rows' next tokens differ from here on
+                rows = [2, 0, 0]
+                state.reorder(rows)
+                ids = ids[rows]
+                ids[:, lo:] = rng.integers(5, 24, (3, ids.shape[1] - lo))
+            got = m.decode(memory, ids[:, lo:hi], mask, state).data
+            want = m.decode(memory, ids[:, :hi], mask).data[:, lo:hi]
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    assert state.length == 8
+
+
+def test_decoder_state_requires_no_grad_and_eval_mode():
+    m = tiny_model()
+    memory, mask = m.prepare_source(example().source_ids, visual_map()["img0"])
+    with pytest.raises(ConfigError, match="no_grad"):
+        m.decoder_state(memory)
+    with ad.no_grad():
+        state = m.decoder_state(memory)
+        m.decode(memory, [[BOS_ID]], mask, state)
+        m.train_mode = True
+        with pytest.raises(ConfigError, match="train_mode"):
+            m.decoder_state(memory)
+        with pytest.raises(ConfigError, match="train_mode"):
+            m.decode(memory, [[13]], mask, state)
+        m.train_mode = False
+    with pytest.raises(ConfigError, match="no_grad"):
+        m.decode(memory, [[13]], mask, state)
+    assert state.length == 1
+
+
+def test_decode_with_state_rejects_unbatched_ids():
+    m = tiny_model()
+    with ad.no_grad():
+        memory, mask = m.prepare_source(example().source_ids,
+                                        visual_map()["img0"])
+        state = m.decoder_state(memory)
+        with pytest.raises(ShapeError, match=r"\[B, n\]"):
+            m.decode(memory, [BOS_ID], mask, state)
+
+
 def test_text_only_uses_encoder_output_as_memory():
     m = tiny_model(variant="text_only", d_v=0)
     ids = example().source_ids

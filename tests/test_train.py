@@ -188,3 +188,49 @@ def test_checkpoint_moments_roundtrip_bit_exact(tmp_path):
     for name in model.params:
         assert np.array_equal(loaded["m"][name], state.m[name])
         assert np.array_equal(loaded["v"][name], state.v[name])
+
+
+def test_early_stop_writes_final_checkpoint(tmp_path):
+    # max_steps fires mid-epoch: the last checkpoint must hold the model
+    # the loop returns, not the state of the last completed epoch
+    model, examples, visual, tcfg = toy_setup()
+    state = TrainState.fresh(model, tcfg)
+    rows = train_loop(model, examples, visual, state, epochs=5,
+                      out_dir=tmp_path / "run", max_steps=3)
+    assert rows[-1].step == 3
+    loaded, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
+    assert ck_state["step"] == 3
+    for name in model.params:
+        assert np.array_equal(loaded.params[name].data,
+                              model.params[name].data), name
+
+
+def test_stop_loss_writes_final_checkpoint(tmp_path):
+    model, examples, visual, tcfg = toy_setup()
+    state = TrainState.fresh(model, tcfg)
+    rows = train_loop(model, examples, visual, state, epochs=50,
+                      out_dir=tmp_path / "run", stop_loss=1e9)
+    _, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
+    assert ck_state["step"] == rows[-1].step == state.step
+
+
+def test_resume_from_mid_epoch_checkpoint(tmp_path):
+    def fresh():
+        model, examples, visual, tcfg = toy_setup()
+        return model, examples, visual, TrainState.fresh(model, tcfg)
+
+    model, examples, visual, state = fresh()
+    rows_direct = train_loop(model, examples, visual, state, epochs=3)
+
+    stopped, examples, visual, sstate = fresh()
+    train_loop(stopped, examples, visual, sstate, epochs=3,
+               out_dir=tmp_path / "run", max_steps=3)
+    resumed, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
+    rstate = TrainState.from_checkpoint_dict(ck_state)
+    rows_resumed = train_loop(resumed, examples, visual, rstate, epochs=3)
+
+    assert [r.step for r in rows_resumed] == [r.step for r in rows_direct[3:]]
+    assert [r.loss for r in rows_resumed] == [r.loss for r in rows_direct[3:]]
+    for name in model.params:
+        assert np.array_equal(model.params[name].data,
+                              resumed.params[name].data), name
