@@ -227,11 +227,10 @@ def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     if axes is None:
         axes = list(range(x.ndim - 2)) + [x.ndim - 1, x.ndim - 2]
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     out_data = np.transpose(x.data, axes)
 
     def backward(g):
-        x.accumulate_grad(np.transpose(g, inverse))
+        x.accumulate_grad(np.transpose(g, np.argsort(axes)))
 
     return make_node(out_data, (x,), backward)
 
@@ -367,10 +366,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias shape must be ({d},), got "
                          f"{gain.shape} / {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
     def backward(g):

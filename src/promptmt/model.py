@@ -24,7 +24,8 @@ import json
 import struct
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from types import SimpleNamespace
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -98,12 +99,24 @@ class MultimodalTranslator:
     """Parameter store plus the forward passes of every variant."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=None):
+        self._build(config, seed, dtype, rng_for("init", seed))
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig, dtype=None
+                  ) -> "MultimodalTranslator":
+        """A model with every parameter allocated at its shape but nothing
+        drawn, for callers that overwrite all of them."""
+        model = cls.__new__(cls)
+        model._build(config, 0, dtype, _UNFILLED)
+        return model
+
+    def _build(self, config: ModelConfig, seed: int, dtype, init_rng):
         self.config = config
         self.dtype = np.dtype(dtype or ad.default_dtype()).type
         self.train_mode = False
         self._rng = rng_for("dropout", seed)
         self.params: dict[str, Tensor] = {}
-        self._init_params(rng_for("init", seed))
+        self._init_params(init_rng)
 
     # -- parameter construction ------------------------------------------
 
@@ -173,7 +186,7 @@ class MultimodalTranslator:
 
     def astype(self, dtype) -> "MultimodalTranslator":
         """A copy with parameters cast to ``dtype`` (for gradient checks)."""
-        clone = MultimodalTranslator(self.config, dtype=dtype)
+        clone = MultimodalTranslator._unfilled(self.config, dtype=dtype)
         for name, p in self.params.items():
             clone.params[name] = Tensor(p.data.astype(dtype),
                                         requires_grad=True, dtype=dtype)
@@ -206,26 +219,33 @@ class MultimodalTranslator:
         split = ad.reshape(y, lead + (y.shape[-2], h, y.shape[-1] // h))
         return ad.transpose(split, _swap_head_axes(len(lead)))
 
-    def _attention_bias(self, n: int, m: int,
-                        key_mask: Optional[np.ndarray] = None,
-                        start: Optional[int] = None) -> Optional[np.ndarray]:
-        """Additive [n, m] score bias, None when nothing is masked. Keys
-        marked (True) in ``key_mask`` are hidden from every query; with a
-        ``start``, query i sits at position start + i and sees no key
-        after it."""
-        bias = np.zeros((n, m), dtype=self.dtype)
-        if start is not None:
-            bias += np.triu(np.full((n, m), _NEG_INF, dtype=self.dtype),
-                            k=start + 1)
-        if key_mask is not None and key_mask.any():
-            bias += np.where(key_mask, _NEG_INF, 0.0).astype(self.dtype)[None, :]
-        return bias if bias.any() else None
+    def _key_bias(self, key_mask: Optional[np.ndarray],
+                  n: int) -> Optional[np.ndarray]:
+        """Additive score bias hiding the keys marked (True) in a lead + (m,)
+        ``key_mask`` from all ``n`` queries of every head, None when nothing
+        is masked: a lead + (heads, n, m) view of one lead + (1, 1, m)
+        array, so nothing is copied per head or query."""
+        if key_mask is None or not key_mask.any():
+            return None
+        bias = np.where(key_mask, _NEG_INF, 0.0).astype(self.dtype)
+        return np.broadcast_to(bias[..., None, None, :],
+                               key_mask.shape[:-1] + (self.config.n_heads, n,
+                                                      key_mask.shape[-1]))
+
+    def _causal_bias(self, n: int, start: int) -> Optional[np.ndarray]:
+        """Additive [n, start + n] score bias: query i sits at position
+        start + i and sees no key after it. None when nothing is hidden."""
+        if n == 1:
+            return None
+        return np.triu(np.full((n, start + n), _NEG_INF, dtype=self.dtype),
+                       k=start + 1)
 
     def _attend(self, prefix: str, qh: Tensor, kh: Tensor, vh: Tensor,
                 bias: Optional[np.ndarray]) -> Tensor:
         """Scaled dot-product attention of split-head queries over split-head
         keys and values (which may lack the queries' batch dimension), heads
-        merged and projected through ``prefix.o``."""
+        merged and projected through ``prefix.o``. ``bias`` broadcasts over
+        missing leading dimensions only."""
         scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
                           1.0 / np.sqrt(qh.shape[-1]))
         if bias is not None:
@@ -239,14 +259,13 @@ class MultimodalTranslator:
 
     def _mha(self, prefix: str, query: Tensor, memory: Tensor,
              key_mask: Optional[np.ndarray] = None) -> Tensor:
-        """Multi-head attention of lead + (n, d) queries over an (m, d)
-        memory shared across the lead; ``key_mask`` marks key positions
-        (True) no query may attend to."""
+        """Multi-head attention of lead + (n, d) queries over a lead + (m, d)
+        memory; ``key_mask`` (lead + (m,)) marks key positions (True) no
+        query of that row may attend to."""
         return self._attend(prefix, self._heads(f"{prefix}.q", query),
                             self._heads(f"{prefix}.k", memory),
                             self._heads(f"{prefix}.v", memory),
-                            self._attention_bias(query.shape[-2],
-                                                 memory.shape[-2], key_mask))
+                            self._key_bias(key_mask, query.shape[-2]))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         h = self._dropout(ad.relu(self._lin(f"{prefix}.1", x)))
@@ -271,40 +290,43 @@ class MultimodalTranslator:
 
     # -- public forward stages ----------------------------------------------
 
-    def encode_source(self, source_ids: Sequence[int]) -> Tensor:
-        """Run the tagged source sequence through the Transformer encoder.
-        PAD positions are masked out of every attention distribution."""
-        if len(source_ids) == 0:
-            raise ShapeError("encode_source: empty source sequence")
+    def encode_source(self, source_ids) -> Tensor:
+        """Run tagged source sequences, [S] or [B, S] ids, through the
+        Transformer encoder: [S, d_model] or [B, S, d_model]. PAD positions
+        are masked out of every attention distribution of their row."""
         ids = np.asarray(source_ids, dtype=np.int64)
+        if ids.shape[-1] == 0:
+            raise ShapeError("encode_source: empty source sequence")
         key_mask = ids == PAD_ID
         x = self._embed(ids)
         for i in range(self.config.n_enc_layers):
             x = self._encoder_layer(f"enc.{i}", x, key_mask)
         return x
 
-    def controller_forward(self, tag_id: int) -> tuple[Tensor, Tensor]:
-        """Generate the mapping parameters for one target language from its
-        tag embedding: two affine layers with ReLU, output split into a
-        [d_v, d_model] weight and a [d_model] bias (both graph nodes)."""
+    def controller_forward(self, tag_ids) -> Tensor:
+        """Generate the visual-prompt mapping of each target language from
+        its tag embedding: two affine layers with ReLU. For tag ids of
+        shape lead the result (a graph node) is lead + (d_v + 1, d_model):
+        the [d_v, d_model] weight rows of the affine map, then its bias
+        row."""
         if self.config.variant != "full":
             raise VariantError("controller_forward requires the 'full' "
                                f"variant, model is {self.config.variant!r}")
         d, d_v = self.config.d_model, self.config.d_v
-        t = ad.embedding_lookup(self.params["embedding"], [int(tag_id)])
-        h = ad.relu(self._lin("ctrl.1", t))
-        flat = self._lin("ctrl.2", h)
-        w = ad.reshape(ad.narrow(flat, 1, 0, d_v * d), (d_v, d))
-        b = ad.reshape(ad.narrow(flat, 1, d_v * d, d), (d,))
-        return w, b
+        ids = np.asarray(tag_ids, dtype=np.int64)
+        t = ad.embedding_lookup(self.params["embedding"], ids.reshape(-1))
+        flat = self._lin("ctrl.2", ad.relu(self._lin("ctrl.1", t)))
+        return ad.reshape(flat, ids.shape + (d_v + 1, d))
 
-    def apply_mapping(self, v: Tensor, theta: tuple[Tensor, Tensor]) -> Tensor:
-        """Map visual tokens through the generated affine parameters."""
-        w, b = theta
-        if v.shape[-1] != w.shape[0]:
+    def apply_mapping(self, v: Tensor, theta: Tensor) -> Tensor:
+        """Map lead + (M_v, d_v) visual tokens through generated affine maps
+        lead + (d_v + 1, d_model) (weight rows, then the bias row): with a
+        ones column appended to the tokens this is one matmul."""
+        if v.shape[-1] + 1 != theta.shape[-2]:
             raise ShapeError(f"apply_mapping: visual width {v.shape[-1]} vs "
-                             f"mapping input {w.shape[0]}")
-        return ad.linear(v, w, b)
+                             f"mapping input {theta.shape[-2] - 1}")
+        ones = self._const(np.ones(v.shape[:-1] + (1,)))
+        return ad.matmul(ad.concat([v, ones], axis=-1), theta)
 
     def static_mapping(self, v: Tensor) -> Tensor:
         if self.config.variant != "static":
@@ -312,12 +334,14 @@ class MultimodalTranslator:
                                f"model is {self.config.variant!r}")
         return self._lin("static", v)
 
-    def visual_prompt(self, visual: VisualTokens, tag_id: int) -> Tensor:
-        """Variant dispatch from raw visual tokens to the prompt sequence."""
-        v = self._const(visual.tokens)
+    def visual_prompt(self, visual, tag_ids) -> Tensor:
+        """Variant dispatch from raw visual tokens to the prompt sequence:
+        one ``VisualTokens`` and a tag id give [M_v, d_model], a sequence of
+        B of them (one shape) and B tag ids give [B, M_v, d_model]."""
+        v = self._const(_stack_visual(visual))
         variant = self.config.variant
         if variant == "full":
-            return self.apply_mapping(v, self.controller_forward(tag_id))
+            return self.apply_mapping(v, self.controller_forward(tag_ids))
         if variant == "static":
             return self.static_mapping(v)
         if variant == "no_lvpg":
@@ -329,7 +353,7 @@ class MultimodalTranslator:
                   ) -> tuple[Tensor, Tensor]:
         """One self-attention layer per modality, text and prompts fused
         independently; shapes are preserved."""
-        if s0.shape[0] == 0 or p0.shape[0] == 0:
+        if s0.shape[-2] == 0 or p0.shape[-2] == 0:
             raise ShapeError("self_fuse: empty stream")
         s = self._encoder_layer("fuse_text", s0, src_key_mask)
         p = self._encoder_layer("fuse_vis", p0, None)
@@ -340,7 +364,7 @@ class MultimodalTranslator:
         the usual residual/norm/FFN trailer. Output keeps the text length."""
         if self.config.variant == "text_only":
             raise VariantError("co_attention unavailable under text_only")
-        if p.shape[0] == 0:
+        if p.shape[-2] == 0:
             raise ShapeError("co_attention: empty prompt sequence")
         q = s
         for j in range(self.config.n_coattn_layers):
@@ -351,25 +375,29 @@ class MultimodalTranslator:
             q = self._ln(f"{prefix}.ln2", ad.add(q, self._dropout(f)))
         return q
 
-    def prepare_source(self, source_ids: Sequence[int],
-                       visual: Optional[VisualTokens]
+    def prepare_source(self, source_ids, visual
                        ) -> tuple[Tensor, np.ndarray]:
-        """Everything up to the decoder: returns the cross-attention memory
-        and the source key mask, per the configured variant."""
+        """Everything up to the decoder, per the configured variant: the
+        cross-attention memory and the source key mask. [S] ids with one
+        ``VisualTokens`` give [S, d_model] and [S]; [B, S] ids with one per
+        row give [B, S, d_model] and [B, S]."""
         ids = np.asarray(source_ids, dtype=np.int64)
+        tags = ids[..., :1]
         first = len(RESERVED_TOKENS)
         end = first + (self.config.n_langs or self.config.vocab_size)
-        if len(ids) and not first <= ids[0] < end:
-            raise ConfigError(f"source id {int(ids[0])} at position 0 is not "
-                              f"a language tag (tags lie in {first}..{end - 1})")
+        untagged = (tags < first) | (tags >= end)
+        if untagged.any():
+            raise ConfigError(f"source id {int(tags[untagged][0])} at "
+                              "position 0 is not a language tag (tags lie in "
+                              f"{first}..{end - 1})")
         key_mask = ids == PAD_ID
-        s0 = self.encode_source(source_ids)
+        s0 = self.encode_source(ids)
         if self.config.variant == "text_only":
             return s0, key_mask
         if visual is None:
             raise ConfigError(f"variant {self.config.variant!r} requires "
                               "visual tokens, none provided")
-        p0 = self.visual_prompt(visual, int(source_ids[0]))
+        p0 = self.visual_prompt(visual, tags[..., 0])
         s, p = self.self_fuse(s0, p0, key_mask)
         return self.co_attention(s, p), key_mask
 
@@ -400,8 +428,9 @@ class MultimodalTranslator:
         Without ``state`` this is the teacher-forcing pass: ``input_ids`` is
         the BOS-led prefix, and row t of the returned [T, vocab] logits
         scores the token following position t and sees only positions <= t
-        of the input. A [B, T] id matrix decodes a batch of prefixes over
-        the shared memory, returning [B, T, vocab].
+        of the input. A [B, T] id matrix decodes a batch of prefixes,
+        returning [B, T, vocab], over a [S, d_model] memory shared by every
+        row or over a [B, S, d_model] memory with one source per row.
 
         With a ``state`` from ``decoder_state`` the [B, n] ids sit at the
         next positions, ``state.length`` onwards: their self-attention keys
@@ -424,64 +453,49 @@ class MultimodalTranslator:
             q, k, v = (self._heads(f"{prefix}.self.{p}", x) for p in "qkv")
             k, v = state.append(i, k, v)
             a = self._attend(f"{prefix}.self", q, k, v,
-                             self._attention_bias(n, start + n, start=start))
+                             self._causal_bias(n, start))
             x = self._ln(f"{prefix}.ln1", ad.add(x, self._dropout(a)))
             k, v = state.cross[i]
             a = self._attend(f"{prefix}.cross",
                              self._heads(f"{prefix}.cross.q", x), k, v,
-                             self._attention_bias(n, k.shape[-2],
-                                                  src_key_mask))
+                             self._key_bias(src_key_mask, n))
             x = self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(a)))
             f = self._ffn(f"{prefix}.ffn", x)
             x = self._ln(f"{prefix}.ln3", ad.add(x, self._dropout(f)))
         state.length += n
         return ad.matmul(x, ad.transpose(self.params["embedding"]))
 
-    def forward_example(self, example, visual: Optional[VisualTokens]
-                        ) -> tuple[Tensor, int]:
-        """Summed label-smoothed cross entropy and token count for one
-        (direction, sentence) pair."""
-        if example.target_ids[0] != BOS_ID:
-            raise ConfigError(f"example {example.example_id}: target must "
-                              "begin with BOS")
-        memory, key_mask = self.prepare_source(example.source_ids, visual)
-        logits = self.decode(memory, example.target_ids[:-1], key_mask)
-        labels = example.target_ids[1:]
-        loss_sum = ad.cross_entropy_label_smoothed(
-            logits, labels, self.config.eps_ls, PAD_ID, reduction="sum")
-        return loss_sum, len(labels)
-
     def forward_loss(self, batch,
                      visual_map: Optional[Mapping[str, VisualTokens]] = None
                      ) -> Tensor:
         """Mean label-smoothed cross entropy over all non-pad target tokens
-        of a batch; directions may be mixed freely."""
-        total = None
-        count = 0
-        for ex in batch.examples:
-            visual = self._lookup_visual(ex, visual_map)
-            loss_sum, n = self.forward_example(ex, visual)
-            total = loss_sum if total is None else ad.add(total, loss_sum)
-            count += n
-        if total is None:
+        of a batch; directions may be mixed freely. The batch runs as one
+        graph over its padded [B, S] sources and [B, T] targets: PAD keys
+        are masked out of every attention, PAD labels out of the loss."""
+        if not batch.examples:
             raise ConfigError("forward_loss: empty batch")
-        return ad.scale(total, 1.0 / count)
+        for ex in batch.examples:
+            if ex.target_ids[0] != BOS_ID:
+                raise ConfigError(f"example {ex.example_id}: target must "
+                                  "begin with BOS")
+        visual = None
+        if self.config.variant != "text_only":
+            visual = [self._lookup_visual(ex, visual_map)
+                      for ex in batch.examples]
+        memory, key_mask = self.prepare_source(batch.padded("source"), visual)
+        target = batch.padded("target")
+        logits = self.decode(memory, target[:, :-1], key_mask)
+        loss_sum = ad.cross_entropy_label_smoothed(
+            ad.reshape(logits, (-1, logits.shape[-1])),
+            target[:, 1:].reshape(-1), self.config.eps_ls, PAD_ID,
+            reduction="sum")
+        return ad.scale(loss_sum, 1.0 / batch.n_target_tokens)
 
-    def _lookup_visual(self, example, visual_map):
-        if self.config.variant == "text_only":
-            return None
+    def _lookup_visual(self, example, visual_map) -> VisualTokens:
         if visual_map is None or example.image_id not in visual_map:
             raise ConfigError(f"no visual tokens for image {example.image_id!r} "
                               f"(required by variant {self.config.variant!r})")
         return visual_map[example.image_id]
-
-    def next_token_logprobs(self, memory: Tensor, prefix_ids: Sequence[int],
-                            src_key_mask: Optional[np.ndarray] = None
-                            ) -> np.ndarray:
-        """Log-softmax over the next token given a decoded prefix, by a full
-        teacher-forcing pass (no graph)."""
-        logits = self.decode(memory, prefix_ids, src_key_mask).data[-1]
-        return log_softmax(logits)
 
 
 @dataclass
@@ -517,6 +531,26 @@ class DecoderState:
         self.cache = [None if kv is None else
                       tuple(Tensor(t.data[rows], dtype=t.data.dtype)
                             for t in kv) for kv in self.cache]
+
+
+# stands in for the init generator when every parameter is overwritten
+# next: zeros of the requested shapes, nothing drawn
+_UNFILLED = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size),
+                            standard_normal=np.zeros)
+
+
+def _stack_visual(visual) -> np.ndarray:
+    """The token matrix of one ``VisualTokens``, or the [B, M_v, d_v] stack
+    of a sequence of them, which must share one shape."""
+    if isinstance(visual, VisualTokens):
+        return visual.tokens
+    shapes = {vt.tokens.shape for vt in visual}
+    if len(shapes) > 1:
+        detail = ", ".join(f"{vt.image_id!r} {vt.tokens.shape}"
+                           for vt in visual)
+        raise ShapeError(f"visual tokens of one batch differ in shape: "
+                         f"{detail}")
+    return np.stack([vt.tokens for vt in visual])
 
 
 def _swap_head_axes(n_lead: int) -> tuple[int, ...]:
@@ -630,7 +664,7 @@ def load_checkpoint(path: str | Path
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}", offset=4)
     config = ModelConfig.from_dict(json.loads(take(cfg_len, "config")))
-    model = MultimodalTranslator(config)
+    model = MultimodalTranslator._unfilled(config)
 
     (n_params,) = struct.unpack("<I", take(4, "parameter count"))
     blobs: dict[str, np.ndarray] = {}

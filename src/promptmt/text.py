@@ -138,8 +138,13 @@ class Vocabulary:
         if not vocab_path.exists():
             raise ConfigError(f"vocabulary file not found: {vocab_path}")
         tokens = vocab_path.read_text(encoding="utf-8").splitlines()
-        languages = [t[2:-1] for t in tokens
-                     if t.startswith("<2") and t.endswith(">")]
+        # tags fill the block after the reserved ids, up to the byte
+        # alphabet; a merged token spelling "<2xx>" later on is content
+        languages = []
+        for t in tokens[len(RESERVED_TOKENS):]:
+            if not (t.startswith("<2") and t.endswith(">")):
+                break
+            languages.append(t[2:-1])
         merges = []
         merges_path = Path(f"{prefix}.merges")
         if merges_path.exists():
@@ -405,9 +410,12 @@ def load_parallel_examples(manifest: CorpusManifest, vocab: Vocabulary,
 
 @dataclass
 class Batch:
+    """Examples that train together, as one graph over padded id matrices."""
     examples: list[ParallelExample]
 
     def padded(self, side: str) -> np.ndarray:
+        """The [B, width] ids of the "source" or "target" side, each row
+        right-padded with PAD to the batch's longest sequence."""
         seqs = [e.source_ids if side == "source" else e.target_ids
                 for e in self.examples]
         width = max(len(s) for s in seqs)
@@ -426,8 +434,10 @@ def make_batches(examples: Sequence[ParallelExample], max_tokens: int,
     """Sort by length, pack greedily under the padded-token budget.
 
     The budget counts padded tokens (max length in the batch times batch
-    size), source and target separately, the larger side governing. With a
-    seed the batch order is shuffled; contents stay deterministic.
+    size), source and target separately, the larger side governing. These
+    are the [B, S] and [B, T] matrices a training step materializes and
+    runs as one graph, so the budget bounds a step's work and memory. With
+    a seed the batch order is shuffled; contents stay deterministic.
     """
     if not examples:
         return []

@@ -174,7 +174,8 @@ def train_loop(model: MultimodalTranslator,
     mean loss over a full epoch's worth of recent steps falls below it (a
     single lucky batch is not convergence); ``max_steps`` is a hard cap.
     Resuming from a saved state, mid-epoch ones included, reproduces the
-    exact continuation.
+    exact continuation. The model is left in eval mode, holding no
+    gradients.
     """
     cfg = state.config
     epochs = cfg.epochs if epochs is None else epochs
@@ -205,6 +206,9 @@ def train_loop(model: MultimodalTranslator,
                 row = StepMetrics(step=state.step, epoch=epoch, lr=lr,
                                   loss=loss.item(),
                                   tokens_per_sec=batch.n_target_tokens / elapsed)
+                # free this step's graph and its gradients now, not while
+                # the next step builds its own
+                del loss
                 log.append(row)
                 recent.append(row.loss)
                 if log_every and state.step % log_every == 0:
@@ -227,6 +231,8 @@ def train_loop(model: MultimodalTranslator,
                 break
     finally:
         model.train_mode = False
+        # the last step's gradients are spent; do not keep them alive
+        ad.zero_grad(model.params.values())
     return log.rows
 
 

@@ -18,7 +18,7 @@ from promptmt.decoding import beam_search
 from promptmt.errors import ConfigError
 from promptmt.evaluate import bleu4, evaluate, mask_sweep, write_sweep_csv
 from promptmt.model import (ModelConfig, MultimodalTranslator,
-                            load_checkpoint, save_checkpoint)
+                            load_checkpoint, log_softmax, save_checkpoint)
 from promptmt.text import (BOS_ID, EOS_ID, RESERVED_TOKENS, Vocabulary,
                            load_manifest, load_parallel_examples, tag_token)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
@@ -147,10 +147,10 @@ def test_criterion_3_prompt_conditioning(workspace, trained_full,
                                          static_bleus):
     vocab = workspace["vocab"]
     full = trained_full["model"]
-    w_de, b_de = full.controller_forward(vocab.tag_id("de"))
-    w_fr, b_fr = full.controller_forward(vocab.tag_id("fr"))
-    diff = max(np.abs(w_de.data - w_fr.data).max(),
-               np.abs(b_de.data - b_fr.data).max())
+    # weight rows and bias row of each generated mapping
+    theta_de = full.controller_forward(vocab.tag_id("de"))
+    theta_fr = full.controller_forward(vocab.tag_id("fr"))
+    diff = np.abs(theta_de.data - theta_fr.data).max()
     assert diff > 1e-6
 
     static = trained_static["model"]
@@ -184,7 +184,8 @@ def test_criterion_4_beam_search_oracle():
             best = {}
 
             def recurse(prefix, lp, depth):
-                logprobs = model.next_token_logprobs(memory, prefix, mask)
+                logprobs = log_softmax(
+                    model.decode(memory, prefix, mask).data[-1])
                 cand_tokens = prefix + [EOS_ID]
                 total = lp + float(logprobs[EOS_ID])
                 key = (-total / (len(cand_tokens) - 1), cand_tokens)

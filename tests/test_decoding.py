@@ -41,7 +41,8 @@ def enumerate_best(model, source_ids, max_len, alpha):
         best = {}
 
         def recurse(prefix, lp, depth):
-            logprobs = model.next_token_logprobs(memory, prefix, mask)
+            logprobs = log_softmax(
+                model.decode(memory, prefix, mask).data[-1])
             tokens = prefix + [EOS_ID]
             total = lp + float(logprobs[EOS_ID])
             score = total / (len(tokens) - 1) ** alpha
@@ -82,7 +83,8 @@ def test_beam_one_equals_greedy_token_for_token():
             if step == 12:  # length cap: only EOS may be taken
                 toks.append(EOS_ID)
                 break
-            nxt = int(np.argmax(model.next_token_logprobs(memory, toks, mask)))
+            nxt = int(np.argmax(log_softmax(
+                model.decode(memory, toks, mask).data[-1])))
             toks.append(nxt)
             if nxt == EOS_ID:
                 break

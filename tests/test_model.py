@@ -1,18 +1,23 @@
 """Model tests: encoder masking, controller conditioning, mapping variants,
 co-attention against a hand computation, decoder causality, loss closed
-forms, full-model finite differences, and checkpoint round-trips."""
+forms, the batched loss against a per-example reference, full-model finite
+differences, and checkpoint round-trips."""
 
 import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
+from promptmt.checks import full_model_batch
 from promptmt.errors import ConfigError, ShapeError, VariantError
-from promptmt.model import (ModelConfig, MultimodalTranslator,
+from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
                             check_model_gradients, load_checkpoint,
                             load_parameters, save_checkpoint,
                             sinusoidal_positions)
-from promptmt.text import BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample
-from promptmt.vision import VisualTokens, pseudo_visual_tokens
+from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
+                           load_manifest, load_parallel_examples,
+                           make_batches)
+from promptmt.toydata import make_toy_corpus, train_toy_vocab
+from promptmt.vision import VisualTokens, pseudo_visual_tokens, read_vtok
 
 TAG_DE, TAG_FR = 5, 6  # ids of the two tag tokens in the tiny test vocab
 
@@ -104,35 +109,35 @@ def test_zeroed_attention_output_makes_encoder_positionwise():
 
 def test_controller_deterministic_in_eval():
     m = tiny_model()
-    w1, b1 = m.controller_forward(TAG_DE)
-    w2, b2 = m.controller_forward(TAG_DE)
-    assert np.array_equal(w1.data, w2.data)
-    assert np.array_equal(b1.data, b2.data)
+    theta1 = m.controller_forward(TAG_DE)
+    theta2 = m.controller_forward(TAG_DE)
+    assert np.array_equal(theta1.data, theta2.data)
 
 
 def test_controller_output_shapes():
+    # weight rows [8, 16] then the bias row, per tag
     m = tiny_model()
-    w, b = m.controller_forward(TAG_DE)
-    assert w.shape == (8, 16) and b.shape == (16,)
+    assert m.controller_forward(TAG_DE).shape == (9, 16)
+    batched = m.controller_forward([TAG_DE, TAG_FR, TAG_DE])
+    assert batched.shape == (3, 9, 16)
+    np.testing.assert_array_equal(batched.data[2],
+                                  m.controller_forward(TAG_DE).data)
 
 
 def test_zeroed_controller_yields_output_bias():
     m = tiny_model()
     for name in ("ctrl.1.w", "ctrl.1.b", "ctrl.2.w"):
         m.params[name].data[:] = 0
-    w, b = m.controller_forward(TAG_DE)
+    theta = m.controller_forward(TAG_DE).data
     flat_bias = m.params["ctrl.2.b"].data
-    np.testing.assert_array_equal(w.data, flat_bias[:8 * 16].reshape(8, 16))
-    np.testing.assert_array_equal(b.data, flat_bias[8 * 16:])
+    np.testing.assert_array_equal(theta[:8], flat_bias[:8 * 16].reshape(8, 16))
+    np.testing.assert_array_equal(theta[8], flat_bias[8 * 16:])
 
 
 def test_controller_differs_across_all_tag_pairs():
     m = tiny_model()
     tags = [5, 6, 7, 8]
-    thetas = []
-    for t in tags:
-        w, b = m.controller_forward(t)
-        thetas.append(np.concatenate([w.data.reshape(-1), b.data]))
+    thetas = [m.controller_forward(t).data.reshape(-1) for t in tags]
     for i in range(len(tags)):
         for j in range(i + 1, len(tags)):
             assert np.abs(thetas[i] - thetas[j]).max() > 1e-6
@@ -148,7 +153,7 @@ def test_controller_forward_guarded_by_variant():
 def test_apply_mapping_identity():
     m = tiny_model(d_v=16)
     v = ad.tensor(np.random.default_rng(0).standard_normal((4, 16)))
-    theta = (ad.tensor(np.eye(16)), ad.tensor(np.zeros(16)))
+    theta = ad.tensor(np.vstack([np.eye(16), np.zeros(16)]))
     out = m.apply_mapping(v, theta)
     np.testing.assert_allclose(out.data, v.data, atol=1e-6)
 
@@ -157,7 +162,7 @@ def test_apply_mapping_zero_weight_broadcasts_bias():
     m = tiny_model()
     v = ad.tensor(np.ones((3, 8)))
     bias = np.arange(16.0, dtype=np.float32)
-    out = m.apply_mapping(v, (ad.tensor(np.zeros((8, 16))), ad.tensor(bias)))
+    out = m.apply_mapping(v, ad.tensor(np.vstack([np.zeros((8, 16)), bias])))
     for row in out.data:
         np.testing.assert_array_equal(row, bias)
 
@@ -165,9 +170,8 @@ def test_apply_mapping_zero_weight_broadcasts_bias():
 def test_apply_mapping_hand_case():
     m = tiny_model()
     v = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-    w = ad.tensor([[1.0, 0.0], [1.0, 1.0]])
-    b = ad.tensor([0.5, -0.5])
-    out = m.apply_mapping(v, (w, b))
+    w_and_b = ad.tensor([[1.0, 0.0], [1.0, 1.0], [0.5, -0.5]])
+    out = m.apply_mapping(v, w_and_b)
     np.testing.assert_allclose(out.data, [[3.5, 1.5], [7.5, 3.5]])
 
 
@@ -175,7 +179,7 @@ def test_apply_mapping_shape_mismatch():
     m = tiny_model()
     with pytest.raises(ShapeError):
         m.apply_mapping(ad.tensor(np.zeros((3, 5))),
-                        (ad.tensor(np.zeros((8, 16))), ad.tensor(np.zeros(16))))
+                        ad.tensor(np.zeros((9, 16))))
 
 
 def test_static_mapping_identity_and_guard():
@@ -431,6 +435,120 @@ def test_forward_loss_missing_visual_entry():
         m.forward_loss(Batch(examples=[example()]), {})
 
 
+def test_forward_loss_rejects_target_without_bos():
+    m = tiny_model()
+    bad = example("e7")
+    bad.target_ids = [13, 14, EOS_ID]
+    with pytest.raises(ConfigError, match="e7.*BOS"):
+        m.forward_loss(Batch(examples=[example(), bad]), visual_map())
+
+
+def test_forward_loss_rejects_mixed_prompt_lengths():
+    m = tiny_model()
+    vm = {"img0": pseudo_visual_tokens("img0", 3, 8, seed=0),
+          "img1": pseudo_visual_tokens("img1", 2, 8, seed=0)}
+    batch = Batch(examples=[example(), example("e1", image="img1")])
+    with pytest.raises(ShapeError, match="img0.*img1"):
+        m.forward_loss(batch, vm)
+
+
+def reference_loss(model, batch, visual_map):
+    """The loss as it was before batching: one graph per example, from
+    ``prepare_source`` through ``decode`` to a summed cross entropy, over
+    the batch's target-token count."""
+    total, count = None, 0
+    for ex in batch.examples:
+        visual = (None if model.config.variant == "text_only"
+                  else visual_map[ex.image_id])
+        memory, mask = model.prepare_source(ex.source_ids, visual)
+        logits = model.decode(memory, ex.target_ids[:-1], mask)
+        loss = ad.cross_entropy_label_smoothed(
+            logits, ex.target_ids[1:], model.config.eps_ls, PAD_ID,
+            reduction="sum")
+        total = loss if total is None else ad.add(total, loss)
+        count += len(ex.target_ids) - 1
+    return ad.scale(total, 1.0 / count)
+
+
+def loss_and_grads(model, loss_fn, batch, visual_map):
+    model.zero_grad()
+    loss = loss_fn(model, batch, visual_map)
+    ad.backward(loss)
+    grads = {name: (np.zeros_like(p.data) if p.grad is None else p.grad)
+             for name, p in model.params.items()}
+    return loss.item(), grads
+
+
+def batched_loss(model, batch, visual_map):
+    return model.forward_loss(batch, visual_map)
+
+
+@pytest.fixture(scope="module")
+def toy_batches(tmp_path_factory):
+    """The acceptance suite's toy corpus, packed as in its overfit runs."""
+    root = tmp_path_factory.mktemp("toy")
+    manifest = load_manifest(make_toy_corpus(
+        root, n_lines=32, target_langs=("de", "fr", "cs"), seed=0, m_v=4,
+        d_v=32, n_images=8))
+    vocab = train_toy_vocab(root, manifest.languages)
+    examples = load_parallel_examples(manifest, vocab, pivot="en")
+    return (len(vocab), make_batches(examples, 512, seed=0),
+            read_vtok(manifest.vtok_path))
+
+
+def assert_batched_matches_reference(model, batches, visual_map):
+    model = model.astype(np.float64)
+    for batch in batches:
+        want, want_grads = loss_and_grads(model, reference_loss, batch,
+                                          visual_map)
+        got, got_grads = loss_and_grads(model, batched_loss, batch,
+                                        visual_map)
+        assert got == pytest.approx(want, rel=1e-5)
+        for name in model.params:
+            # the key biases' gradients are analytically zero (a key bias
+            # shifts a whole score row), hence the absolute floor
+            np.testing.assert_allclose(got_grads[name], want_grads[name],
+                                       rtol=1e-5, atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_loss_matches_per_example_reference(variant):
+    text_only = variant == "text_only"
+    m = tiny_model(variant=variant, d_v=0 if text_only else 8)
+    batch, visual = full_model_batch()
+    assert_batched_matches_reference(m, [batch], visual)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_loss_matches_reference_on_toy_corpus(variant, toy_batches):
+    vocab_size, batches, visual = toy_batches
+    text_only = variant == "text_only"
+    m = tiny_model(variant=variant, vocab_size=vocab_size,
+                   d_v=0 if text_only else 32)
+    assert_batched_matches_reference(m, batches, visual)
+
+
+def test_batched_graph_size_does_not_grow_with_batch(monkeypatch):
+    nodes = []
+    real_make_node = ad.make_node
+
+    def counting(*args, **kwargs):
+        nodes[-1] += 1
+        return real_make_node(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "make_node", counting)
+    m = tiny_model(dropout=0.3)
+    m.train_mode = True
+    fr = ParallelExample("f0", "en", "fr", [TAG_FR, BOS_ID, 10, 15, EOS_ID],
+                         [BOS_ID, 16, 17, 18, 19, EOS_ID], "img1")
+    vm = visual_map(("img0", "img1"))
+    for copies in (1, 4):
+        examples = [example(f"e{i}") for i in range(copies)] + [fr] * copies
+        nodes.append(0)
+        m.forward_loss(Batch(examples=examples), vm)
+    assert nodes[0] == nodes[1]
+
+
 def test_every_attention_distribution_sums_to_one(monkeypatch):
     # capture each softmax the forward pass computes: all of them are
     # attention distributions over the last axis
@@ -458,9 +576,9 @@ def test_generated_parameters_receive_gradients():
     theta = m.controller_forward(TAG_DE)
     p0 = m.apply_mapping(m._const(visual_map()["img0"].tokens), theta)
     ad.backward(ad.sum_(p0))
-    w, b = theta
-    assert w.grad is not None and np.abs(w.grad).max() > 0
-    assert b.grad is not None and np.abs(b.grad).max() > 0
+    w_grad, b_grad = theta.grad[:8], theta.grad[8]
+    assert np.abs(w_grad).max() > 0
+    assert np.abs(b_grad).max() > 0
     assert m.params["ctrl.2.w"].grad is not None
     assert m.params["embedding"].grad is not None
 

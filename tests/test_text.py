@@ -123,6 +123,25 @@ def test_vocab_save_load_roundtrip(tmp_path, tiny_corpus):
     assert loaded.languages == vocab.languages
 
 
+def test_vocab_load_ignores_tag_shaped_merges(tmp_path):
+    # four merges turn the literal text "<2fr>" into one content token that
+    # looks like a tag; only the block after the reserved ids holds tags
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("<2fr>\n" * 5, encoding="utf-8")
+    base = len(tx.RESERVED_TOKENS) + 1 + 256
+    vocab = tx.train_bpe([corpus], vocab_size=base + 4, min_freq=2,
+                         languages=["de"])
+    assert vocab.tokens[-1] == "<2fr>"
+    vocab.save(tmp_path / "bpe")
+    loaded = tx.Vocabulary.load(tmp_path / "bpe")
+    assert loaded.languages == ["de"]
+    assert loaded.tag_ids == {len(tx.RESERVED_TOKENS)}
+    assert not loaded.is_tag(len(vocab) - 1)
+    with pytest.raises(LanguageError, match="fr"):
+        loaded.tag_id("fr")
+    assert tx.decode(tx.encode("<2fr>", loaded), loaded) == "<2fr>"
+
+
 # ---------------------------------------------------------------------------
 # target-language prefixing
 # ---------------------------------------------------------------------------
