@@ -11,6 +11,7 @@ whitespace-normalized text.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,9 +149,28 @@ class Vocabulary:
         merges = []
         merges_path = Path(f"{prefix}.merges")
         if merges_path.exists():
-            for line in merges_path.read_text(encoding="utf-8").splitlines():
-                a, b = line.split(" ")
-                merges.append((a, b))
+            in_vocab = set(tokens)
+            symbols = set(_BYTE_TO_CHAR.values())
+            lines = merges_path.read_text(encoding="utf-8").splitlines()
+            for n, line in enumerate(lines, 1):
+                where = f"{merges_path} line {n}"
+                parts = line.split(" ")
+                if len(parts) != 2 or not all(parts):
+                    raise VocabularyError(
+                        f"{where}: expected two space-separated tokens, "
+                        f"got {line!r}")
+                for part in parts:
+                    if part not in symbols:
+                        raise VocabularyError(
+                            f"{where}: {part!r} is neither a byte symbol nor "
+                            "the result of an earlier merge")
+                merged = parts[0] + parts[1]
+                if merged not in in_vocab:
+                    raise VocabularyError(
+                        f"{where}: merge result {merged!r} is not in "
+                        f"{vocab_path}")
+                symbols.add(merged)
+                merges.append((parts[0], parts[1]))
         return cls(tokens=tokens, languages=languages, merges=merges)
 
 
@@ -161,7 +181,20 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     Merges are chosen by descending pair frequency, ties broken by
     lexicographically smallest pair, so retraining on identical input
     reproduces an identical merge table. Merging stops at ``vocab_size``
-    or when no pair reaches ``min_freq``.
+    or when no pair reaches ``min_freq``. A pair whose merge would spell a
+    token the vocabulary already has (a reserved token such as ``<unk>``
+    or a language tag such as ``<2de>``) is never chosen: its parts stay
+    separate tokens, so such literal text is still content and
+    decode(encode(t)) == t holds.
+
+    Learning is incremental, as in the reference learner of Sennrich et
+    al. (2016): each word type is counted once, pair counts and a pair ->
+    word index are kept up to date, and a merge rewrites only the words
+    that hold the chosen pair (subtract the word's old pairs, merge, add
+    its new pairs). The best pair comes from a max-heap keyed by
+    (-count, pair) with lazy invalidation: a popped entry whose count is
+    stale goes back in at its current count. Only pairs that contain the
+    new symbol can gain count, and each gets a fresh entry after the merge.
     """
     base = RESERVED_TOKENS + [tag_token(l) for l in languages] \
         + [_BYTE_TO_CHAR[b] for b in range(256)]
@@ -169,7 +202,7 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
         raise ConfigError(f"vocab_size {vocab_size} below minimum {len(base)} "
                           "(reserved + tags + byte alphabet)")
 
-    unit_freqs: dict[tuple, int] = {}
+    unit_freqs: dict[str, int] = {}
     n_lines = 0
     for path in corpus_paths:
         path = Path(path)
@@ -181,27 +214,75 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
                 continue
             n_lines += 1
             for unit in _split_units(line):
-                chars = _unit_to_chars(unit)
-                unit_freqs[chars] = unit_freqs.get(chars, 0) + 1
+                unit_freqs[unit] = unit_freqs.get(unit, 0) + 1
     if n_lines == 0:
         raise ConfigError("empty corpus: no non-blank lines found")
 
+    words = [_unit_to_chars(unit) for unit in unit_freqs]
+    freqs = list(unit_freqs.values())
+    del unit_freqs
+    pair_freqs: dict[tuple[str, str], int] = {}
+    # pair -> indices of the words holding it; an index may be stale (the
+    # word lost the pair to another merge), never missing
+    holders: dict[tuple[str, str], list[int]] = {}
+    for w, symbols in enumerate(words):
+        for pair in zip(symbols, symbols[1:]):
+            pair_freqs[pair] = pair_freqs.get(pair, 0) + freqs[w]
+            held = holders.setdefault(pair, [])
+            if not held or held[-1] != w:
+                held.append(w)
+
+    # a pair can sit at count 0 in pair_freqs once merges have taken it
+    floor = max(min_freq, 1)
+    heap = [(-f, pair) for pair, f in pair_freqs.items() if f >= floor]
+    heapq.heapify(heap)
     tokens = list(base)
+    known = set(base)
     merges: list[tuple[str, str]] = []
-    units = dict(unit_freqs)
-    while len(tokens) < vocab_size:
-        pair_freqs: dict[tuple[str, str], int] = {}
-        for unit, freq in units.items():
-            for a, b in zip(unit, unit[1:]):
-                pair_freqs[(a, b)] = pair_freqs.get((a, b), 0) + freq
-        candidates = [(f, p) for p, f in pair_freqs.items() if f >= min_freq]
-        if not candidates:
-            break
-        best_freq = max(f for f, _ in candidates)
-        best = min(p for f, p in candidates if f == best_freq)
-        merges.append(best)
-        tokens.append(best[0] + best[1])
-        units = {_apply_merge(u, best): f for u, f in units.items()}
+    while heap and len(tokens) < vocab_size:
+        neg_count, pair = heapq.heappop(heap)
+        count = pair_freqs.get(pair, 0)
+        if count != -neg_count:
+            if count >= floor:
+                heapq.heappush(heap, (-count, pair))
+            continue
+        a, b = pair
+        merged = a + b
+        if merged in known:
+            continue
+        merges.append(pair)
+        tokens.append(merged)
+        known.add(merged)
+        fresh = set()
+        for w in holders.pop(pair):
+            symbols = words[w]
+            n = len(symbols)
+            out = []
+            i = 0
+            while i < n:
+                if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(symbols[i])
+                    i += 1
+            if len(out) == n:
+                continue
+            f = freqs[w]
+            for p in zip(symbols, symbols[1:]):
+                pair_freqs[p] -= f
+            for p in zip(out, out[1:]):
+                pair_freqs[p] = pair_freqs.get(p, 0) + f
+                if merged in p:
+                    fresh.add(p)
+                    held = holders.setdefault(p, [])
+                    if not held or held[-1] != w:
+                        held.append(w)
+            words[w] = out
+        del pair_freqs[pair]
+        for p in fresh:
+            if pair_freqs[p] >= floor:
+                heapq.heappush(heap, (-pair_freqs[p], p))
 
     return Vocabulary(tokens=tokens, languages=list(languages), merges=merges)
 

@@ -49,6 +49,19 @@ def test_bpe_train_cli(tmp_path):
     assert vocab.languages == ["de", "fr"]
 
 
+def test_bpe_train_cli_literal_reserved_text(tmp_path):
+    # the corpus spells "<unk>"; learning must not merge it into a second
+    # "<unk>" token and crash on the duplicate
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("the <unk> sat on the <unk>\n" * 3, encoding="utf-8")
+    rc = main(["bpe-train", "--corpus", str(corpus), "--vocab-size", "291",
+               "--out", str(tmp_path / "bpe")])
+    assert rc == 0
+    vocab = Vocabulary.load(tmp_path / "bpe")
+    assert vocab.tokens.count("<unk>") == 1
+    assert len(vocab.merges) > 0
+
+
 def test_make_vtok_cli(tmp_path):
     ids = tmp_path / "ids.txt"
     ids.write_text("a\nb\nc\n", encoding="utf-8")

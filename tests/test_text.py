@@ -2,6 +2,7 @@
 and manifest validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptmt import text as tx
-from promptmt.errors import ConfigError, LanguageError
+from promptmt.errors import ConfigError, LanguageError, VocabularyError
+from promptmt.toydata import make_toy_corpus
 
 SAMPLE_SENTENCES = {
     "en": "a man plays with a red ball",
@@ -76,6 +78,111 @@ def test_bpe_empty_corpus_rejected(tmp_path):
         tx.train_bpe([p], vocab_size=400)
 
 
+@pytest.mark.parametrize("line, repeat, languages, vocab_size, literal", [
+    ("the <unk> sat on the <unk>", 3, [], 291, "<unk>"),
+    ("<2de> x", 5, ["de"], 300, "<2de>"),
+])
+def test_bpe_never_spells_reserved_or_tag_token(tmp_path, line, repeat,
+                                                languages, vocab_size,
+                                                literal):
+    p = tmp_path / "c.txt"
+    p.write_text(f"{line}\n" * repeat, encoding="utf-8")
+    vocab = tx.train_bpe([p], vocab_size, min_freq=2, languages=languages)
+    assert vocab.tokens.count(literal) == 1
+    assert all(a + b != literal for a, b in vocab.merges)
+    assert tx.decode(tx.encode(line, vocab), vocab) == line
+    # the literal text stays content: its pieces are never the special id
+    special = vocab.id_of(literal)
+    assert special not in tx.encode(line, vocab)
+
+
+def reference_train_bpe(corpus_paths, vocab_size, min_freq=2, languages=()):
+    """The full-recount learner ``train_bpe`` replaced: every merge recounts
+    every pair of every word type. The one rule added since, skipping a
+    pair that would spell a token already in the vocabulary, is the
+    ``not in tokens`` filter. Returns (tokens, merges)."""
+    base = tx.RESERVED_TOKENS + [tx.tag_token(l) for l in languages] \
+        + [tx._BYTE_TO_CHAR[b] for b in range(256)]
+    unit_freqs = {}
+    for path in corpus_paths:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            for unit in tx._split_units(tx.normalize_whitespace(line)):
+                chars = tx._unit_to_chars(unit)
+                unit_freqs[chars] = unit_freqs.get(chars, 0) + 1
+    tokens = list(base)
+    merges = []
+    units = dict(unit_freqs)
+    while len(tokens) < vocab_size:
+        pair_freqs = {}
+        for unit, freq in units.items():
+            for a, b in zip(unit, unit[1:]):
+                pair_freqs[(a, b)] = pair_freqs.get((a, b), 0) + freq
+        candidates = [(f, p) for p, f in pair_freqs.items()
+                      if f >= min_freq and p[0] + p[1] not in tokens]
+        if not candidates:
+            break
+        best_freq = max(f for f, _ in candidates)
+        best = min(p for f, p in candidates if f == best_freq)
+        merges.append(best)
+        tokens.append(best[0] + best[1])
+        units = {tx._apply_merge(u, best): f for u, f in units.items()}
+    return tokens, merges
+
+
+def assert_matches_reference(paths, vocab_size, min_freq, languages=()):
+    vocab = tx.train_bpe(paths, vocab_size, min_freq=min_freq,
+                         languages=languages)
+    tokens, merges = reference_train_bpe(paths, vocab_size, min_freq,
+                                         languages)
+    assert vocab.merges == merges
+    assert vocab.tokens == tokens
+    return vocab
+
+
+# "é" is two bytes; "<2de>" and "<unk>" spell a tag and a reserved token
+LETTERS = ["a", "b", "c", "é", "<2de>", "<unk>"]
+
+
+@st.composite
+def bpe_corpora(draw):
+    """Lines over a 2-4 letter alphabet, so pair counts tie often, with
+    runs such as "aaaa" whose pairs overlap."""
+    alphabet = draw(st.lists(st.sampled_from(LETTERS), min_size=2,
+                             max_size=4, unique=True))
+    letter = st.sampled_from(alphabet)
+    word = st.one_of(
+        st.lists(letter, min_size=1, max_size=5).map("".join),
+        st.tuples(letter, st.integers(2, 6)).map(lambda t: t[0] * t[1]))
+    return draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                         min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bpe_corpora(), st.integers(0, 3),
+       st.sampled_from([(), ("de",), ("de", "fr")]), st.integers(0, 40))
+def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
+                                              min_freq, languages, extra):
+    p = tmp_path_factory.mktemp("bpe") / "corpus.txt"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    base = len(tx.RESERVED_TOKENS) + len(languages) + 256
+    vocab = assert_matches_reference([p], base + extra, min_freq, languages)
+    for line in lines:
+        assert tx.decode(tx.encode(line, vocab), vocab) == line
+
+
+@pytest.mark.parametrize("vocab_size, reached", [(360, True), (600, False)])
+def test_incremental_bpe_matches_full_recount_on_toy_corpus(tmp_path,
+                                                            vocab_size,
+                                                            reached):
+    manifest = tx.load_manifest(make_toy_corpus(
+        tmp_path, n_lines=32, target_langs=("de", "fr", "cs"), seed=0,
+        m_v=4, d_v=32, n_images=8))
+    paths = [manifest.text_paths[lang] for lang in manifest.languages]
+    vocab = assert_matches_reference(paths, vocab_size, 2, manifest.languages)
+    # at 600 no pair reaches min_freq before the vocabulary is full
+    assert (len(vocab) == vocab_size) == reached
+
+
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
@@ -140,6 +247,44 @@ def test_vocab_load_ignores_tag_shaped_merges(tmp_path):
     with pytest.raises(LanguageError, match="fr"):
         loaded.tag_id("fr")
     assert tx.decode(tx.encode("<2fr>", loaded), loaded) == "<2fr>"
+
+
+def save_vocab_with_merges(tmp_path, merges_text):
+    """Save a vocabulary with the merges (a,b), (ab,c), (ab,d) under
+    tmp_path / "bpe", then replace its .merges file by ``merges_text``."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("abc abc abd\n" * 3, encoding="utf-8")
+    base = len(tx.RESERVED_TOKENS) + 256
+    vocab = tx.train_bpe([corpus], vocab_size=base + 3, min_freq=2)
+    vocab.save(tmp_path / "bpe")
+    assert vocab.merges == [("a", "b"), ("ab", "c"), ("ab", "d")]
+    (tmp_path / "bpe.merges").write_text(merges_text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("bad, line_no, message", [
+    ("a b\nab\n", 2, "two space-separated tokens"),
+    ("a b c\n", 1, "two space-separated tokens"),
+    ("a  b\n", 1, "two space-separated tokens"),
+    ("a b\n\n", 2, "two space-separated tokens"),
+    ("a b\nxy c\n", 2, "'xy' is neither a byte symbol nor"),
+    ("abc d\n", 1, "'abc' is neither a byte symbol nor"),
+    ("a b\nab x\n", 2, "'abx' is not in"),
+])
+def test_vocab_load_rejects_bad_merges(tmp_path, bad, line_no, message):
+    save_vocab_with_merges(tmp_path, bad)
+    path = tmp_path / "bpe.merges"
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert f"{path} line {line_no}" in str(err.value)
+    assert message in str(err.value)
+
+
+def test_vocab_load_frozen_benchmark_vocabulary():
+    prefix = Path(__file__).resolve().parents[1] / "perfbench/frozen/bpe"
+    vocab = tx.Vocabulary.load(prefix)
+    lines = Path(f"{prefix}.merges").read_text(encoding="utf-8").splitlines()
+    assert vocab.merges == [tuple(line.split(" ")) for line in lines]
+    assert len(vocab) == 360
 
 
 # ---------------------------------------------------------------------------
