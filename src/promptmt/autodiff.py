@@ -367,8 +367,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias shape must be ({d},), got "
                          f"{gain.shape} / {bias.shape}")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = x.data.dtype.type(d)
+
+    def mean(a):
+        # == a.mean(axis=-1, keepdims=True) bit for bit (np.mean divides the
+        # same sum in float64 and rounds; a correctly rounded float32
+        # quotient is the same number), at half the per-call overhead
+        return a.sum(axis=-1, keepdims=True) / n
+
+    xc = x.data - mean(x.data)
+    var = mean(xc * xc)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
@@ -380,8 +388,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            m1 = mean(gx)
+            m2 = mean(gx * xhat)
             x.accumulate_grad(inv * (gx - m1 - xhat * m2))
 
     return make_node(out_data, (x, gain, bias), backward)

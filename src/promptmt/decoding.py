@@ -15,10 +15,25 @@ a decoder state, so a step feeds only the newest token of every live
 hypothesis and the state's rows follow the surviving hypotheses' parents.
 Continuations are scored as one [live, V] array and only those that can
 reach the beam are sorted.
+
+The search stops as soon as no live hypothesis can still beat the best
+finished one (the optimality stop of Huang, Zhao and Ma, 2017, "When to
+Finish? Optimal Beam Search for Neural Text Generation"). Every
+log-softmax term is <= 0, so a descendant's float64 logprob is at most
+its live ancestor's; a hypothesis finishing at step s or later has some
+length n in [s, max_len], and n ** alpha is monotone in n, so its score
+is at most the best live logprob over max(s ** alpha, max_len ** alpha)
+(a non-positive number divided by a larger positive one gives a larger
+result, and rounding keeps that order). This holds for any finite alpha,
+negative ones included. The comparison is strict: on a tie the
+token-order tie-break could still favour a live hypothesis.
+The returned hypothesis is therefore the one the search would return
+after running every live row to EOS or the length cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +74,9 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
     """Decode one tag-prefixed source sequence into the target language."""
     if beam < 1:
         raise ConfigError(f"beam must be >= 1, got {beam}")
-    if not source_ids or source_ids[0] != vocab.tag_id(target_lang):
+    if not math.isfinite(alpha):
+        raise ConfigError(f"alpha must be a finite number, got {alpha}")
+    if len(source_ids) == 0 or source_ids[0] != vocab.tag_id(target_lang):
         raise ConfigError(f"source must be prefixed with the {target_lang!r} "
                           "tag before decoding")
     if max_len is None:
@@ -75,11 +92,12 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
     state = model.decoder_state(memory)
     alive: list[list[int]] = [[BOS_ID]]    # live prefixes, all one length
     alive_lp = np.zeros(1)                 # their cumulative logprobs
-    finished: list[Hypothesis] = []
+    best: Optional[Hypothesis] = None      # first under (-score, tokens)
     every_token = np.arange(vocab_size)
     only_eos = np.array([EOS_ID])
     for step in range(1, max_len + 1):
-        if not alive:
+        if not alive or (best is not None and best.score > alive_lp.max()
+                         / max(step ** alpha, max_len ** alpha)):
             break
         newest = [[toks[-1]] for toks in alive]
         logits = model.decode(memory, newest, src_mask, state).data[:, -1]
@@ -93,15 +111,18 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
             toks = alive[row] + [int(tokens[col])]
             lp = float(scores[i])
             if toks[-1] == EOS_ID:
-                finished.append(Hypothesis(tokens=toks, logprob=lp,
-                                           alpha=alpha, forced=at_cap))
+                hyp = Hypothesis(tokens=toks, logprob=lp, alpha=alpha,
+                                 forced=at_cap)
+                if best is None or ((-hyp.score, hyp.tokens)
+                                    < (-best.score, best.tokens)):
+                    best = hyp
             else:
                 parents.append(row)
                 next_alive.append(toks)
                 next_lp.append(lp)
         state.reorder(parents)
         alive, alive_lp = next_alive, np.array(next_lp)
-    return min(finished, key=lambda h: (-h.score, h.tokens))
+    return best
 
 
 def _best(scores: np.ndarray, beam: int, alive: list[list[int]],

@@ -116,6 +116,7 @@ class MultimodalTranslator:
         self.train_mode = False
         self._rng = rng_for("dropout", seed)
         self.params: dict[str, Tensor] = {}
+        self._positions = np.zeros((0, config.d_model), self.dtype)
         self._init_params(init_rng)
 
     # -- parameter construction ------------------------------------------
@@ -284,9 +285,20 @@ class MultimodalTranslator:
         d = self.config.d_model
         x = ad.scale(ad.embedding_lookup(self.params["embedding"], ids),
                      np.sqrt(d))
-        pos = self._const(sinusoidal_positions(ids.shape[-1], d, self.dtype,
-                                               start))
-        return self._dropout(ad.add(x, pos))
+        return self._dropout(ad.add(x, self._const(
+            self._position_rows(start, ids.shape[-1]))))
+
+    def _position_rows(self, start: int, n: int) -> np.ndarray:
+        """``sinusoidal_positions(n, d_model, dtype, start)``, sliced from a
+        table that doubles when a position beyond it is asked for (each
+        row depends only on its own position, so a slice equals the direct
+        computation bit for bit)."""
+        end = start + n
+        if end > len(self._positions):
+            self._positions = sinusoidal_positions(
+                max(end, 2 * len(self._positions)), self.config.d_model,
+                self.dtype)
+        return self._positions[start:end]
 
     # -- public forward stages ----------------------------------------------
 

@@ -151,6 +151,41 @@ def test_layer_norm_gradients():
         bias, name="layer_norm_bias").passed
 
 
+def layer_norm_by_np_mean(x, gain, bias, eps=1e-5):
+    """The forward pass and input gradient as written with ``np.mean``."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = xc * inv
+
+    def grad(g):
+        gx = g * gain
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return inv * (gx - m1 - xhat * m2)
+
+    return xhat * gain + bias, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_bitwise_equals_np_mean_formula(dtype):
+    rng = np.random.Generator(np.random.PCG64(5))
+    for d in (33, 48, 64, 96, 100):
+        for shape in ((d,), (5, 1, d), (3, 7, d)):
+            x0 = (rng.standard_normal(shape) * rng.uniform(0.01, 100)
+                  ).astype(dtype)
+            g0, b0 = (rng.standard_normal(d).astype(dtype) for _ in "gb")
+            w = rng.standard_normal(shape).astype(dtype)
+            x = ad.Tensor(x0, requires_grad=True, dtype=dtype)
+            out = ad.layer_norm(x, ad.Tensor(g0, dtype=dtype),
+                                ad.Tensor(b0, dtype=dtype))
+            ad.backward(ad.sum_(ad.mul(out, ad.Tensor(w, dtype=dtype))))
+            want, grad = layer_norm_by_np_mean(x0, g0, b0)
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, want)
+            assert np.array_equal(x.grad, grad(w))
+
+
 # ---------------------------------------------------------------------------
 # relu / embedding / structural ops
 # ---------------------------------------------------------------------------

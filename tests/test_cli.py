@@ -185,3 +185,14 @@ def test_vtok_width_mismatch_rejected(workspace, tmp_path, capsys):
                "--vtok", str(wrong)])
     assert rc != 0
     assert "width mismatch" in capsys.readouterr().err
+
+
+def test_translate_cli_rejects_non_finite_alpha(workspace, tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("train-000000\thello\n", encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src), "--alpha", "nan",
+               "--vtok", str(workspace / "train.vtok")])
+    assert rc != 0
+    assert "alpha" in capsys.readouterr().err

@@ -1,17 +1,28 @@
 """Beam-search tests: greedy equivalence, exhaustive-enumeration oracle,
-length-penalty behaviour, determinism, and equivalence of the incremental,
-array-based search with the full-recompute tuple-sort search it replaced."""
+length-penalty behaviour, determinism, equivalence of the incremental,
+array-based search with the full-recompute tuple-sort search it replaced,
+and equivalence of the early-stopping search with running to the cap."""
+
+import functools
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
-from promptmt.decoding import (Hypothesis, _search, beam_search,
+from promptmt.decoding import (Hypothesis, _best, _search, beam_search,
                                greedy_decode)
 from promptmt.errors import ConfigError
-from promptmt.model import ModelConfig, MultimodalTranslator, log_softmax
+from promptmt.evaluate import visual_tokens_for
+from promptmt.model import (ModelConfig, MultimodalTranslator, load_checkpoint,
+                            log_softmax)
 from promptmt.text import (BOS_ID, EOS_ID, MASK_ID, PAD_ID, RESERVED_TOKENS,
-                           Vocabulary, tag_token, _BYTE_TO_CHAR)
+                           Vocabulary, encode, load_manifest, manifest_image_ids,
+                           manifest_lines, mask_source, prefix_target_token,
+                           tag_token, _BYTE_TO_CHAR)
 from promptmt.vision import pseudo_visual_tokens
 
 TAG = 5
@@ -148,6 +159,31 @@ def test_rejects_untagged_source():
 def test_rejects_zero_beam():
     with pytest.raises(ConfigError, match="beam"):
         beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=0)
+
+
+def test_accepts_numpy_source():
+    model, vocab = tiny_text_model(4), tiny_vocab()
+    want = beam_search(model, vocab, SOURCE, "de", beam=3, max_len=6)
+    got = beam_search(model, vocab, np.array(SOURCE), "de", beam=3,
+                      max_len=6)
+    assert got == want
+    with pytest.raises(ConfigError, match="prefixed"):
+        beam_search(model, vocab, np.array([], dtype=np.int64), "de")
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ConfigError, match="alpha"):
+        beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=2,
+                    alpha=alpha)
+
+
+def test_negative_alpha_is_legal():
+    hyp = beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=2,
+                      max_len=5, alpha=-0.5)
+    assert hyp.tokens[0] == BOS_ID and hyp.tokens[-1] == EOS_ID
+    assert math.isfinite(hyp.score)
 
 
 def test_hypothesis_score_normalization():
@@ -314,3 +350,191 @@ def test_partial_ties_break_like_full_sort(seed):
             assert got.tokens == want.tokens
             assert got.forced == want.forced
             assert got.logprob == want.logprob
+
+
+# ---------------------------------------------------------------------------
+# the early stop against running every live row to EOS or the cap
+# ---------------------------------------------------------------------------
+
+def search_to_cap(model, memory, src_mask, vocab_size, beam, max_len, alpha):
+    """The incremental search as it was before the early stop: it runs until
+    every live row has taken EOS or the length cap is reached, then returns
+    the first finished hypothesis under (-score, tokens)."""
+    state = model.decoder_state(memory)
+    alive, alive_lp = [[BOS_ID]], np.zeros(1)
+    finished = []
+    every_token, only_eos = np.arange(vocab_size), np.array([EOS_ID])
+    for step in range(1, max_len + 1):
+        if not alive:
+            break
+        newest = [[toks[-1]] for toks in alive]
+        logits = model.decode(memory, newest, src_mask, state).data[:, -1]
+        at_cap = step == max_len
+        tokens = only_eos if at_cap else every_token
+        scores = (alive_lp[:, None]
+                  + log_softmax(logits)[:, tokens].astype(np.float64)).ravel()
+        parents, next_alive, next_lp = [], [], []
+        for i in _best(scores, beam, alive, tokens):
+            row, col = divmod(i, len(tokens))
+            toks = alive[row] + [int(tokens[col])]
+            lp = float(scores[i])
+            if toks[-1] == EOS_ID:
+                finished.append(Hypothesis(tokens=toks, logprob=lp,
+                                           alpha=alpha, forced=at_cap))
+            else:
+                parents.append(row)
+                next_alive.append(toks)
+                next_lp.append(lp)
+        state.reorder(parents)
+        alive, alive_lp = next_alive, np.array(next_lp)
+    return min(finished, key=lambda h: (-h.score, h.tokens))
+
+
+class CountingModel:
+    """Forwards to ``model`` and counts its ``decode`` calls."""
+
+    def __init__(self, model):
+        self.model, self.calls = model, 0
+
+    def decoder_state(self, memory):
+        return self.model.decoder_state(memory)
+
+    def decode(self, *args, **kwargs):
+        self.calls += 1
+        return self.model.decode(*args, **kwargs)
+
+
+class EosLeaningStub(StubModel):
+    """A StubModel whose EOS logit gets ``bias`` added at every step."""
+
+    def __init__(self, vocab_size, levels, seed=0, bias=4):
+        super().__init__(vocab_size, levels, seed)
+        self.bias = bias
+
+    def _logits(self, prefix):
+        logits = super()._logits(prefix)
+        logits[EOS_ID] += self.bias
+        return logits
+
+
+ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vocab_size=st.integers(3, 12), levels=st.integers(1, 4),
+       bias=st.sampled_from([0, 1, 3, 6]), seed=st.integers(0, 2 ** 16),
+       beam=st.integers(1, 6), max_len=st.integers(2, 10),
+       alpha=st.sampled_from(ALPHAS))
+def test_early_stop_matches_search_to_cap_stub(vocab_size, levels, bias, seed,
+                                               beam, max_len, alpha):
+    model = CountingModel(EosLeaningStub(vocab_size, levels, seed, bias))
+    got = _search(model, None, None, vocab_size, beam, max_len, alpha)
+    stopped_after = model.calls
+    want = search_to_cap(model, None, None, vocab_size, beam, max_len, alpha)
+    assert got == want
+    assert stopped_after <= model.calls - stopped_after
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_early_stop_matches_search_to_cap_seed_sweep(alpha):
+    # a fixed sweep that always reaches the cases where a bound divided by
+    # the wrong length stops too early: alpha 2 (a longer hypothesis still
+    # overtakes) and alpha -0.5 (a shorter one does)
+    for seed in range(30):
+        for bias in (-1, 0, 2, 4):
+            for beam in (2, 3):
+                model = EosLeaningStub(8, 4, seed, bias)
+                got = _search(model, None, None, 8, beam, 8, alpha)
+                assert got == search_to_cap(model, None, None, 8, beam, 8,
+                                            alpha)
+
+
+@functools.cache
+def shared_tiny_model(seed):
+    return tiny_text_model(seed + 300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 7), beam=st.integers(1, 6),
+       max_len=st.integers(2, 10), alpha=st.sampled_from(ALPHAS))
+def test_early_stop_matches_search_to_cap_tiny_model(seed, beam, max_len,
+                                                     alpha):
+    model = shared_tiny_model(seed)
+    with ad.no_grad():
+        memory, mask = model.prepare_source(SOURCE, None)
+        got = _search(model, memory, mask, 8, beam, max_len, alpha)
+        want = search_to_cap(model, memory, mask, 8, beam, max_len, alpha)
+    assert got == want
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
+
+
+def test_early_stop_matches_search_to_cap_frozen_checkpoint():
+    """A dozen requests to the benchmark's trained checkpoint, masked and
+    unmasked, into every target language: the same hypothesis, logprob bit
+    for bit, in well under the decoder steps of running to the cap."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    vocab = Vocabulary.load(FROZEN / "bpe")
+    manifest = load_manifest(FROZEN / "train.json")
+    visual = visual_tokens_for(model, manifest.vtok_path)
+    sources = manifest_lines(manifest, "en")
+    images = manifest_image_ids(manifest, len(sources))
+    counted = CountingModel(model)
+    early_calls = cap_calls = 0
+    for k in range(12):
+        lang = ("de", "fr", "cs")[k % 3]
+        ids = prefix_target_token(
+            [BOS_ID] + encode(sources[2 * k + 1], vocab) + [EOS_ID], lang, vocab)
+        ids = mask_source(ids, (0.0, 0.4)[k % 2], k, vocab)
+        max_len = 2 * len(ids) + 8
+        with ad.no_grad():
+            memory, mask = model.prepare_source(ids, visual[images[2 * k + 1]])
+            counted.calls = 0
+            got = _search(counted, memory, mask, len(vocab), 5, max_len, 1.0)
+            early_calls += counted.calls
+            counted.calls = 0
+            want = search_to_cap(counted, memory, mask, len(vocab), 5,
+                                 max_len, 1.0)
+            cap_calls += counted.calls
+        assert got == want
+    assert early_calls < cap_calls / 2
+
+
+def test_early_stop_fires_on_eos_leaning_model():
+    # EOS leads every step by 6 logits: [BOS, EOS] finishes at step 1 with
+    # logprob near 0, far above what any live row can still reach
+    model = CountingModel(EosLeaningStub(vocab_size=8, levels=2, bias=6))
+    max_len = 10
+    got = _search(model, None, None, 8, beam=5, max_len=max_len, alpha=1.0)
+    assert model.calls < max_len
+    assert got == search_to_cap(model, None, None, 8, 5, max_len, 1.0)
+
+
+class TieStub(StubModel):
+    """After BOS, PAD and EOS share the top logit, so [BOS, PAD] and
+    [BOS, EOS] tie; after [BOS, PAD], EOS takes all the mass (logprob
+    exactly 0). Everything else is far below."""
+
+    def __init__(self):
+        super().__init__(vocab_size=4, levels=1)
+
+    def _logits(self, prefix):
+        logits = np.full(4, -300.0)
+        if list(prefix) == [BOS_ID]:
+            logits[[PAD_ID, EOS_ID]] = 0.0
+        else:
+            logits[EOS_ID] = 0.0
+        return logits
+
+
+def test_early_stop_does_not_stop_on_a_tie():
+    # after step 1 the best finished hypothesis, [BOS, EOS], scores exactly
+    # the live [BOS, PAD]'s bound (alpha 0: the logprob itself). Its child
+    # [BOS, PAD, EOS] scores the same and sorts first, so stopping on the
+    # tie would return the wrong hypothesis
+    model = CountingModel(TieStub())
+    got = _search(model, None, None, 4, beam=2, max_len=6, alpha=0.0)
+    assert got.tokens == [BOS_ID, PAD_ID, EOS_ID]
+    assert got == search_to_cap(TieStub(), None, None, 4, 2, 6, 0.0)
+    assert 2 <= model.calls < 6

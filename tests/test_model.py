@@ -614,6 +614,20 @@ def test_sinusoidal_positions_first_row_and_range():
     assert np.abs(pe).max() <= 1.0 + 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_position_table_slices_equal_direct_encodings(dtype):
+    model = MultimodalTranslator(tiny_config(d_model=33, n_heads=3), seed=0,
+                                 dtype=dtype)
+    # (start, n) pairs asked in this order: within the table, past its end
+    # (it grows), then back inside the grown table
+    for start, n in [(0, 3), (1, 2), (2, 1), (3, 10), (0, 5), (12, 1),
+                     (30, 7), (5, 40), (0, 1)]:
+        rows = model._position_rows(start, n)
+        assert rows.dtype == dtype
+        assert np.array_equal(rows, sinusoidal_positions(n, 33, dtype, start))
+    assert len(model._position_rows(0, 0)) == 0
+
+
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     m = tiny_model()
     path = tmp_path / "model.lvpm"
