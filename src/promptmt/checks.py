@@ -95,9 +95,40 @@ def primitive_reports(h: float = 1e-3, tol: float = 1e-3
         check("concat",
               lambda x: ad.sum_(ad.mul(ad.concat([x, x], axis=1), cat_probe)),
               _t64(rng, (3, 6)))
-        check("narrow",
-              lambda x: ad.sum_(ad.narrow(x, 1, 1, 3)), _t64(rng, (3, 6)))
         check("mean", lambda x: ad.mean(x), _t64(rng, (3, 6)))
+
+        # heads: [2, 5, 4] through a [4, 6] projection into 2 heads of 3
+        heads_w, heads_b = _t64(rng, (4, 6)), _t64(rng, (6,))
+        heads_x = _t64(rng, (2, 5, 4))
+        heads_probe = _t64(rng, (2, 2, 5, 3))
+
+        def heads_loss(x, w_, b_):
+            return ad.sum_(ad.mul(ad.heads(x, w_, b_, 2), heads_probe))
+
+        check("heads_x", lambda x: heads_loss(x, heads_w, heads_b), heads_x)
+        check("heads_w", lambda w_: heads_loss(heads_x, w_, heads_b),
+              heads_w)
+        check("heads_b", lambda b_: heads_loss(heads_x, heads_w, b_),
+              heads_b)
+
+        # attention over [2 rows, 2 heads, 3 positions, 4]: the checked
+        # tensor serves as queries, keys and values, with a score bias and
+        # with a dropout mask; then as keys and values shared by both rows
+        att_probe = _t64(rng, (2, 3, 8))
+        att_bias = np.where(rng.random((2, 2, 3, 3)) < 0.3, -1e9, 0.0)
+        att_keep = (rng.random((2, 2, 3, 3)) < 0.7) / 0.7
+        att_q = _t64(rng, (2, 2, 3, 4))
+
+        def att_loss(q, kv, bias=None, keep=None):
+            return ad.sum_(ad.mul(ad.attention(q, kv, kv, bias, keep),
+                                  att_probe))
+
+        check("attention_bias", lambda x: att_loss(x, x, bias=att_bias),
+              _t64(rng, (2, 2, 3, 4)))
+        check("attention_keep", lambda x: att_loss(x, x, keep=att_keep),
+              _t64(rng, (2, 2, 3, 4)))
+        check("attention_shared_kv", lambda kv: att_loss(att_q, kv),
+              _t64(rng, (2, 3, 4)))
     return reports
 
 

@@ -24,9 +24,11 @@ its live ancestor's; a hypothesis finishing at step s or later has some
 length n in [s, max_len], and n ** alpha is monotone in n, so its score
 is at most the best live logprob over max(s ** alpha, max_len ** alpha)
 (a non-positive number divided by a larger positive one gives a larger
-result, and rounding keeps that order). This holds for any finite alpha,
-negative ones included. The comparison is strict: on a tie the
-token-order tie-break could still favour a live hypothesis.
+result, and rounding keeps that order). This holds for every alpha
+``beam_search`` accepts, negative ones included: it rejects an alpha for
+which ``max_len ** alpha`` is not a finite positive float. The comparison
+is strict: on a tie the token-order tie-break could still favour a live
+hypothesis.
 The returned hypothesis is therefore the one the search would return
 after running every live row to EOS or the length cap.
 """
@@ -81,10 +83,26 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
                           "tag before decoding")
     if max_len is None:
         max_len = default_max_len(len(source_ids))
+    _check_length_penalty(max_len, alpha)
     with ad.no_grad():
         memory, src_mask = model.prepare_source(source_ids, visual)
         return _search(model, memory, src_mask, len(vocab), beam, max_len,
                        alpha)
+
+
+def _check_length_penalty(max_len: int, alpha: float):
+    """Scores divide by n ** alpha for lengths n in 1..max_len, all of which
+    are finite and positive when max_len ** alpha is."""
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    try:
+        penalty = float(max_len) ** alpha
+    except OverflowError:
+        penalty = math.inf
+    if not 0.0 < penalty < math.inf:
+        raise ConfigError(f"alpha={alpha} is out of range for max_len "
+                          f"{max_len}: max_len ** alpha = {penalty} is not a "
+                          "finite positive number")
 
 
 def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
@@ -140,12 +158,3 @@ def _best(scores: np.ndarray, beam: int, alive: list[list[int]],
     width = len(tokens)
     return sorted(pool, key=lambda i: (-scores[i], alive[i // width],
                                        tokens[i % width]))[:beam]
-
-
-def greedy_decode(model: MultimodalTranslator, vocab: Vocabulary,
-                  source_ids: list[int], target_lang: str,
-                  visual: Optional[VisualTokens] = None,
-                  max_len: Optional[int] = None) -> Hypothesis:
-    """Beam 1; kept as an explicit name for tests and quick scripts."""
-    return beam_search(model, vocab, source_ids, target_lang, visual,
-                       beam=1, max_len=max_len, alpha=1.0)

@@ -214,11 +214,8 @@ class MultimodalTranslator:
     def _heads(self, prefix: str, x: Tensor) -> Tensor:
         """Project lead + (n, d) through ``prefix`` and split the heads:
         lead + (heads, n, head_dim); lead is () or (B,)."""
-        h = self.config.n_heads
-        y = self._lin(prefix, x)
-        lead = y.shape[:-2]
-        split = ad.reshape(y, lead + (y.shape[-2], h, y.shape[-1] // h))
-        return ad.transpose(split, _swap_head_axes(len(lead)))
+        return ad.heads(x, self.params[f"{prefix}.w"],
+                        self.params[f"{prefix}.b"], self.config.n_heads)
 
     def _key_bias(self, key_mask: Optional[np.ndarray],
                   n: int) -> Optional[np.ndarray]:
@@ -246,17 +243,15 @@ class MultimodalTranslator:
         """Scaled dot-product attention of split-head queries over split-head
         keys and values (which may lack the queries' batch dimension), heads
         merged and projected through ``prefix.o``. ``bias`` broadcasts over
-        missing leading dimensions only."""
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
-                          1.0 / np.sqrt(qh.shape[-1]))
-        if bias is not None:
-            scores = ad.add(scores, self._const(bias))
-        probs = self._dropout(ad.softmax(scores, axis=-1))
-        ctx = ad.matmul(probs, vh)
-        lead = ctx.shape[:-3]
-        merged = ad.reshape(ad.transpose(ctx, _swap_head_axes(len(lead))),
-                            lead + (ctx.shape[-2], self.config.d_model))
-        return self._lin(f"{prefix}.o", merged)
+        missing leading dimensions only. At train time the attention
+        distributions are dropped out with a mask drawn here, as ``_dropout``
+        would draw it."""
+        keep = None
+        if self.train_mode and self.config.dropout > 0.0:
+            keep = ad.dropout_mask(qh.shape[:-1] + (kh.shape[-2],),
+                                   self.config.dropout, self._rng,
+                                   qh.data.dtype)
+        return self._lin(f"{prefix}.o", ad.attention(qh, kh, vh, bias, keep))
 
     def _mha(self, prefix: str, query: Tensor, memory: Tensor,
              key_mask: Optional[np.ndarray] = None) -> Tensor:
@@ -563,12 +558,6 @@ def _stack_visual(visual) -> np.ndarray:
         raise ShapeError(f"visual tokens of one batch differ in shape: "
                          f"{detail}")
     return np.stack([vt.tokens for vt in visual])
-
-
-def _swap_head_axes(n_lead: int) -> tuple[int, ...]:
-    """The permutation exchanging the head and position axes after
-    ``n_lead`` leading axes (its own inverse)."""
-    return tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

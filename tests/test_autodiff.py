@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
-from promptmt.errors import (DegenerateBatchError, GraphError, ShapeError,
-                             VocabularyError)
+from promptmt.errors import (DegenerateBatchError, GraphError, NumericError,
+                             ShapeError, VocabularyError)
 
 
 def make64(data, requires_grad=False):
@@ -223,17 +223,20 @@ def test_embedding_lookup_repeated_ids_accumulate():
                                [[0, 0], [2, 2], [0, 0], [1, 1]])
 
 
-def test_concat_and_narrow_roundtrip():
+def test_concat_roundtrip():
     a = ad.tensor(np.arange(6., dtype=np.float32).reshape(2, 3),
                   requires_grad=True)
     b = ad.tensor(np.ones((2, 2)), requires_grad=True)
     cat = ad.concat([a, b], axis=1)
     assert cat.shape == (2, 5)
-    back = ad.narrow(cat, 1, 0, 3)
-    np.testing.assert_allclose(back.data, a.data)
-    ad.backward(ad.sum_(back))
+    np.testing.assert_allclose(cat.data[:, :3], a.data)
+    np.testing.assert_allclose(cat.data[:, 3:], b.data)
+    # weight only a's columns: the gradient splits back along the axis
+    probe = ad.tensor(np.concatenate([np.ones((2, 3)), np.zeros((2, 2))],
+                                     axis=1))
+    ad.backward(ad.sum_(ad.mul(cat, probe)))
     np.testing.assert_allclose(a.grad, np.ones((2, 3)))
-    np.testing.assert_allclose(b.grad, np.zeros((2, 2)))  # sliced away
+    np.testing.assert_allclose(b.grad, np.zeros((2, 2)))
 
 
 def test_transpose_permutation_gradient():
@@ -291,6 +294,105 @@ def test_linear_with_generated_weights_end_to_end_gradient():
     report = ad.grad_check(f, make64(rng.standard_normal((2, 12))),
                            name="generated_linear")
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# fused heads and attention
+# ---------------------------------------------------------------------------
+
+def _swap_head_axes(n_lead):
+    return tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
+
+
+def composed_heads(x, w, b, n_heads):
+    """``ad.heads`` as the chain of primitive ops it fuses."""
+    y = ad.add(ad.matmul(x, w), b)
+    lead = y.shape[:-2]
+    split = ad.reshape(y, lead + (y.shape[-2], n_heads,
+                                  y.shape[-1] // n_heads))
+    return ad.transpose(split, _swap_head_axes(len(lead)))
+
+
+def composed_attention(qh, kh, vh, bias, keep):
+    """``ad.attention`` as the chain of primitive ops it fuses."""
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
+                      1.0 / np.sqrt(qh.shape[-1]))
+    if bias is not None:
+        scores = ad.add(scores, ad.Tensor(bias, dtype=bias.dtype))
+    probs = ad.softmax(scores, axis=-1)
+    if keep is not None:
+        probs = ad.mul(probs, ad.Tensor(keep, dtype=keep.dtype))
+    ctx = ad.matmul(probs, vh)
+    lead = ctx.shape[:-3]
+    return ad.reshape(ad.transpose(ctx, _swap_head_axes(len(lead))),
+                      lead + (ctx.shape[-2], ctx.shape[-3] * ctx.shape[-1]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shared_kv", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_fused_attention_block_equals_composed_chain_bitwise(dtype, shared_kv,
+                                                             masked):
+    # three rows of 5 queries over 4 keys, 2 heads of width 4; a shared
+    # memory lacks the rows' batch dimension, as the decoder's does
+    rng = np.random.default_rng(3)
+
+    def leaf(*shape):
+        return ad.Tensor(rng.standard_normal(shape).astype(dtype),
+                         requires_grad=True, dtype=dtype)
+
+    x, memory = leaf(3, 5, 8), (leaf(4, 8) if shared_kv else leaf(3, 4, 8))
+    weights = {p: (leaf(8, 8), leaf(8)) for p in "qkv"}
+    bias = keep = None
+    if masked:
+        bias = np.where(rng.random((3, 2, 5, 4)) < 0.3, -1e9, 0.0) \
+            .astype(dtype)
+        keep = ad.dropout_mask((3, 2, 5, 4), 0.3, rng, dtype)
+    probe = ad.Tensor(rng.standard_normal((3, 5, 8)).astype(dtype),
+                      dtype=dtype)
+    leaves = [x, memory] + [t for pair in weights.values() for t in pair]
+    results = []
+    for heads, attention in ((ad.heads, ad.attention),
+                             (composed_heads, composed_attention)):
+        ad.zero_grad(leaves)
+        out = attention(heads(x, *weights["q"], 2),
+                        heads(memory, *weights["k"], 2),
+                        heads(memory, *weights["v"], 2), bias, keep)
+        ad.backward(ad.sum_(ad.mul(out, probe)))
+        results.append([out.data] + [t.grad for t in leaves])
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_fused_ops_keep_the_chain_shape_and_nan_checks():
+    def z(*shape):
+        return ad.tensor(np.zeros(shape))
+
+    with pytest.raises(ShapeError, match=r"inner.*\(2, 3\) @ \(4, 5\)"):
+        ad.linear(z(2, 3), z(4, 5), z(5))
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        ad.heads(z(2, 3), z(4, 6), z(6), 2)
+    with pytest.raises(ShapeError, match="add.*aligned"):
+        ad.heads(z(2, 4), z(4, 6), z(5), 2)
+    with pytest.raises(ShapeError, match="divisible"):
+        ad.heads(z(2, 4), z(4, 6), z(6), 4)
+    # query width 4 against key width 3; 5 keys against 6 values
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        ad.attention(z(2, 3, 4), z(2, 5, 3), z(2, 5, 4))
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        ad.attention(z(2, 3, 4), z(2, 5, 4), z(2, 6, 4))
+    with pytest.raises(ShapeError, match="batch dims.*aligned"):
+        ad.attention(z(2, 2, 3, 4), z(3, 2, 5, 4), z(3, 2, 5, 4))
+    with pytest.raises(ShapeError, match="add.*aligned"):
+        ad.attention(z(2, 3, 4), z(2, 5, 4), z(2, 5, 4),
+                     bias=np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError, match="mul.*aligned"):
+        ad.attention(z(2, 3, 4), z(2, 5, 4), z(2, 5, 4),
+                     keep=np.ones((2, 3, 4)))
+    with pytest.raises(NumericError, match="softmax: NaN in input"):
+        ad.attention(ad.tensor(np.full((1, 2, 4), np.nan)), z(1, 3, 4),
+                     z(1, 3, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     assert rc == 0
     cli_out = capsys.readouterr().out.rstrip("\n")
 
-    from promptmt.decoding import greedy_decode
+    from promptmt.decoding import beam_search
     from promptmt.model import load_checkpoint
     from promptmt.text import BOS_ID, EOS_ID, decode, encode, prefix_target_token
 
@@ -110,8 +110,22 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     visual = read_vtok(workspace / "train.vtok")["train-000000"]
     ids = prefix_target_token([BOS_ID] + encode(first_line, vocab) + [EOS_ID],
                               "de", vocab)
-    hyp = greedy_decode(model, vocab, ids, "de", visual)
+    hyp = beam_search(model, vocab, ids, "de", visual, beam=1, alpha=1.0)
     assert cli_out == decode(hyp.tokens, vocab)
+
+
+@pytest.mark.parametrize("alpha", ["400", "-400"])
+def test_translate_cli_rejects_extreme_alpha(workspace, capsys, tmp_path,
+                                             alpha):
+    src = tmp_path / "input.txt"
+    first_line = (workspace / "train.en").read_text().splitlines()[0]
+    src.write_text(f"train-000000\t{first_line}\n", encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src), f"--alpha={alpha}",
+               "--vtok", str(workspace / "train.vtok")])
+    assert rc == 1
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_evaluate_cli(workspace, tmp_path, capsys):

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
-from promptmt.decoding import (Hypothesis, _best, _search, beam_search,
-                               greedy_decode)
+from promptmt.decoding import Hypothesis, _best, _search, beam_search
 from promptmt.errors import ConfigError
 from promptmt.evaluate import visual_tokens_for
 from promptmt.model import (ModelConfig, MultimodalTranslator, load_checkpoint,
@@ -99,9 +98,9 @@ def test_beam_one_equals_greedy_token_for_token():
             toks.append(nxt)
             if nxt == EOS_ID:
                 break
-    hyp = beam_search(model, vocab, SOURCE, "de", beam=1, max_len=12)
+    hyp = beam_search(model, vocab, SOURCE, "de", beam=1, max_len=12,
+                      alpha=1.0)
     assert hyp.tokens == toks
-    assert greedy_decode(model, vocab, SOURCE, "de", max_len=12).tokens == toks
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -177,6 +176,25 @@ def test_rejects_non_finite_alpha(alpha):
     with pytest.raises(ConfigError, match="alpha"):
         beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=2,
                     alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [400.0, -400.0])
+def test_rejects_alpha_whose_length_penalty_is_not_finite_positive(alpha):
+    # 18 ** 400 overflows a float and 18 ** -400 underflows to 0.0: the
+    # search could neither bound nor score a hypothesis
+    with pytest.raises(ConfigError, match="alpha"):
+        beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=2,
+                    alpha=alpha)
+    # the check is on max_len ** alpha: a cap of 1 takes any finite alpha
+    hyp = beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de",
+                      beam=2, max_len=1, alpha=alpha)
+    assert hyp.tokens == [BOS_ID, EOS_ID]
+
+
+def test_rejects_zero_max_len():
+    with pytest.raises(ConfigError, match="max_len"):
+        beam_search(tiny_text_model(0), tiny_vocab(), SOURCE, "de", beam=2,
+                    max_len=0, alpha=-1.0)
 
 
 def test_negative_alpha_is_legal():

@@ -1,21 +1,31 @@
 """Model tests: encoder masking, controller conditioning, mapping variants,
 co-attention against a hand computation, decoder causality, loss closed
-forms, the batched loss against a per-example reference, full-model finite
+forms, the batched loss against a per-example reference, the fused
+attention ops against the composed graph they replace, full-model finite
 differences, and checkpoint round-trips."""
+
+import contextlib
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
 from promptmt.checks import full_model_batch
+from promptmt.decoding import beam_search
 from promptmt.errors import ConfigError, ShapeError, VariantError
+from promptmt.evaluate import visual_tokens_for
 from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
                             check_model_gradients, load_checkpoint,
                             load_parameters, save_checkpoint,
                             sinusoidal_positions)
+from promptmt.seeding import rng_for
 from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
-                           load_manifest, load_parallel_examples,
-                           make_batches)
+                           Vocabulary, encode, load_manifest,
+                           load_parallel_examples, make_batches,
+                           manifest_image_ids, manifest_lines, mask_source,
+                           prefix_target_token)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import VisualTokens, pseudo_visual_tokens, read_vtok
 
@@ -550,23 +560,219 @@ def test_batched_graph_size_does_not_grow_with_batch(monkeypatch):
 
 
 def test_every_attention_distribution_sums_to_one(monkeypatch):
-    # capture each softmax the forward pass computes: all of them are
-    # attention distributions over the last axis
+    # capture each softmax the forward pass computes (the fused attention
+    # op and ``ad.softmax`` share one helper): all of them are attention
+    # distributions over the last axis
     captured = []
-    real_softmax = ad.softmax
+    real_softmax = ad._softmax
 
     def spy(x, axis=-1):
         out = real_softmax(x, axis=axis)
-        captured.append(out.data)
+        captured.append(out)
         return out
 
-    monkeypatch.setattr(ad, "softmax", spy)
+    monkeypatch.setattr(ad, "_softmax", spy)
     m = tiny_model(n_enc_layers=2, n_dec_layers=2, n_coattn_layers=2)
     m.forward_loss(Batch(examples=[example()]), visual_map())
     assert len(captured) >= 9  # enc x2, fuse x2, coattn x2, dec self+cross x2
     for probs in captured:
         sums = probs.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the fused heads / attention / linear ops against the composed graph
+# ---------------------------------------------------------------------------
+
+def _swap_head_axes(n_lead):
+    return tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
+
+
+def composed_linear(x, w, b):
+    """``ad.linear`` as it was before it became one node."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+def composed_heads(model, prefix, x):
+    """``MultimodalTranslator._heads`` as it was before ``ad.heads``."""
+    h = model.config.n_heads
+    y = composed_linear(x, model.params[f"{prefix}.w"],
+                        model.params[f"{prefix}.b"])
+    lead = y.shape[:-2]
+    split = ad.reshape(y, lead + (y.shape[-2], h, y.shape[-1] // h))
+    return ad.transpose(split, _swap_head_axes(len(lead)))
+
+
+def composed_attend(model, prefix, qh, kh, vh, bias):
+    """``MultimodalTranslator._attend`` as it was before ``ad.attention``."""
+    scores = ad.scale(ad.matmul(qh, ad.transpose(kh)),
+                      1.0 / np.sqrt(qh.shape[-1]))
+    if bias is not None:
+        scores = ad.add(scores, model._const(bias))
+    probs = model._dropout(ad.softmax(scores, axis=-1))
+    ctx = ad.matmul(probs, vh)
+    lead = ctx.shape[:-3]
+    merged = ad.reshape(ad.transpose(ctx, _swap_head_axes(len(lead))),
+                        lead + (ctx.shape[-2], model.config.d_model))
+    return composed_linear(merged, model.params[f"{prefix}.o.w"],
+                           model.params[f"{prefix}.o.b"])
+
+
+@contextlib.contextmanager
+def composed_graph(model):
+    """Run ``model`` on the composed graph the fused ops replace."""
+    fused_linear = ad.linear
+    ad.linear = composed_linear
+    model._heads = types.MethodType(composed_heads, model)
+    model._attend = types.MethodType(composed_attend, model)
+    try:
+        yield
+    finally:
+        ad.linear = fused_linear
+        del model._heads, model._attend
+
+
+def fused_and_composed(model, run):
+    """``run(model)`` on the fused graph, then on the composed one, each
+    from the same dropout stream."""
+    model.set_dropout_rng(rng_for("dropout", 7))
+    fused = run(model)
+    model.set_dropout_rng(rng_for("dropout", 7))
+    with composed_graph(model):
+        composed = run(model)
+    return fused, composed
+
+
+def assert_fused_matches_composed(model, batches, visual_map):
+    for batch in batches:
+        fused, composed = fused_and_composed(
+            model, lambda m: loss_and_grads(m, batched_loss, batch,
+                                            visual_map))
+        assert fused[0] == composed[0]
+        for name in model.params:
+            assert fused[1][name].dtype == composed[1][name].dtype
+            assert np.array_equal(fused[1][name], composed[1][name]), name
+
+
+def fusion_model(variant, dtype, dropout, d_v=8, **overrides):
+    m = tiny_model(variant=variant, n_enc_layers=2, n_dec_layers=2,
+                   dropout=dropout, d_v=0 if variant == "text_only" else d_v,
+                   **overrides).astype(dtype)
+    m.train_mode = True
+    return m
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_fused_ops_match_composed_graph_bitwise(variant, dtype, dropout):
+    batch, visual = full_model_batch()
+    m = fusion_model(variant, dtype, dropout)
+    assert_fused_matches_composed(m, [batch], visual)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_fused_ops_match_composed_graph_on_toy_corpus(variant, dtype,
+                                                      dropout, toy_batches):
+    vocab_size, batches, visual = toy_batches
+    m = fusion_model(variant, dtype, dropout, d_v=32, vocab_size=vocab_size)
+    assert_fused_matches_composed(m, batches, visual)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_fused_ops_match_composed_graph_one_head_one_position(n_heads):
+    # one head and one target position make several of the head-split
+    # views contiguous, where a stride difference could show
+    m = fusion_model("full", np.float32, 0.3, n_heads=n_heads)
+    short = ParallelExample("s0", "en", "de", [TAG_DE, BOS_ID, 10, EOS_ID],
+                            [BOS_ID, EOS_ID], "img0")
+    assert_fused_matches_composed(m, [Batch(examples=[short])],
+                                  visual_map())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fused_incremental_decode_matches_composed_graph(variant):
+    text_only = variant == "text_only"
+    m = tiny_model(variant=variant, d_v=0 if text_only else 8,
+                   n_dec_layers=2)
+    visual = None if text_only else visual_map()["img0"]
+    source = [TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID]
+    ids = np.random.default_rng(0).integers(5, 24, (3, 8))
+    ids[:, 0] = BOS_ID
+
+    def run(model):
+        logits = []
+        with ad.no_grad():
+            memory, mask = model.prepare_source(source, visual)
+            state = model.decoder_state(memory)
+            rows = np.arange(3)
+            for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 8)):
+                if lo == 4:
+                    rows = rows[[2, 0, 0]]   # a beam reorder
+                    state.reorder([2, 0, 0])
+                logits.append(model.decode(memory, ids[rows, lo:hi], mask,
+                                           state).data)
+            logits.append(model.decode(memory, ids, mask).data)
+        return logits
+
+    fused, composed = fused_and_composed(m, run)
+    for got, want in zip(fused, composed):
+        assert np.array_equal(got, want)
+
+
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
+
+
+def test_fused_beam_search_matches_composed_graph_frozen_checkpoint():
+    """Requests to the benchmark's trained checkpoint, masked and unmasked,
+    into every target language: the same hypotheses, logprob bit for bit."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    vocab = Vocabulary.load(FROZEN / "bpe")
+    manifest = load_manifest(FROZEN / "train.json")
+    visual = visual_tokens_for(model, manifest.vtok_path)
+    sources = manifest_lines(manifest, "en")
+    images = manifest_image_ids(manifest, len(sources))
+    requests = []
+    for k in range(0, len(sources), 2):
+        for j, lang in enumerate(("de", "fr", "cs")):
+            ids = prefix_target_token(
+                [BOS_ID] + encode(sources[k], vocab) + [EOS_ID], lang, vocab)
+            ratio = (0.0, 0.2, 0.4, 0.6)[(k // 2 + j) % 4]
+            requests.append((mask_source(ids, ratio, k + j, vocab), lang,
+                             visual[images[k]]))
+
+    def run(m):
+        return [beam_search(m, vocab, ids, lang, vt, beam=5, alpha=1.0)
+                for ids, lang, vt in requests]
+
+    fused, composed = fused_and_composed(model, run)
+    assert fused == composed
+
+
+def test_fused_ops_halve_the_train_step_graph(monkeypatch, toy_batches):
+    nodes = [0]
+    real_make_node = ad.make_node
+
+    def counting(*args, **kwargs):
+        nodes[0] += 1
+        return real_make_node(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "make_node", counting)
+    vocab_size, batches, visual = toy_batches
+    m = tiny_model(vocab_size=vocab_size, d_v=32, n_enc_layers=2,
+                   n_dec_layers=2, dropout=0.0)
+    m.train_mode = True
+    counts = []
+    for ctx in (contextlib.nullcontext(), composed_graph(m)):
+        nodes[0] = 0
+        with ctx:
+            m.forward_loss(batches[0], visual)
+        counts.append(nodes[0])
+    # the layer counts of the benchmark's train config: two encoder and
+    # two decoder layers, one co-attention layer, dropout off
+    assert counts == [116, 278]
 
 
 def test_generated_parameters_receive_gradients():
