@@ -2,10 +2,15 @@
 
 Tensors wrap numpy arrays and record, per operation, their parent tensors
 and a backward rule. ``backward(loss)`` topologically sorts the recorded
-graph and accumulates gradients into every tensor on a path to a
-``requires_grad`` leaf, including intermediate nodes (generated mapping
-parameters are ordinary graph nodes, so gradients flow through them to
-their producers).
+graph and runs the rules from the loss down. Gradients flow through
+interior nodes (generated mapping parameters are ordinary graph nodes, so
+gradients reach their producers), but only leaves keep theirs: an
+interior node's ``.grad`` is dropped once its rule has run, unless the
+caller lists the node in ``backward(loss, retain=...)``.
+
+A backward rule keeps only what it reads. Where it needs just the shape
+of an intermediate array, it captures the shape, not the array, so the
+graph pins no forward array that nothing will read again.
 
 Core arithmetic is float32. A float64 mode, entered via ``precision()``,
 exists for finite-difference gradient checking; see ``grad_check``.
@@ -136,26 +141,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar over the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -351,11 +336,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor):
-    """Forward of ``add(matmul(x, w), b)``: the product and the sum."""
+    """Forward of ``add(matmul(x, w), b)``: the product's shape (all its
+    backward reads) and the sum."""
     _check_matmul(x.shape, w.shape)
     product = np.matmul(x.data, w.data)
     _check_aligned(product.shape, b.shape, "add")
-    return product, product + b.data
+    return product.shape, product + b.data
 
 
 def _affine_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor,
@@ -379,10 +365,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     producers of generated parameters exactly like those of leaf weights.
     """
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    product, out_data = _affine(x, w, b)
+    product_shape, out_data = _affine(x, w, b)
 
     def backward(g):
-        _affine_backward(g, x, w, b, product.shape)
+        _affine_backward(g, x, w, b, product_shape)
 
     return make_node(out_data, (x, w, b), backward)
 
@@ -398,18 +384,19 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     lead + (n, d_in) -> lead + (n_heads, n, d / n_heads), a view of the
     lead + (n, d) projection."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    product, y = _affine(x, w, b)
-    d = y.shape[-1]
+    product_shape, y = _affine(x, w, b)
+    y_shape = y.shape
+    d = y_shape[-1]
     if d % n_heads != 0:
         raise ShapeError(f"heads: width {d} is not divisible by {n_heads} "
                          "heads")
     swap = _swap_head_axes(y.ndim - 2)
-    out_data = np.transpose(y.reshape(y.shape[:-1] + (n_heads, d // n_heads)),
+    out_data = np.transpose(y.reshape(y_shape[:-1] + (n_heads, d // n_heads)),
                             swap)
 
     def backward(g):
-        _affine_backward(np.transpose(g, swap).reshape(y.shape), x, w, b,
-                         product.shape)
+        _affine_backward(np.transpose(g, swap).reshape(y_shape), x, w, b,
+                         product_shape)
 
     return make_node(out_data, (x, w, b), backward)
 
@@ -431,10 +418,11 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     _check_matmul(qh.shape, kt_shape)
     kt = np.swapaxes(kh.data, -1, -2)
     product = np.matmul(qh.data, kt)
+    product_shape = product.shape
     inv_sqrt = product.dtype.type(float(1.0 / np.sqrt(qh.shape[-1])))
     scores = product * inv_sqrt
     if bias is not None:
-        _check_aligned(product.shape, np.shape(bias), "add")
+        _check_aligned(product_shape, np.shape(bias), "add")
         scores = scores + bias
     probs = _softmax(scores)
     kept = probs
@@ -445,10 +433,11 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     ctx = np.matmul(kept, vh.data)
     swap = _swap_head_axes(ctx.ndim - 3)
     merged = np.transpose(ctx, swap)
-    out_data = merged.reshape(merged.shape[:-2] + (-1,))
+    merged_shape = merged.shape
+    out_data = merged.reshape(merged_shape[:-2] + (-1,))
 
     def backward(g):
-        g_ctx = np.transpose(g.reshape(merged.shape), swap)
+        g_ctx = np.transpose(g.reshape(merged_shape), swap)
         if vh.requires_grad:
             vh.accumulate_grad(_grad_right(kept, g_ctx, vh.shape))
         if not (qh.requires_grad or kh.requires_grad):
@@ -457,7 +446,7 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
         if keep is not None:
             g_probs = _unbroadcast(g_probs * keep, probs.shape)
         g_scores = _unbroadcast(_softmax_backward(probs, g_probs),
-                                product.shape) * inv_sqrt
+                                product_shape) * inv_sqrt
         if qh.requires_grad:
             qh.accumulate_grad(_grad_left(g_scores, kt, qh.shape))
         if kh.requires_grad:
@@ -612,8 +601,12 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(node) into ``.grad`` of every reachable node.
+def backward(loss: Tensor, retain: Sequence[Tensor] = ()):
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
+
+    An interior node's gradient is dropped as soon as its backward rule
+    has passed it on to its parents; list in ``retain`` the interior
+    tensors whose ``.grad`` the caller wants to read afterwards.
 
     ``loss`` must be scalar. A second call on the same loss tensor is an
     error; rebuild the forward pass (after zeroing grads) to run again.
@@ -641,10 +634,13 @@ def backward(loss: Tensor):
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
+    retained = {id(t) for t in retain}
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+            if id(node) not in retained:
+                node.grad = None
 
 
 def zero_grad(tensors):

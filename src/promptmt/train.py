@@ -206,8 +206,9 @@ def train_loop(model: MultimodalTranslator,
                 row = StepMetrics(step=state.step, epoch=epoch, lr=lr,
                                   loss=loss.item(),
                                   tokens_per_sec=batch.n_target_tokens / elapsed)
-                # free this step's graph and its gradients now, not while
-                # the next step builds its own
+                # free this step's graph now, not while the next step
+                # builds its own (backward already dropped its interior
+                # gradients)
                 del loss
                 log.append(row)
                 recent.append(row.loss)

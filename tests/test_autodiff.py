@@ -1,5 +1,7 @@
 """Tests for the tensor/autodiff core: hand-computed cases, finite-difference
-oracles, and hypothesis properties for softmax and broadcasting rules."""
+oracles, hypothesis properties for softmax and broadcasting rules, and the
+lean backward (interior gradients dropped) against the backward loop that
+kept every gradient."""
 
 import math
 
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
+from promptmt.checks import full_model_batch
 from promptmt.errors import (DegenerateBatchError, GraphError, NumericError,
                              ShapeError, VocabularyError)
+from promptmt.model import VARIANTS, ModelConfig, MultimodalTranslator
+from promptmt.seeding import rng_for
 
 
 def make64(data, requires_grad=False):
@@ -499,6 +504,193 @@ def test_grad_accumulates_across_shared_use():
     y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1 = 5
     ad.backward(ad.sum_(y))
     np.testing.assert_allclose(x.grad, [5.])
+
+
+def test_second_backward_does_not_double_count_interior_gradients():
+    # h's gradient from the first pass must not leak into the second
+    x = ad.tensor([3.], requires_grad=True)
+    h = ad.mul(x, x)
+    ad.backward(ad.sum_(h))
+    ad.backward(ad.sum_(ad.scale(h, 2)))
+    np.testing.assert_array_equal(x.grad, [6. + 12.])
+
+
+# ---------------------------------------------------------------------------
+# lean backward: only leaves and retained nodes keep a gradient
+# ---------------------------------------------------------------------------
+
+def reference_backward(loss):
+    """``ad.backward`` as it was before it dropped interior gradients:
+    every node on a path to a leaf keeps its ``.grad``."""
+    if loss.size != 1:
+        raise GraphError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss._backward_ran:
+        raise GraphError("backward: already called on this loss; rebuild the "
+                         "graph (and zero grads) before calling again")
+    loss._backward_ran = True
+
+    order = []
+    visited = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+
+    loss.accumulate_grad(np.ones_like(loss.data))
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def graph_nodes(root):
+    """Every tensor reachable from ``root`` through ``_parents``, in a fixed
+    depth-first order (the same for two graphs of the same forward)."""
+    seen, order, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        order.append(node)
+        stack.extend(reversed(node._parents))
+    return order
+
+
+def lean_model(variant, dtype, dropout, vocab_size=24, d_v=8):
+    m = MultimodalTranslator(ModelConfig(
+        vocab_size=vocab_size, d_model=16, n_heads=2, n_enc_layers=2,
+        n_dec_layers=2, d_v=0 if variant == "text_only" else d_v,
+        variant=variant, dropout=dropout, eps_ls=0.1), seed=1).astype(dtype)
+    m.train_mode = True
+    return m
+
+
+def model_loss(model, batch, visual):
+    model.zero_grad()
+    model.set_dropout_rng(rng_for("dropout", 7))
+    return model.forward_loss(batch, visual)
+
+
+def assert_backward_matches_reference(model, batches, visual):
+    for batch in batches:
+        loss = model_loss(model, batch, visual)
+        reference_backward(loss)
+        want = (loss.item(), {n: p.grad for n, p in model.params.items()})
+        loss = model_loss(model, batch, visual)
+        ad.backward(loss)
+        assert loss.item() == want[0]
+        for name, p in model.params.items():
+            if want[1][name] is None:
+                assert p.grad is None, name
+                continue
+            assert p.grad.dtype == want[1][name].dtype
+            assert np.array_equal(p.grad, want[1][name]), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_backward_matches_reference_bitwise(variant, dtype, dropout):
+    batch, visual = full_model_batch()
+    assert_backward_matches_reference(lean_model(variant, dtype, dropout),
+                                      [batch], visual)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_backward_matches_reference_on_toy_corpus(variant, dtype, dropout,
+                                                  toy_batches):
+    vocab_size, batches, visual = toy_batches
+    model = lean_model(variant, dtype, dropout, vocab_size=vocab_size, d_v=32)
+    assert_backward_matches_reference(model, batches, visual)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_leaves_gradients_only_on_leaves(variant):
+    model = lean_model(variant, np.float32, 0.3)
+    loss = model_loss(model, *full_model_batch())
+    ad.backward(loss)
+    nodes = graph_nodes(loss)
+    interior = [t for t in nodes if t._backward is not None]
+    assert len(interior) > 50
+    assert all(t.grad is None for t in interior)
+    leaves = {id(p) for p in model.params.values()}
+    for t in nodes:
+        if t._backward is None and t.requires_grad:
+            assert id(t) in leaves and t.grad is not None
+
+
+def test_retain_keeps_exactly_the_named_gradients():
+    # every third interior node is retained; it must hold the gradient the
+    # reference backward leaves on the same node, and no other may
+    model = lean_model("full", np.float64, 0.3)
+    batch, visual = full_model_batch()
+    ref_loss = model_loss(model, batch, visual)
+    reference_backward(ref_loss)
+    loss = model_loss(model, batch, visual)
+    pairs = [(t, r) for t, r in zip(graph_nodes(loss), graph_nodes(ref_loss))
+             if t._backward is not None]
+    retain = [t for t, _ in pairs[::3]]
+    ad.backward(loss, retain=retain)
+    for i, (t, r) in enumerate(pairs):
+        if i % 3:
+            assert t.grad is None
+        else:
+            assert np.array_equal(t.grad, r.grad)
+
+
+def test_retain_of_a_leaf_or_unrelated_tensor_changes_nothing():
+    x = ad.tensor([1., 2.], requires_grad=True)
+    h = ad.mul(x, x)
+    stranger = ad.mul(x, ad.tensor([1., 1.]))
+    ad.backward(ad.sum_(h), retain=(x, stranger))
+    np.testing.assert_array_equal(x.grad, [2., 4.])
+    assert h.grad is None and stranger.grad is None
+
+
+def closure_arrays(node):
+    return [c.cell_contents for c in node._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+def test_linear_and_heads_backward_capture_no_array():
+    model = lean_model("full", np.float32, 0.3)
+    loss = model_loss(model, *full_model_batch())
+    kinds = {}
+    for t in graph_nodes(loss):
+        if t._backward is None:
+            continue
+        kind = t._backward.__qualname__.split(".")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind in ("linear", "heads"):
+            assert closure_arrays(t) == [], kind
+    assert kinds["linear"] > 0 and kinds["heads"] > 0
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_backward_keeps_only_the_arrays_it_reads(masked):
+    # n = 3 queries over S = 5 keys of head width 4: the score-shaped
+    # probabilities (and mask) and the keys' transposed view may stay,
+    # the context [2, 2, 3, 4] and its merged copy may not
+    rng = np.random.Generator(np.random.PCG64(12))
+    qh = ad.tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
+    kh = ad.tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
+    vh = ad.tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
+    keep = (rng.random((2, 2, 3, 5)) < 0.7) / np.float32(0.7) if masked \
+        else None
+    out = ad.attention(qh, kh, vh, None, keep)
+    for a in closure_arrays(out):
+        assert a.shape == (2, 2, 3, 5) or (a.base is kh.data), a.shape
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
 from promptmt.seeding import rng_for
 from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
                            Vocabulary, encode, load_manifest,
-                           load_parallel_examples, make_batches,
                            manifest_image_ids, manifest_lines, mask_source,
                            prefix_target_token)
-from promptmt.toydata import make_toy_corpus, train_toy_vocab
-from promptmt.vision import VisualTokens, pseudo_visual_tokens, read_vtok
+from promptmt.vision import VisualTokens, pseudo_visual_tokens
 
 TAG_DE, TAG_FR = 5, 6  # ids of the two tag tokens in the tiny test vocab
 
@@ -493,19 +491,6 @@ def batched_loss(model, batch, visual_map):
     return model.forward_loss(batch, visual_map)
 
 
-@pytest.fixture(scope="module")
-def toy_batches(tmp_path_factory):
-    """The acceptance suite's toy corpus, packed as in its overfit runs."""
-    root = tmp_path_factory.mktemp("toy")
-    manifest = load_manifest(make_toy_corpus(
-        root, n_lines=32, target_langs=("de", "fr", "cs"), seed=0, m_v=4,
-        d_v=32, n_images=8))
-    vocab = train_toy_vocab(root, manifest.languages)
-    examples = load_parallel_examples(manifest, vocab, pivot="en")
-    return (len(vocab), make_batches(examples, 512, seed=0),
-            read_vtok(manifest.vtok_path))
-
-
 def assert_batched_matches_reference(model, batches, visual_map):
     model = model.astype(np.float64)
     for batch in batches:
@@ -776,12 +761,13 @@ def test_fused_ops_halve_the_train_step_graph(monkeypatch, toy_batches):
 
 
 def test_generated_parameters_receive_gradients():
-    # theta tensors are intermediate graph nodes; backward must populate
-    # their grads as well as the controller's leaf parameters
+    # theta tensors are intermediate graph nodes; gradients must flow
+    # through them to the controller's leaf parameters, and a retained
+    # theta keeps its own
     m = tiny_model()
     theta = m.controller_forward(TAG_DE)
     p0 = m.apply_mapping(m._const(visual_map()["img0"].tokens), theta)
-    ad.backward(ad.sum_(p0))
+    ad.backward(ad.sum_(p0), retain=(theta,))
     w_grad, b_grad = theta.grad[:8], theta.grad[8]
     assert np.abs(w_grad).max() > 0
     assert np.abs(b_grad).max() > 0
