@@ -5,8 +5,8 @@ and a backward rule. ``backward(loss)`` topologically sorts the recorded
 graph and runs the rules from the loss down. Gradients flow through
 interior nodes (generated mapping parameters are ordinary graph nodes, so
 gradients reach their producers), but only leaves keep theirs: an
-interior node's ``.grad`` is dropped once its rule has run, unless the
-caller lists the node in ``backward(loss, retain=...)``.
+interior node's ``.grad`` is dropped once its rule has run. To read the
+gradient at an intermediate value, backpropagate into a leaf copy of it.
 
 A backward rule keeps only what it reads. Where it needs just the shape
 of an intermediate array, it captures the shape, not the array, so the
@@ -601,12 +601,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor, retain: Sequence[Tensor] = ()):
+def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
     An interior node's gradient is dropped as soon as its backward rule
-    has passed it on to its parents; list in ``retain`` the interior
-    tensors whose ``.grad`` the caller wants to read afterwards.
+    has passed it on to its parents.
 
     ``loss`` must be scalar. A second call on the same loss tensor is an
     error; rebuild the forward pass (after zeroing grads) to run again.
@@ -634,13 +633,11 @@ def backward(loss: Tensor, retain: Sequence[Tensor] = ()):
             if parent.requires_grad and id(parent) not in visited:
                 stack.append((parent, False))
 
-    retained = {id(t) for t in retain}
     loss.accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
-            if id(node) not in retained:
-                node.grad = None
+            node.grad = None
 
 
 def zero_grad(tensors):

@@ -762,17 +762,21 @@ def test_fused_ops_halve_the_train_step_graph(monkeypatch, toy_batches):
 
 def test_generated_parameters_receive_gradients():
     # theta tensors are intermediate graph nodes; gradients must flow
-    # through them to the controller's leaf parameters, and a retained
-    # theta keeps its own
+    # through them to the controller's leaf parameters
     m = tiny_model()
     theta = m.controller_forward(TAG_DE)
-    p0 = m.apply_mapping(m._const(visual_map()["img0"].tokens), theta)
-    ad.backward(ad.sum_(p0), retain=(theta,))
-    w_grad, b_grad = theta.grad[:8], theta.grad[8]
-    assert np.abs(w_grad).max() > 0
-    assert np.abs(b_grad).max() > 0
+    tokens = m._const(visual_map()["img0"].tokens)
+    ad.backward(ad.sum_(m.apply_mapping(tokens, theta)))
+    assert theta.grad is None
     assert m.params["ctrl.2.w"].grad is not None
     assert m.params["embedding"].grad is not None
+    # an interior node drops its gradient once used, so the mapping's
+    # weight and bias rows are checked on a leaf copy of theta
+    leaf = ad.Tensor(theta.data, requires_grad=True)
+    ad.backward(ad.sum_(m.apply_mapping(tokens, leaf)))
+    w_grad, b_grad = leaf.grad[:8], leaf.grad[8]
+    assert np.abs(w_grad).max() > 0
+    assert np.abs(b_grad).max() > 0
 
 
 def test_full_model_gradcheck_two_examples():
