@@ -12,6 +12,14 @@ A backward rule keeps only what it reads. Where it needs just the shape
 of an intermediate array, it captures the shape, not the array, so the
 graph pins no forward array that nothing will read again.
 
+No-grad cost rule: an op that records no graph (under ``no_grad``, or
+with no input requiring grad) costs its numpy calls plus one
+``make_node``, which wraps the result array as it is and attaches no
+parents and no backward rule. Around the numpy calls an op keeps only
+its checks, and those stay cheap: an aligned-shape check that passes is
+one tuple comparison. Every op still goes through ``make_node``, so
+counting its calls counts the nodes of a pass, recorded or not.
+
 Core arithmetic is float32. A float64 mode, entered via ``precision()``,
 exists for finite-difference gradient checking; see ``grad_check``.
 
@@ -47,6 +55,7 @@ beam-5 ``translate`` request about 860 instead of about 2000.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -156,18 +165,32 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor],
     """Record one operation: output data, its parents, its backward rule.
 
     The backward rule is attached only when some parent requires grad, so
-    inference-time graphs carry no backprop machinery.
+    inference-time graphs carry no backprop machinery. An ndarray result
+    is wrapped as it is; anything else (a reduction to 0-d can hand over
+    a numpy scalar) goes through ``np.asarray`` in its own dtype.
     """
-    out = Tensor(data, dtype=data.dtype)
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    out = Tensor.__new__(Tensor)
+    out.data = (data if type(data) is np.ndarray
+                else np.asarray(data, dtype=data.dtype))
+    out.grad = None
+    out._backward_ran = False
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
 def _check_aligned(sa, sb, opname):
     # Right-aligned dims must match exactly; only missing leading dims broadcast.
+    # One tuple comparison passes a match; the loop only names a mismatch.
+    n = min(len(sa), len(sb))
+    if sa[len(sa) - n:] == sb[len(sb) - n:]:
+        return
     for da, db in zip(reversed(sa), reversed(sb)):
         if da != db:
             raise ShapeError(f"{opname}: shapes {tuple(sa)} and {tuple(sb)} "
@@ -233,7 +256,7 @@ def transpose(x: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     if axes is None:
         axes = list(range(x.ndim - 2)) + [x.ndim - 1, x.ndim - 2]
     axes = tuple(axes)
-    out_data = np.transpose(x.data, axes)
+    out_data = x.data.transpose(axes)
 
     def backward(g):
         x.accumulate_grad(np.transpose(g, np.argsort(axes)))
@@ -257,8 +280,9 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not xs:
         raise ShapeError("concat: empty input list")
     out_data = np.concatenate([x.data for x in xs], axis=axis)
-    sizes = [x.shape[axis] for x in xs]
-    offsets = np.cumsum([0] + sizes)
+    offsets = [0]
+    for x in xs:
+        offsets.append(offsets[-1] + x.shape[axis])
 
     def backward(g):
         for x, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
@@ -391,8 +415,8 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
         raise ShapeError(f"heads: width {d} is not divisible by {n_heads} "
                          "heads")
     swap = _swap_head_axes(y.ndim - 2)
-    out_data = np.transpose(y.reshape(y_shape[:-1] + (n_heads, d // n_heads)),
-                            swap)
+    out_data = y.reshape(y_shape[:-1]
+                         + (n_heads, d // n_heads)).transpose(swap)
 
     def backward(g):
         _affine_backward(np.transpose(g, swap).reshape(y_shape), x, w, b,
@@ -416,10 +440,10 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     qh, kh, vh = _as_tensor(qh), _as_tensor(kh), _as_tensor(vh)
     kt_shape = kh.shape[:-2] + kh.shape[-2:][::-1]
     _check_matmul(qh.shape, kt_shape)
-    kt = np.swapaxes(kh.data, -1, -2)
+    kt = kh.data.swapaxes(-1, -2)
     product = np.matmul(qh.data, kt)
     product_shape = product.shape
-    inv_sqrt = product.dtype.type(float(1.0 / np.sqrt(qh.shape[-1])))
+    inv_sqrt = product.dtype.type(1.0 / math.sqrt(qh.shape[-1]))
     scores = product * inv_sqrt
     if bias is not None:
         _check_aligned(product_shape, np.shape(bias), "add")
@@ -432,7 +456,7 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     _check_matmul(kept.shape, vh.shape)
     ctx = np.matmul(kept, vh.data)
     swap = _swap_head_axes(ctx.ndim - 3)
-    merged = np.transpose(ctx, swap)
+    merged = ctx.transpose(swap)
     merged_shape = merged.shape
     out_data = merged.reshape(merged_shape[:-2] + (-1,))
 
@@ -465,9 +489,9 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     computation behind ``softmax`` and ``attention``."""
     if np.isnan(x).any():
         raise NumericError("softmax: NaN in input")
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _softmax_backward(out: np.ndarray, g: np.ndarray,
@@ -496,8 +520,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def mean(a):
         # == a.mean(axis=-1, keepdims=True) bit for bit (np.mean divides the
         # same sum in float64 and rounds; a correctly rounded float32
-        # quotient is the same number), at half the per-call overhead
-        return a.sum(axis=-1, keepdims=True) / n
+        # quotient is the same number), at half the per-call overhead;
+        # np.add.reduce is the reduction a.sum wraps
+        return np.add.reduce(a, axis=-1, keepdims=True) / n
 
     xc = x.data - mean(x.data)
     var = mean(xc * xc)

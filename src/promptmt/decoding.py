@@ -119,10 +119,12 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
             break
         newest = [[toks[-1]] for toks in alive]
         logits = model.decode(memory, newest, src_mask, state).data[:, -1]
+        logp = log_softmax(logits)
         at_cap = step == max_len
         tokens = only_eos if at_cap else every_token
-        scores = (alive_lp[:, None]
-                  + log_softmax(logits)[:, tokens].astype(np.float64)).ravel()
+        if at_cap:
+            logp = logp[:, tokens]
+        scores = (alive_lp[:, None] + logp.astype(np.float64)).ravel()
         parents, next_alive, next_lp = [], [], []
         for i in _best(scores, beam, alive, tokens):
             row, col = divmod(i, len(tokens))

@@ -167,6 +167,9 @@ def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
     seed. Returns the individual reports plus {ratio, mean_bleu, std}
     summary rows for plotting.
     """
+    if len(seeds) == 0:
+        raise ConfigError("mask_sweep: seeds is empty; a mean over no mask "
+                          "seeds is undefined")
     reports, summary = [], []
     for ratio in ratios:
         if not 0.0 <= ratio <= 1.0:

@@ -454,18 +454,19 @@ class MultimodalTranslator:
                 raise ShapeError(f"decode: a decoder state takes [B, n] ids, "
                                  f"got shape {ids.shape}")
         start, n = state.length, ids.shape[-1]
+        causal_bias = self._causal_bias(n, start)
+        key_bias = self._key_bias(src_key_mask, n)
         x = self._embed(ids, start)
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}"
             q, k, v = (self._heads(f"{prefix}.self.{p}", x) for p in "qkv")
             k, v = state.append(i, k, v)
-            a = self._attend(f"{prefix}.self", q, k, v,
-                             self._causal_bias(n, start))
+            a = self._attend(f"{prefix}.self", q, k, v, causal_bias)
             x = self._ln(f"{prefix}.ln1", ad.add(x, self._dropout(a)))
             k, v = state.cross[i]
             a = self._attend(f"{prefix}.cross",
                              self._heads(f"{prefix}.cross.q", x), k, v,
-                             self._key_bias(src_key_mask, n))
+                             key_bias)
             x = self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(a)))
             f = self._ffn(f"{prefix}.ffn", x)
             x = self._ln(f"{prefix}.ln3", ad.add(x, self._dropout(f)))

@@ -114,7 +114,7 @@ def adam_step(params: Mapping[str, ad.Tensor], state: TrainState, lr: float):
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in parameter {name!r} "
                                f"at step {t}")
-        g = g.astype(np.float32)
+        g = g.astype(np.float32, copy=False)
         if clip is not None:
             g = g * np.float32(clip_factor)
         state.m[name] = b1 * state.m[name] + (1 - b1) * g

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
@@ -264,6 +264,74 @@ def test_add_leading_broadcast_grad_sums():
     out = ad.add(ad.tensor(np.ones((5, 3))), b)
     ad.backward(ad.sum_(out))
     np.testing.assert_allclose(b.grad, [5., 5., 5.])
+
+
+def reference_check_aligned(sa, sb, opname):
+    """The aligned-dimension check as one loop over right-aligned pairs."""
+    for da, db in zip(reversed(sa), reversed(sb)):
+        if da != db:
+            raise ShapeError(f"{opname}: shapes {tuple(sa)} and {tuple(sb)} "
+                             "differ in an aligned dimension")
+
+
+def check_outcome(check, sa, sb):
+    try:
+        check(sa, sb, "op")
+    except ShapeError as e:
+        return str(e)
+    return None
+
+
+_dims = st.integers(1, 4)
+_shapes = st.lists(_dims, max_size=4).map(tuple)
+
+
+@st.composite
+def _shape_pairs(draw):
+    """Two shapes of rank 0-4 sharing a right-aligned suffix of one base
+    shape, each with its own broadcast leading dims, each possibly with
+    one dim changed."""
+    base = draw(_shapes)
+
+    def side():
+        keep = draw(st.integers(0, len(base)))
+        shape = base[len(base) - keep:]
+        shape = tuple(draw(st.lists(_dims, max_size=4 - keep))) + shape
+        if shape and draw(st.booleans()):
+            i = draw(st.integers(0, len(shape) - 1))
+            shape = shape[:i] + (shape[i] % 4 + 1,) + shape[i + 1:]
+        return shape
+
+    return side(), side()
+
+
+@settings(max_examples=400)
+@given(st.one_of(_shape_pairs(), st.tuples(_shapes, _shapes)))
+@example(((), ()))
+@example(((), (3, 2)))
+@example(((5, 2, 3), (2, 3)))
+@example(((2, 3), (4, 3)))
+@example(((4, 1, 3), (2, 3)))
+def test_check_aligned_matches_reference_loop(pair):
+    sa, sb = pair
+    assert (check_outcome(ad._check_aligned, sa, sb)
+            == check_outcome(reference_check_aligned, sa, sb))
+
+
+@pytest.mark.parametrize("axis", [1, -2])
+def test_concat_backward_splits_at_offsets(axis):
+    # three inputs of widths 2, 1, 3 along the middle axis, the middle one
+    # a constant: each gradient is its own slice of a probe of distinct
+    # values
+    rng = np.random.Generator(np.random.PCG64(9))
+    parts = [ad.tensor(rng.standard_normal((4, w, 2)), requires_grad=grad)
+             for w, grad in ((2, True), (1, False), (3, True))]
+    cat = ad.concat(parts, axis=axis)
+    probe = np.arange(cat.size, dtype=np.float32).reshape(cat.shape)
+    ad.backward(ad.sum_(ad.mul(cat, ad.tensor(probe))))
+    assert np.array_equal(parts[0].grad, probe[:, 0:2])
+    assert parts[1].grad is None
+    assert np.array_equal(parts[2].grad, probe[:, 3:6])
 
 
 # ---------------------------------------------------------------------------

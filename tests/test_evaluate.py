@@ -79,6 +79,16 @@ def test_mask_sweep_ratio_zero_matches_plain_evaluate(workspace):
         [s.hypothesis for s in plain.sentences]
 
 
+@pytest.mark.parametrize("ratios", [[0.0], [0.5], [0.0, 0.5]])
+def test_mask_sweep_rejects_empty_seeds(workspace, ratios):
+    # ratio 0 used to raise a bare IndexError (seeds[0]) and a masked ratio
+    # to return a nan mean and std with a numpy RuntimeWarning
+    manifest, vocab = workspace
+    with pytest.raises(ConfigError, match="seeds"):
+        mask_sweep(small_model(vocab), vocab, manifest, "en-de",
+                   ratios=ratios, seeds=[], beam=2)
+
+
 def test_mask_sweep_deterministic_csv(workspace, tmp_path):
     manifest, vocab = workspace
     model = small_model(vocab)

@@ -736,6 +736,130 @@ def test_fused_beam_search_matches_composed_graph_frozen_checkpoint():
     assert fused == composed
 
 
+# raw-numpy oracle of one incremental decoder step: the arithmetic
+# ``decode`` does with a state, in order, as plain numpy with no Tensor and
+# no autodiff (``.max``, ``.sum`` and ``.mean`` where the model calls the
+# ufunc reductions), so the Tensor layer is checked to change no bit
+
+
+def raw_linear(x, p, prefix):
+    return np.matmul(x, p[f"{prefix}.w"]) + p[f"{prefix}.b"]
+
+
+def raw_heads(x, p, prefix, n_heads):
+    y = raw_linear(x, p, prefix)
+    lead = y.shape[:-2]
+    split = y.reshape(y.shape[:-1] + (n_heads, y.shape[-1] // n_heads))
+    return split.transpose(tuple(range(len(lead)))
+                           + (len(lead) + 1, len(lead), len(lead) + 2))
+
+
+def raw_attend(q, k, v, p, prefix):
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores = scores * scores.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+    merged = ctx.transpose(0, 2, 1, 3)
+    return raw_linear(merged.reshape(merged.shape[:-2] + (-1,)), p,
+                      f"{prefix}.o")
+
+
+def raw_layer_norm(x, p, prefix):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True)
+                        + x.dtype.type(1e-5))
+    return xc * inv * p[f"{prefix}.gain"] + p[f"{prefix}.bias"]
+
+
+class RawDecoder:
+    """Incremental decoding of [B, 1] ids over an unpadded [S, d] memory,
+    eval mode, from the parameter arrays alone."""
+
+    def __init__(self, model, memory):
+        self.p = {name: t.data for name, t in model.params.items()}
+        self.cfg = model.config
+        h = self.cfg.n_heads
+        self.cross = [
+            (raw_heads(memory, self.p, f"dec.{i}.cross.k", h),
+             raw_heads(memory, self.p, f"dec.{i}.cross.v", h))
+            for i in range(self.cfg.n_dec_layers)]
+        self.cache = [None] * self.cfg.n_dec_layers
+        self.length = 0
+
+    def step(self, ids):
+        p, h, d = self.p, self.cfg.n_heads, self.cfg.d_model
+        table = p["embedding"]
+        x = table[np.asarray(ids, dtype=np.int64)]
+        x = x * x.dtype.type(float(np.sqrt(d)))
+        x = x + sinusoidal_positions(1, d, x.dtype, self.length)
+        for i in range(self.cfg.n_dec_layers):
+            pre = f"dec.{i}"
+            q, k, v = (raw_heads(x, p, f"{pre}.self.{w}", h) for w in "qkv")
+            if self.cache[i] is not None:
+                k = np.concatenate([self.cache[i][0], k], axis=-2)
+                v = np.concatenate([self.cache[i][1], v], axis=-2)
+            self.cache[i] = (k, v)
+            x = raw_layer_norm(x + raw_attend(q, k, v, p, f"{pre}.self"), p,
+                               f"{pre}.ln1")
+            q = raw_heads(x, p, f"{pre}.cross.q", h)
+            x = raw_layer_norm(x + raw_attend(q, *self.cross[i], p,
+                                              f"{pre}.cross"), p,
+                               f"{pre}.ln2")
+            f = raw_linear(np.maximum(raw_linear(x, p, f"{pre}.ffn.1"), 0),
+                           p, f"{pre}.ffn.2")
+            x = raw_layer_norm(x + f, p, f"{pre}.ln3")
+        self.length += 1
+        return np.matmul(x, table.T)
+
+    def reorder(self, rows):
+        self.cache = [(k[rows], v[rows]) for k, v in self.cache]
+
+
+def frozen_memory(model, k=0, lang="de"):
+    vocab = Vocabulary.load(FROZEN / "bpe")
+    manifest = load_manifest(FROZEN / "train.json")
+    visual = visual_tokens_for(model, manifest.vtok_path)
+    sources = manifest_lines(manifest, "en")
+    images = manifest_image_ids(manifest, len(sources))
+    ids = prefix_target_token([BOS_ID] + encode(sources[k], vocab)
+                              + [EOS_ID], lang, vocab)
+    with ad.no_grad():
+        return model.prepare_source(ids, visual[images[k]])
+
+
+def test_incremental_decode_matches_raw_numpy_frozen_checkpoint(monkeypatch):
+    """One row, then five across two reorders (repeats included): every
+    step's logits are those of the raw-numpy decoder bit for bit, and no
+    node a no-grad step makes carries a parent or a backward rule."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    memory, mask = frozen_memory(model)
+    assert not mask.any()
+    raw = RawDecoder(model, memory.data)
+    made = []
+    real_make_node = ad.make_node
+
+    def recording(*args, **kwargs):
+        made.append(real_make_node(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "make_node", recording)
+    rng = np.random.default_rng(7)
+    steps = [np.array([[BOS_ID]])] + [rng.integers(10, model.config.vocab_size,
+                                                  (5, 1)) for _ in range(6)]
+    reorders = {0: [0, 0, 0, 0, 0], 2: [4, 2, 2, 0, 1], 4: [1, 1, 3, 0, 4]}
+    with ad.no_grad():
+        state = model.decoder_state(memory)
+        for t, ids in enumerate(steps):
+            got = model.decode(memory, ids, mask, state).data
+            assert got.shape == ids.shape + (model.config.vocab_size,)
+            assert np.array_equal(got, raw.step(ids)), f"step {t}"
+            if t in reorders:
+                state.reorder(reorders[t])
+                raw.reorder(reorders[t])
+    assert made
+    assert all(n._parents == () and n._backward is None for n in made)
+
+
 def test_fused_ops_halve_the_train_step_graph(monkeypatch, toy_batches):
     nodes = [0]
     real_make_node = ad.make_node
