@@ -12,6 +12,20 @@ A backward rule keeps only what it reads. Where it needs just the shape
 of an intermediate array, it captures the shape, not the array, so the
 graph pins no forward array that nothing will read again.
 
+Ownership rule: a rule never writes into a gradient ``g`` it did not
+allocate, since one ``g`` may be handed to several parents (``add`` hands
+the same array to both). ``accumulate_grad`` keeps the first gradient a
+tensor receives as it is, not copied, when it is an ndarray of the
+tensor's dtype, and sums a later one into a new array. The optimizer only
+reads ``.grad``.
+
+Contiguous-transpose rule: the backward of ``x @ w`` with a 2-D ``w`` and
+a batched gradient multiplies by a C-contiguous copy of ``w``'s transpose,
+not the strided view, which BLAS runs about 2x slower. The copy changes
+float32 summation order, so those gradients can differ from the strided
+product in the last bits; the forward pass, and so decoding, never
+reaches this code.
+
 No-grad cost rule: an op that records no graph (under ``no_grad``, or
 with no input requiring grad) costs its numpy calls plus one
 ``make_node``, which wraps the result array as it is and attaches no
@@ -140,10 +154,17 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray):
+        """Add ``g`` to ``.grad``. The first gradient is kept as it is when
+        it is an ndarray of the tensor's dtype (anything else is cast, as
+        ``np.array(g, dtype)``); a later one is summed into a new array
+        with the casting of ``+=``, so no array a rule handed over, and
+        perhaps handed to another parent too, is ever written into."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            self.grad = (g if type(g) is np.ndarray
+                         and g.dtype == self.data.dtype
+                         else np.array(g, dtype=self.data.dtype))
         else:
-            self.grad += g
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
 
     def zero_grad(self):
         self.grad = None
@@ -336,8 +357,16 @@ def _check_matmul(sa, sb):
 
 
 def _grad_left(g: np.ndarray, b: np.ndarray, shape) -> np.ndarray:
-    """The gradient of ``a`` (of ``shape``) in ``a @ b``, given g."""
-    return _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), shape)
+    """The gradient of ``a`` (of ``shape``) in ``a @ b``, given g.
+
+    A 2-D ``b`` under a batched ``g`` is transposed into a contiguous
+    copy first: the batched product against the strided view runs about
+    2x slower. A 2-D ``g`` keeps the view, which is faster there.
+    """
+    bt = np.swapaxes(b, -1, -2)
+    if b.ndim == 2 and g.ndim > 2:
+        bt = np.ascontiguousarray(bt)
+    return _unbroadcast(np.matmul(g, bt), shape)
 
 
 def _grad_right(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:

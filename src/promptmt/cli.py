@@ -37,18 +37,31 @@ def cmd_train(args) -> int:
     cfg_path = Path(args.config)
     if not cfg_path.exists():
         raise ConfigError(f"config file not found: {cfg_path}")
-    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{cfg_path}: malformed JSON at line {exc.lineno} "
+                          f"column {exc.colno}: {exc.msg}") from None
+    data = raw.get("data", {}) if isinstance(raw, dict) else None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{cfg_path}: expected a JSON object with a "
+                          "\"data\" object")
     base = cfg_path.parent
 
     def resolve(p):
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    data = raw.get("data", {})
+    def data_path(key):
+        if key not in data:
+            raise ConfigError(f"{cfg_path}: missing key data.{key}")
+        return resolve(data[key])
+
     out_dir = resolve(raw.get("out_dir", "run"))
-    vocab_prefix = resolve(data["vocab"])
+    vocab_prefix = data_path("vocab")
+    manifest_path = data_path("train_manifest")
     vocab = Vocabulary.load(vocab_prefix)
-    manifest = load_manifest(resolve(data["train_manifest"]))
+    manifest = load_manifest(manifest_path)
     pivot = data.get("pivot", "en")
     examples = load_parallel_examples(manifest, vocab, pivot=pivot)
 

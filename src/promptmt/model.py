@@ -74,6 +74,10 @@ class ModelConfig:
                               f"n_heads={self.n_heads}")
         if self.variant != "text_only" and self.d_v <= 0:
             raise ConfigError(f"variant {self.variant!r} requires d_v > 0")
+        for name in ("dropout", "eps_ls"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"{name}={rate} is outside [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)

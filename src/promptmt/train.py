@@ -71,8 +71,11 @@ class TrainState:
 
     @classmethod
     def from_checkpoint_dict(cls, d: Mapping) -> "TrainState":
+        # adam_step updates the moments in place: own them
         return cls(config=TrainConfig.from_dict(d["config"]), step=d["step"],
-                   seed=d["seed"], m=dict(d["m"]), v=dict(d["v"]))
+                   seed=d["seed"],
+                   m={k: np.array(a) for k, a in d["m"].items()},
+                   v={k: np.array(a) for k, a in d["v"].items()})
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:
@@ -98,9 +101,17 @@ def adam_step(params: Mapping[str, ad.Tensor], state: TrainState, lr: float):
     Parameters with no gradient this step keep decaying moments; a NaN or
     Inf gradient aborts, naming the parameter. Leaves every parameter
     finite or dies trying.
+
+    The float32 moments and the parameters are updated in place, through
+    two scratch arrays per parameter, by the same float32 operations in
+    the same order as ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr*(m/c1) / (sqrt(v/c2) + eps)``, so the result is
+    bit-identical to evaluating those expressions. ``.grad`` is only read.
     """
     t = state.step
     b1, b2, eps = state.config.beta1, state.config.beta2, state.config.adam_eps
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    lr32, eps32 = np.float32(lr), np.float32(eps)
     clip = state.config.grad_clip
     if clip is not None:
         total = 0.0
@@ -115,13 +126,24 @@ def adam_step(params: Mapping[str, ad.Tensor], state: TrainState, lr: float):
             raise NumericError(f"non-finite gradient in parameter {name!r} "
                                f"at step {t}")
         g = g.astype(np.float32, copy=False)
+        m, v = state.m[name], state.v[name]
+        u, d = np.empty(m.shape, np.float32), np.empty(m.shape, np.float32)
         if clip is not None:
-            g = g * np.float32(clip_factor)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))
+            g = np.multiply(g, np.float32(clip_factor), out=d)
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=u)
+        v *= b2
+        np.multiply(g, 1 - b2, out=u)
+        u *= g
+        v += u
+        # d held the clipped g, read for the last time above
+        np.divide(m, c1, out=u)
+        u *= lr32
+        np.divide(v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += eps32
+        u /= d
+        p.data -= u
         if not np.isfinite(p.data).all():
             raise NumericError(f"non-finite parameter {name!r} after step {t}")
 

@@ -739,6 +739,126 @@ def test_attention_backward_keeps_only_the_arrays_it_reads(masked):
 
 
 # ---------------------------------------------------------------------------
+# copy-free gradient accumulation, contiguous weight transposes
+# ---------------------------------------------------------------------------
+
+def reference_accumulate_grad(self, g):
+    """``Tensor.accumulate_grad`` as it was before it kept the first
+    gradient: copy it, then add later ones in place."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype)
+    else:
+        self.grad += g
+
+
+def reference_grad_left(g, b, shape):
+    """``_grad_left`` as it was before the contiguous transpose: the
+    product against the strided view of ``b``."""
+    return ad._unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), shape)
+
+
+def toy_losses_and_grads(model, batches, visual):
+    out = []
+    for batch in batches:
+        loss = model_loss(model, batch, visual)
+        ad.backward(loss)
+        out.append((loss.item(), {n: p.grad for n, p in model.params.items()}))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["full", "text_only"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_copy_free_accumulation_matches_copying_on_toy_corpus(
+        variant, dtype, dropout, toy_batches, monkeypatch):
+    vocab_size, batches, visual = toy_batches
+    model = lean_model(variant, dtype, dropout, vocab_size=vocab_size, d_v=32)
+    with monkeypatch.context() as m:
+        m.setattr(ad.Tensor, "accumulate_grad", reference_accumulate_grad)
+        want = toy_losses_and_grads(model, batches, visual)
+    got = toy_losses_and_grads(model, batches, visual)
+    for (loss, grads), (want_loss, want_grads) in zip(got, want):
+        assert loss == want_loss
+        for name, g in grads.items():
+            assert g.dtype == want_grads[name].dtype, name
+            assert np.array_equal(g, want_grads[name]), name
+
+
+def test_shared_first_gradient_is_never_written():
+    # add hands one g to both leaves; both keep it, and a second backward
+    # into w1 must not reach w2's gradient through it
+    w1 = ad.tensor(np.arange(3.), requires_grad=True)
+    w2 = ad.tensor(np.ones(3), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.add(w1, w2), ad.tensor([1., 2., 3.]))))
+    assert w1.grad is w2.grad and np.array_equal(w1.grad, [1., 2., 3.])
+    w2_before = w2.grad.copy()
+    ad.backward(ad.sum_(ad.scale(w1, 10.0)))
+    assert np.array_equal(w1.grad, [11., 12., 13.])
+    assert np.array_equal(w2.grad, w2_before)
+
+
+def test_first_gradient_kept_only_in_own_dtype():
+    t = ad.tensor(np.zeros(3), requires_grad=True)
+    own = np.array([1., 2., 3.], dtype=np.float32)
+    t.accumulate_grad(own)
+    assert t.grad is own
+    cases = [(np.zeros(3), np.array([0.1, 0.2, 0.3]), np.array([1e-8, 1., 3.3])),
+             (np.zeros(3), [0.1, 0.2, 0.3], np.array([1e-8, 1., 3.3])),
+             (np.zeros(()), np.float64(0.1), np.float64(3.3)),
+             (np.zeros(()), np.float32(0.1), np.array(3.3, np.float32))]
+    for data, first, later in cases:
+        t, ref = (ad.tensor(data, requires_grad=True) for _ in range(2))
+        t.accumulate_grad(first)
+        reference_accumulate_grad(ref, first)
+        assert t.grad is not first and t.grad.dtype == np.float32
+        assert t.grad.shape == ref.grad.shape
+        assert t.grad.tobytes() == ref.grad.tobytes()
+        # a later gradient of another dtype sums with the casting of +=
+        t.accumulate_grad(later)
+        reference_accumulate_grad(ref, later)
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == ref.grad.tobytes()
+
+
+@pytest.mark.parametrize("g_shape, b_shape", [
+    ((19, 25, 256), (64, 256)), ((19, 25, 64), (256, 64)),
+    ((3, 2, 7, 5), (4, 5)), ((6, 5), (4, 5)), ((2, 3, 5), (2, 4, 5))])
+def test_grad_left_matches_strided_product(g_shape, b_shape):
+    # contiguous copy only for a 2-D b under a batched g: the same product
+    # up to float32 rounding; otherwise the very same call
+    rng = np.random.Generator(np.random.PCG64(5))
+    g = rng.standard_normal(g_shape).astype(np.float32)
+    b = rng.standard_normal(b_shape).astype(np.float32)
+    shape = g_shape[:-1] + b_shape[-2:-1]
+    got = ad._grad_left(g, b, shape)
+    want = reference_grad_left(g, b, shape)
+    if len(b_shape) == 2 and len(g_shape) > 2:
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_contiguous_grad_left_matches_strided_on_toy_corpus(
+        variant, toy_batches, monkeypatch):
+    vocab_size, batches, visual = toy_batches
+    model = lean_model(variant, np.float32, 0.3, vocab_size=vocab_size,
+                       d_v=32)
+    with monkeypatch.context() as m:
+        m.setattr(ad, "_grad_left", reference_grad_left)
+        want = toy_losses_and_grads(model, batches, visual)
+    got = toy_losses_and_grads(model, batches, visual)
+    for (loss, grads), (want_loss, want_grads) in zip(got, want):
+        assert loss == want_loss  # forward untouched
+        # float32 rounding, measured against the step's largest gradient
+        # (the analytically zero key-bias gradients are pure rounding)
+        scale = max(np.abs(g).max() for g in want_grads.values())
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[name], rtol=1e-4,
+                                       atol=1e-6 * scale, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
 # dropout
 # ---------------------------------------------------------------------------
 

@@ -210,3 +210,34 @@ def test_translate_cli_rejects_non_finite_alpha(workspace, tmp_path, capsys):
                "--vtok", str(workspace / "train.vtok")])
     assert rc != 0
     assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["vocab", "train_manifest"])
+def test_train_cli_names_missing_data_key(tmp_path, capsys, key):
+    data = {"train_manifest": "train.json", "vocab": "bpe"}
+    del data[key]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": data}), encoding="utf-8")
+    rc = main(["train", "--config", str(config)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert str(config) in err and f"data.{key}" in err
+
+
+def test_train_cli_names_malformed_json_position(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"data": {\n  "vocab": "bpe",,\n}}\n',
+                      encoding="utf-8")
+    rc = main(["train", "--config", str(config)])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert str(config) in err and "line 2 column 18" in err
+
+
+@pytest.mark.parametrize("text", ['[1, 2]', '{"data": "bpe"}'])
+def test_train_cli_rejects_config_without_data_object(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["train", "--config", str(config)]) != 0
+    err = capsys.readouterr().err
+    assert str(config) in err and '"data" object' in err

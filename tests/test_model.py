@@ -73,6 +73,19 @@ def test_config_requires_dv_unless_text_only():
     tiny_config(d_v=0, variant="text_only")  # fine
 
 
+@pytest.mark.parametrize("field", ["dropout", "eps_ls"])
+@pytest.mark.parametrize("value", [1.0, -0.1, 1.5, float("nan")])
+def test_config_rejects_rate_outside_unit_interval(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["dropout", "eps_ls"])
+@pytest.mark.parametrize("value", [0.0, 0.3, 0.999])
+def test_config_accepts_rate_in_unit_interval(field, value):
+    assert getattr(tiny_config(**{field: value}), field) == value
+
+
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------

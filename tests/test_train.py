@@ -96,6 +96,123 @@ def test_adam_rejects_nonfinite_gradient():
         adam_step(params, state, lr=1e-3)
 
 
+def reference_adam_step(params, state, lr):
+    """``adam_step`` as it was before it updated in place: every
+    expression allocates, and the moments are rebound, not written."""
+    t = state.step
+    b1, b2, eps = state.config.beta1, state.config.beta2, state.config.adam_eps
+    clip = state.config.grad_clip
+    if clip is not None:
+        total = 0.0
+        for p in params.values():
+            if p.grad is not None:
+                total += float((p.grad.astype(np.float64) ** 2).sum())
+        norm = np.sqrt(total)
+        clip_factor = min(1.0, clip / (norm + 1e-12))
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient in parameter {name!r} "
+                               f"at step {t}")
+        g = g.astype(np.float32, copy=False)
+        if clip is not None:
+            g = g * np.float32(clip_factor)
+        state.m[name] = b1 * state.m[name] + (1 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
+        m_hat = state.m[name] / (1 - b1 ** t)
+        v_hat = state.v[name] / (1 - b2 ** t)
+        p.data -= np.float32(lr) * m_hat / (np.sqrt(v_hat) + np.float32(eps))
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"non-finite parameter {name!r} after step {t}")
+
+
+ADAM_SHAPES = {"w": (7, 5), "b": (5,), "heads": (2, 3, 4), "unused": (4, 3),
+               "double": (3, 3)}
+
+
+def adam_setup(grad_clip):
+    rng = np.random.Generator(np.random.PCG64(31))
+    params = {}
+    for name, shape in ADAM_SHAPES.items():
+        dtype = np.float64 if name == "double" else np.float32
+        params[name] = ad.Tensor(rng.standard_normal(shape), dtype=dtype,
+                                 requires_grad=True)
+    cfg = TrainConfig(grad_clip=grad_clip)
+    return params, TrainState(
+        config=cfg, step=0, seed=0,
+        m={n: np.zeros(s, np.float32) for n, s in ADAM_SHAPES.items()},
+        v={n: np.zeros(s, np.float32) for n, s in ADAM_SHAPES.items()})
+
+
+def bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("grad_clip", [None, 0.5, 1e6])
+def test_inplace_adam_bitwise_equals_reference(grad_clip):
+    # six steps of random gradients (some entries exactly zero, scales
+    # from 1e-6 to 1e3); "unused" has a gradient only at step 1, after
+    # which its moments decay; "double" is a float64 parameter with
+    # float64 grads
+    got, want = adam_setup(grad_clip), adam_setup(grad_clip)
+    rng = np.random.Generator(np.random.PCG64(32))
+    for step in range(1, 7):
+        grads = {}
+        for name, shape in ADAM_SHAPES.items():
+            if name == "unused" and step > 1:
+                continue
+            g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 4)
+            g[rng.random(shape) < 0.2] = 0.0
+            grads[name] = g.astype(got[0][name].data.dtype)
+        lr = lr_schedule(step, TrainConfig(warmup_steps=3, lr_peak=1e-2))
+        for params, state in (got, want):
+            for name, p in params.items():
+                p.grad = grads[name].copy() if name in grads else None
+            state.step = step
+        m_before = dict(got[1].m)
+        adam_step(got[0], got[1], lr)
+        reference_adam_step(want[0], want[1], lr)
+        for name in ADAM_SHAPES:
+            assert bits(got[0][name].data) == bits(want[0][name].data), name
+            assert bits(got[1].m[name]) == bits(want[1].m[name]), name
+            assert bits(got[1].v[name]) == bits(want[1].v[name]), name
+            # in place: the moment arrays are the same objects
+            assert got[1].m[name] is m_before[name]
+            if name in grads:
+                # the gradient is only read
+                assert bits(got[0][name].grad) == bits(grads[name])
+
+
+def test_adam_gradient_check_messages_unchanged():
+    params, state = adam_setup(None)
+    state.step = 1
+    params["w"].grad = np.zeros((7, 5), np.float32)
+    params["w"].data[0, 0] = np.inf
+    with pytest.raises(NumericError,
+                       match="non-finite parameter 'w' after step 1"):
+        adam_step(params, state, lr=1e-3)
+    params, state = adam_setup(None)
+    state.step = 4
+    params["b"].grad = np.array([0, 0, np.inf, 0, 0], np.float32)
+    with pytest.raises(NumericError, match="non-finite gradient in "
+                                           "parameter 'b' at step 4"):
+        adam_step(params, state, lr=1e-3)
+
+
+def test_state_from_checkpoint_dict_owns_its_moments():
+    # adam_step writes the moments in place; the caller's dict must not
+    # change under it
+    params, state = adam_setup(None)
+    ck = state.to_checkpoint_dict()
+    resumed = TrainState.from_checkpoint_dict(ck)
+    resumed.step = 1
+    for p in params.values():
+        p.grad = np.ones(p.shape, p.data.dtype)
+    adam_step(params, resumed, lr=1e-3)
+    assert all(not a.any() for a in ck["m"].values())
+    assert all(resumed.m[n].any() for n in ADAM_SHAPES)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
