@@ -2,31 +2,32 @@
 """Fingerprint a training run: SHA-256 of its per-step losses, its final
 parameters and its Adam moments.
 
-Trains the benchmark's `train` config (the acceptance toy corpus, `full`
-variant, d_model 64, 2+2 layers, no dropout or smoothing, max_tokens 512,
-seeds derived from --seed as perfbench/workloads.py derives them) for
---epochs epochs from a fresh model, then prints the BLAS thread count and
-the three digests. Two checkouts that print the same digests at the same
-thread count train bit-identically; a change that only reorders float32
-rounding prints different ones.
+Builds the benchmark's `train` workload (perfbench/workloads.py,
+`TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
+prints the BLAS thread count and the three digests. Two checkouts that
+print the same digests at the same thread count train bit-identically; a
+change that only reorders float32 rounding prints different ones.
 
-    python3 scripts/train_digest.py                  # seed 921, 2 epochs
-    python3 scripts/train_digest.py --blas-threads 2
+    python3 scripts/train_digest.py
+    OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
+    OPENBLAS_NUM_THREADS=2 python3 scripts/train_digest.py
 
-It imports `promptmt` from the `src/` next to it, not an installed copy.
+BLAS picks its thread count from the environment, so set
+OPENBLAS_NUM_THREADS for the 1- and 2-thread runs; the first line printed
+is the count BLAS reports. The script imports `promptmt` from the `src/`
+next to it, not an installed copy.
 """
 
-import argparse
 import ctypes
 import hashlib
-import os
 import re
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 921
+EPOCHS = 2
 
 
 def blas_threads():
@@ -57,43 +58,16 @@ def digest(arrays) -> str:
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=921)
-    parser.add_argument("--epochs", type=int, default=2)
-    parser.add_argument("--blas-threads", type=int, default=None,
-                        help="pin BLAS to this many threads (default: leave "
-                             "the environment as it is)")
-    args = parser.parse_args()
-    if args.blas_threads is not None:
-        for var in BLAS_VARS:
-            os.environ[var] = str(args.blas_threads)
-    sys.path.insert(0, str(SRC))
-
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
-    from promptmt import text, toydata, vision
-    from promptmt.model import ModelConfig, MultimodalTranslator
-    from promptmt.seeding import derive_seed
-    from promptmt.train import TrainConfig, TrainState, train_loop
+    from promptmt.train import train_loop
+    from workloads import Sizes, TrainWorkload
 
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        manifest = text.load_manifest(toydata.make_toy_corpus(
-            root, n_lines=32, target_langs=("de", "fr", "cs"), seed=0,
-            m_v=4, d_v=32, n_images=8))
-        vocab = toydata.train_toy_vocab(root, manifest.languages,
-                                        vocab_size=360)
-        examples = text.load_parallel_examples(manifest, vocab, pivot="en")
-        visual = vision.read_vtok(manifest.vtok_path)
-    config = ModelConfig(vocab_size=len(vocab), d_model=64, n_heads=4,
-                         n_enc_layers=2, n_dec_layers=2, d_v=32,
-                         variant="full", dropout=0.0, eps_ls=0.0)
-    model = MultimodalTranslator(
-        config, seed=derive_seed(args.seed, "bench-train-init"))
-    tcfg = TrainConfig(lr_peak=2e-3, lr_init=1e-7, warmup_steps=30,
-                       epochs=args.epochs, max_tokens=512,
-                       seed=derive_seed(args.seed, "bench-train-order") % 2**31)
-    state = TrainState.fresh(model, tcfg)
-    rows = train_loop(model, examples, visual, state)
+        workload = TrainWorkload(SEED, Path(tmp), Sizes(train_epochs=EPOCHS))
+        workload.setup()
+    model, state = workload._fresh()
+    rows = train_loop(model, workload.examples, workload.visual, state)
 
     losses = np.array([r.loss for r in rows], dtype=np.float64)
     print(f"blas threads  {blas_threads()}")

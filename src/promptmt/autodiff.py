@@ -17,7 +17,9 @@ allocate, since one ``g`` may be handed to several parents (``add`` hands
 the same array to both). ``accumulate_grad`` keeps the first gradient a
 tensor receives as it is, not copied, when it is an ndarray of the
 tensor's dtype, and sums a later one into a new array. The optimizer only
-reads ``.grad``.
+reads ``.grad``. So a ``.grad`` may be the very array another tensor holds,
+or a view into a larger gradient: treat it as read-only (clip with
+``p.grad = p.grad * c``, never ``p.grad *= c``).
 
 Contiguous-transpose rule: the backward of ``x @ w`` with a 2-D ``w`` and
 a batched gradient multiplies by a C-contiguous copy of ``w``'s transpose,
@@ -158,7 +160,9 @@ class Tensor:
         it is an ndarray of the tensor's dtype (anything else is cast, as
         ``np.array(g, dtype)``); a later one is summed into a new array
         with the casting of ``+=``, so no array a rule handed over, and
-        perhaps handed to another parent too, is ever written into."""
+        perhaps handed to another parent too, is ever written into.
+        ``.grad`` may therefore share memory with other tensors' gradients
+        and must be treated as read-only."""
         if self.grad is None:
             self.grad = (g if type(g) is np.ndarray
                          and g.dtype == self.data.dtype
