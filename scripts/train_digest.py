@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Fingerprint a training run: SHA-256 of its per-step losses, its final
-parameters and its Adam moments.
+"""Fingerprint a training run: SHA-256 of its encoded examples, its
+per-step losses, its final parameters and its Adam moments.
 
 Builds the benchmark's `train` workload (perfbench/workloads.py,
 `TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
-prints the BLAS thread count and the three digests. Two checkouts that
-print the same digests at the same thread count train bit-identically; a
-change that only reorders float32 rounding prints different ones.
+prints the BLAS thread count and the four digests. The examples digest
+covers each example's id, source ids, target ids and image id, in load
+order, so it checks the text pipeline on its own. Two checkouts that
+print the same digests at the same thread count encode and train
+bit-identically; a change that only reorders float32 rounding prints
+different losses, parameters and moments.
 
     python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
@@ -20,6 +23,7 @@ next to it, not an installed copy.
 
 import ctypes
 import hashlib
+import json
 import re
 import sys
 import tempfile
@@ -57,6 +61,14 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
+def examples_digest(examples) -> str:
+    h = hashlib.sha256()
+    for e in examples:
+        h.update(json.dumps([e.example_id, e.source_ids, e.target_ids,
+                             e.image_id]).encode("utf-8"))
+    return h.hexdigest()
+
+
 def main():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
@@ -73,6 +85,7 @@ def main():
     print(f"blas threads  {blas_threads()}")
     print(f"steps         {len(rows)}")
     print(f"final loss    {rows[-1].loss!r}")
+    print(f"examples      {examples_digest(workload.examples)}")
     print(f"losses        {digest([('loss', losses)])}")
     names = list(model.params)
     moments = ([("m." + n, state.m[n]) for n in names]

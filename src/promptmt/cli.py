@@ -21,8 +21,9 @@ from .errors import ConfigError, PromptMtError
 from .evaluate import (evaluate, mask_sweep, visual_tokens_for,
                        write_report_csv, write_sentences_tsv, write_sweep_csv)
 from .model import ModelConfig, MultimodalTranslator, load_checkpoint
-from .text import (BOS_ID, EOS_ID, Vocabulary, encode, decode, load_manifest,
-                   load_parallel_examples, prefix_target_token, train_bpe)
+from .text import (BOS_ID, EOS_ID, Vocabulary, decode, encode_lines,
+                   load_manifest, load_parallel_examples, prefix_target_token,
+                   train_bpe)
 from .train import TrainConfig, TrainState, train_loop
 from .vision import make_pseudo_vtok, read_vtok
 
@@ -57,15 +58,28 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{cfg_path}: missing key data.{key}")
         return resolve(data[key])
 
+    def section(name):
+        values = raw.get(name, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"{cfg_path}: expected \"{name}\" to be a "
+                              "JSON object")
+        return dict(values)
+
+    def build(name, cls, values):
+        try:
+            return cls.from_dict(values, prefix=f"{name}.")
+        except ConfigError as exc:
+            raise ConfigError(f"{cfg_path}: {exc}") from None
+
     out_dir = resolve(raw.get("out_dir", "run"))
     vocab_prefix = data_path("vocab")
     manifest_path = data_path("train_manifest")
+    tcfg = build("train", TrainConfig, section("train"))
     vocab = Vocabulary.load(vocab_prefix)
     manifest = load_manifest(manifest_path)
     pivot = data.get("pivot", "en")
     examples = load_parallel_examples(manifest, vocab, pivot=pivot)
 
-    tcfg = TrainConfig.from_dict(raw.get("train", {}))
     if args.resume:
         model, ck_state = load_checkpoint(args.resume)
         if ck_state is None:
@@ -73,7 +87,7 @@ def cmd_train(args) -> int:
                               "cannot resume")
         state = TrainState.from_checkpoint_dict(ck_state)
     else:
-        mcfg = dict(raw.get("model", {}))
+        mcfg = section("model")
         mcfg.setdefault("vocab_size", len(vocab))
         mcfg.setdefault("n_langs", len(vocab.languages))
         if mcfg.get("variant", "full") != "text_only" and not mcfg.get("d_v"):
@@ -83,7 +97,7 @@ def cmd_train(args) -> int:
             sample = read_vtok(manifest.vtok_path)
             if sample:
                 mcfg["d_v"] = next(iter(sample.values())).tokens.shape[1]
-        model = MultimodalTranslator(ModelConfig.from_dict(mcfg),
+        model = MultimodalTranslator(build("model", ModelConfig, mcfg),
                                      seed=tcfg.seed)
         state = TrainState.fresh(model, tcfg)
 
@@ -121,22 +135,29 @@ def cmd_translate(args) -> int:
 
     lines = (sys.stdin.read().splitlines() if args.input == "-"
              else _read_lines(args.input))
+    # parse every line before translating any, so a malformed line fails
+    # before output starts; a blank line is (None, None) and prints blank
+    requests = []
     for line in lines:
         if not line.strip():
-            print()
-            continue
-        if needs_vision:
+            requests.append((None, None))
+        elif needs_vision:
             if "\t" not in line:
                 raise ConfigError("expected 'image_id<TAB>text' input line "
                                   f"for a vision variant, got {line!r}")
             image_id, text = line.split("\t", 1)
             if image_id not in visual_map:
                 raise ConfigError(f"image id {image_id!r} not in {args.vtok}")
-            visual = visual_map[image_id]
+            requests.append((text, visual_map[image_id]))
         else:
-            text, visual = line, None
-        ids = prefix_target_token([BOS_ID] + encode(text, vocab) + [EOS_ID],
-                                  args.tgt_lang, vocab)
+            requests.append((line, None))
+    encoded = encode_lines([text or "" for text, _ in requests], vocab)
+    for (text, visual), src in zip(requests, encoded):
+        if text is None:
+            print()
+            continue
+        ids = prefix_target_token([BOS_ID] + src + [EOS_ID], args.tgt_lang,
+                                  vocab)
         hyp = beam_search(model, vocab, ids, args.tgt_lang, visual,
                           beam=args.beam, alpha=args.alpha)
         print(decode(hyp.tokens, vocab))

@@ -22,8 +22,8 @@ from .errors import ConfigError
 from .model import MultimodalTranslator
 from .seeding import derive_seed
 from .text import (BOS_ID, EOS_ID, CorpusManifest, Vocabulary, decode,
-                   encode, manifest_image_ids, manifest_lines, mask_source,
-                   prefix_target_token)
+                   encode_lines, manifest_image_ids, manifest_lines,
+                   mask_source, prefix_target_token)
 from .vision import read_vtok
 
 
@@ -130,9 +130,9 @@ def evaluate(model: MultimodalTranslator, vocab: Vocabulary,
 
     sentences = []
     hyp_tok, ref_tok = [], []
-    for i, (src, ref) in enumerate(zip(src_lines, ref_lines)):
-        ids = prefix_target_token([BOS_ID] + encode(src, vocab) + [EOS_ID],
-                                  tgt_lang, vocab)
+    src_ids = encode_lines(src_lines, vocab)
+    for i, (src, ref) in enumerate(zip(src_ids, ref_lines)):
+        ids = prefix_target_token([BOS_ID] + src + [EOS_ID], tgt_lang, vocab)
         if mask_ratio is not None and mask_ratio > 0:
             ids = mask_source(ids, mask_ratio,
                               derive_seed(mask_seed or 0, i), vocab)

@@ -83,8 +83,19 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+    def from_dict(cls, d: Mapping, prefix: str = "") -> "ModelConfig":
+        return config_from_dict(cls, d, prefix)
+
+
+def config_from_dict(cls, d: Mapping, prefix: str = ""):
+    """``cls(**d)`` for a config dataclass, refusing a key that names no
+    field instead of dropping it. ``prefix`` (say ``"model."``) is put
+    before each key the error names."""
+    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} key(s): "
+                          + ", ".join(repr(prefix + k) for k in unknown))
+    return cls(**d)
 
 
 def sinusoidal_positions(n: int, d: int, dtype=np.float32,

@@ -150,7 +150,9 @@ class Vocabulary:
         merges_path = Path(f"{prefix}.merges")
         if merges_path.exists():
             in_vocab = set(tokens)
+            specials = set(tokens[:len(RESERVED_TOKENS) + len(languages)])
             symbols = set(_BYTE_TO_CHAR.values())
+            produced: dict[str, int] = {}   # merge result -> its line
             lines = merges_path.read_text(encoding="utf-8").splitlines()
             for n, line in enumerate(lines, 1):
                 where = f"{merges_path} line {n}"
@@ -165,11 +167,23 @@ class Vocabulary:
                             f"{where}: {part!r} is neither a byte symbol nor "
                             "the result of an earlier merge")
                 merged = parts[0] + parts[1]
+                if merged in produced:
+                    # the table's meaning would depend on which of the two
+                    # merges ran first
+                    raise VocabularyError(
+                        f"{where}: merge result {merged!r} was already "
+                        f"produced by line {produced[merged]}")
                 if merged not in in_vocab:
                     raise VocabularyError(
                         f"{where}: merge result {merged!r} is not in "
                         f"{vocab_path}")
+                if merged in specials:
+                    # encode would emit the special id for literal text
+                    raise VocabularyError(
+                        f"{where}: merge result {merged!r} is a reserved "
+                        "or language tag token")
                 symbols.add(merged)
+                produced[merged] = n
                 merges.append((parts[0], parts[1]))
         return cls(tokens=tokens, languages=languages, merges=merges)
 
@@ -301,17 +315,40 @@ def _apply_merge(symbols: tuple, pair: tuple[str, str]) -> tuple:
     return tuple(out)
 
 
+def _encode_unit(unit: str, vocab: Vocabulary) -> list[int]:
+    """Ids of one word unit: every merge, in order, over its byte symbols.
+    Symbols missing from the vocabulary map to UNK."""
+    symbols = _unit_to_chars(unit)
+    for pair in vocab.merges:
+        symbols = _apply_merge(symbols, pair)
+    return [vocab._token_to_id.get(sym, UNK_ID) for sym in symbols]
+
+
+def encode_lines(lines: Sequence[str], vocab: Vocabulary) -> list[list[int]]:
+    """Subword-encode each line into content token ids (no BOS/EOS).
+
+    A word unit's ids depend only on the unit (its leading space
+    included) and the vocabulary, so each distinct unit runs the merge
+    loop once per call (Sennrich et al., 2016); the memo lives only as
+    long as the call.
+    """
+    memo: dict[str, list[int]] = {}
+    out = []
+    for line in lines:
+        ids: list[int] = []
+        for unit in _split_units(normalize_whitespace(line)):
+            unit_ids = memo.get(unit)
+            if unit_ids is None:
+                unit_ids = memo[unit] = _encode_unit(unit, vocab)
+            ids += unit_ids
+        out.append(ids)
+    return out
+
+
 def encode(text: str, vocab: Vocabulary) -> list[int]:
     """Subword-encode whitespace-normalized text into content token ids
     (no BOS/EOS). Symbols missing from the vocabulary map to UNK."""
-    ids: list[int] = []
-    for unit in _split_units(normalize_whitespace(text)):
-        symbols = _unit_to_chars(unit)
-        for pair in vocab.merges:
-            symbols = _apply_merge(symbols, pair)
-        for sym in symbols:
-            ids.append(vocab._token_to_id.get(sym, UNK_ID))
-    return ids
+    return encode_lines([text], vocab)[0]
 
 
 def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
@@ -470,17 +507,21 @@ def load_parallel_examples(manifest: CorpusManifest, vocab: Vocabulary,
                            target_langs: Optional[Sequence[str]] = None
                            ) -> list[ParallelExample]:
     """Build (direction, line) examples for every pivot->target direction."""
-    if target_langs is None:
-        target_langs = [l for l in manifest.languages if l != pivot]
+    target_langs = ([l for l in manifest.languages if l != pivot]
+                    if target_langs is None else list(target_langs))
     src_lines = manifest_lines(manifest, pivot)
     image_ids = manifest_image_ids(manifest, len(src_lines))
+    # one encode_lines call over the pivot side (once, whatever the number
+    # of directions) and every target side, then split back per side
+    sides = [src_lines] + [manifest_lines(manifest, t) for t in target_langs]
+    flat = iter(encode_lines([l for side in sides for l in side], vocab))
+    src_ids, *tgt_ids = [[next(flat) for _ in side] for side in sides]
     examples = []
-    for tgt in target_langs:
-        tgt_lines = manifest_lines(manifest, tgt)
-        for n, (src, ref) in enumerate(zip(src_lines, tgt_lines)):
+    for tgt, refs in zip(target_langs, tgt_ids):
+        for n, (src, ref) in enumerate(zip(src_ids, refs)):
             source_ids = prefix_target_token(
-                [BOS_ID] + encode(src, vocab) + [EOS_ID], tgt, vocab)
-            target_ids = [BOS_ID] + encode(ref, vocab) + [EOS_ID]
+                [BOS_ID] + src + [EOS_ID], tgt, vocab)
+            target_ids = [BOS_ID] + ref + [EOS_ID]
             examples.append(ParallelExample(
                 example_id=f"{manifest.split}-{n:06d}-{pivot}2{tgt}",
                 source_lang=pivot, target_lang=tgt,

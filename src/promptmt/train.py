@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError
-from .model import MultimodalTranslator, save_checkpoint
+from .model import MultimodalTranslator, config_from_dict, save_checkpoint
 from .seeding import derive_seed, rng_for
 from .text import ParallelExample, make_batches
 from .vision import VisualTokens
@@ -44,8 +44,8 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "TrainConfig":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+    def from_dict(cls, d: Mapping, prefix: str = "") -> "TrainConfig":
+        return config_from_dict(cls, d, prefix)
 
 
 @dataclass

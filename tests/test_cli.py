@@ -114,6 +114,51 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     assert cli_out == decode(hyp.tokens, vocab)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("no tab here", "expected 'image_id<TAB>text'"),
+    ("nope-000000\tthe cat", "image id 'nope-000000'"),
+])
+def test_translate_cli_malformed_line_fails_before_output(workspace, capsys,
+                                                          tmp_path, bad,
+                                                          message):
+    first_line = (workspace / "train.en").read_text().splitlines()[0]
+    src = tmp_path / "input.txt"
+    src.write_text(f"train-000000\t{first_line}\n\n{bad}\n",
+                   encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src), "--beam", "1",
+               "--vtok", str(workspace / "train.vtok")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_translate_cli_keeps_line_order_and_blank_lines(workspace, capsys,
+                                                        tmp_path):
+    lines = (workspace / "train.en").read_text().splitlines()[:2]
+    src = tmp_path / "input.txt"
+    src.write_text(f"train-000000\t{lines[0]}\n   \ntrain-000001\t"
+                   f"{lines[1]}\ntrain-000000\t{lines[0]}\n",
+                   encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src), "--beam", "2",
+               "--vtok", str(workspace / "train.vtok")])
+    assert rc == 0
+    out = capsys.readouterr().out.split("\n")
+    assert len(out) == 5 and out[1] == "" and out[4] == ""
+    assert out[0] == out[3]
+    for i, n in ((0, 0), (2, 1)):
+        single = tmp_path / f"single{n}.txt"
+        single.write_text(f"train-00000{n}\t{lines[n]}\n", encoding="utf-8")
+        assert main(["translate", "--ckpt",
+                     str(workspace / "run" / "checkpoint_last.lvpm"),
+                     "--tgt-lang", "de", "--input", str(single), "--beam",
+                     "2", "--vtok", str(workspace / "train.vtok")]) == 0
+        assert capsys.readouterr().out == out[i] + "\n"
+
+
 @pytest.mark.parametrize("alpha", ["400", "-400"])
 def test_translate_cli_rejects_extreme_alpha(workspace, capsys, tmp_path,
                                              alpha):
@@ -241,3 +286,32 @@ def test_train_cli_rejects_config_without_data_object(tmp_path, capsys, text):
     assert main(["train", "--config", str(config)]) != 0
     err = capsys.readouterr().err
     assert str(config) in err and '"data" object' in err
+
+
+@pytest.mark.parametrize("section, key", [("model", "dropuot"),
+                                          ("train", "epoch")])
+def test_train_cli_names_unknown_config_key(workspace, tmp_path, capsys,
+                                            section, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"),
+        "data": {"train_manifest": str(workspace / "train.json"),
+                 "vocab": str(workspace / "bpe")},
+        section: {key: 3}}), encoding="utf-8")
+    assert main(["train", "--config", str(config)]) != 0
+    err = capsys.readouterr().err
+    assert str(config) in err and f"{section}.{key}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section, value", [("model", 5), ("train", [1])])
+def test_train_cli_rejects_non_object_section(workspace, tmp_path, capsys,
+                                              section, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"train_manifest": str(workspace / "train.json"),
+                 "vocab": str(workspace / "bpe")},
+        section: value}), encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and f'"{section}" to be a JSON object' in err

@@ -86,6 +86,24 @@ def test_config_accepts_rate_in_unit_interval(field, value):
     assert getattr(tiny_config(**{field: value}), field) == value
 
 
+@pytest.mark.parametrize("extra, named", [
+    ({"dropuot": 0.5}, "'dropuot'"),
+    ({"epochs": 3, "d_modle": 8}, "'d_modle', 'epochs'"),
+])
+def test_config_from_dict_rejects_unknown_keys(extra, named):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig.from_dict({"vocab_size": 10, "d_v": 4, **extra})
+    assert "ModelConfig" in str(err.value) and named in str(err.value)
+
+
+def test_frozen_benchmark_checkpoint_config_loads():
+    # its stored config predates n_langs; every key it has is a field
+    model, state = load_checkpoint(FROZEN / "model.lvpm")
+    assert state is None
+    assert (model.config.vocab_size, model.config.d_model,
+            model.config.variant, model.config.n_langs) == (360, 64, "full", 0)
+
+
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from promptmt import text as tx
 from promptmt.errors import ConfigError, LanguageError, VocabularyError
-from promptmt.toydata import make_toy_corpus
+from promptmt.toydata import make_toy_corpus, train_toy_vocab
 
 SAMPLE_SENTENCES = {
     "en": "a man plays with a red ball",
@@ -219,6 +219,119 @@ def test_roundtrip_property_arbitrary_text(s):
     assert tx.decode(tx.encode(s, vocab), vocab) == normalized
 
 
+# ---------------------------------------------------------------------------
+# corpus encoding: encode_lines against the per-line encoder it replaced
+# ---------------------------------------------------------------------------
+
+def reference_encode(text, vocab):
+    """The line encoder ``encode_lines`` replaced: every merge, in order,
+    over every word unit of the line, a repeated unit paid for again."""
+    ids = []
+    for unit in tx._split_units(tx.normalize_whitespace(text)):
+        symbols = tx._unit_to_chars(unit)
+        for pair in vocab.merges:
+            symbols = tx._apply_merge(symbols, pair)
+        for sym in symbols:
+            ids.append(vocab._token_to_id.get(sym, tx.UNK_ID))
+    return ids
+
+
+def toy_manifest(root):
+    return tx.load_manifest(make_toy_corpus(
+        root, n_lines=32, target_langs=("de", "fr", "cs"), seed=0, m_v=4,
+        d_v=32, n_images=8))
+
+
+@pytest.fixture(scope="module")
+def encoding_vocabs(tmp_path_factory):
+    """The tiny-corpus vocabulary, the toy corpus's at 360 and at 600 (every
+    pair reaching min_freq merged), and the toy corpus's words."""
+    root = tmp_path_factory.mktemp("encode")
+    tiny = root / "tiny.txt"
+    tiny.write_text("aaab aaab\n", encoding="utf-8")
+    manifest = toy_manifest(root)
+    paths = [manifest.text_paths[lang] for lang in manifest.languages]
+    words = sorted({w for path in paths
+                    for w in path.read_text(encoding="utf-8").split()})
+    vocabs = {
+        "tiny": tx.train_bpe([tiny], len(tx.RESERVED_TOKENS) + 256 + 1),
+        "toy360": tx.train_bpe(paths, 360, 2, manifest.languages),
+        "toy600": tx.train_bpe(paths, 600, 2, manifest.languages),
+    }
+    return vocabs, words
+
+
+# literal specials, multi-byte characters, and words the merges touch
+SEED_WORDS = ["<unk>", "<2de>", "aaab", "aaaa", "é", "míčem", "गेंद", "€a"]
+
+
+@st.composite
+def corpora(draw, words):
+    """Lines over a small pool of words, so words repeat within and across
+    lines, with blank and whitespace-only lines and mixed separators."""
+    word = st.one_of(st.sampled_from(words + SEED_WORDS),
+                     st.text(alphabet="abé€<>", min_size=1, max_size=6))
+    pool = draw(st.lists(word, min_size=1, max_size=6))
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    line = st.one_of(
+        st.sampled_from(["", "   ", "\t"]),
+        st.lists(st.tuples(st.sampled_from(pool), gap), min_size=1,
+                 max_size=8).map(lambda ws: "".join(w + g for w, g in ws)))
+    return draw(st.lists(line, min_size=0, max_size=10))
+
+
+@pytest.mark.parametrize("name", ["tiny", "toy360", "toy600"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_encode_lines_matches_per_line_reference(encoding_vocabs, name,
+                                                 data):
+    vocabs, words = encoding_vocabs
+    vocab = vocabs[name]
+    lines = data.draw(corpora(words))
+    assert tx.encode_lines(lines, vocab) == \
+        [reference_encode(line, vocab) for line in lines]
+    for line in lines:
+        assert tx.encode(line, vocab) == reference_encode(line, vocab)
+
+
+def test_load_parallel_examples_matches_per_line_reference(tmp_path):
+    manifest = toy_manifest(tmp_path)
+    vocab = train_toy_vocab(tmp_path, manifest.languages)
+    sources = tx.manifest_lines(manifest, "en")
+    image_ids = tx.manifest_image_ids(manifest, len(sources))
+    expected = []
+    for tgt in ("de", "fr", "cs"):
+        refs = tx.manifest_lines(manifest, tgt)
+        for n, (src, ref) in enumerate(zip(sources, refs)):
+            expected.append(tx.ParallelExample(
+                example_id=f"train-{n:06d}-en2{tgt}", source_lang="en",
+                target_lang=tgt,
+                source_ids=[vocab.tag_id(tgt), tx.BOS_ID]
+                + reference_encode(src, vocab) + [tx.EOS_ID],
+                target_ids=[tx.BOS_ID] + reference_encode(ref, vocab)
+                + [tx.EOS_ID],
+                image_id=image_ids[n]))
+    assert tx.load_parallel_examples(manifest, vocab, pivot="en") == expected
+    assert tx.load_parallel_examples(manifest, vocab, pivot="en",
+                                     target_langs=("fr",)) \
+        == expected[32:64]
+
+
+def test_encode_lines_keeps_nothing_between_calls(tiny_corpus):
+    # "aaab" is (aa, a, b) under the (a, a) merge and four bytes without it
+    merged = tx.train_bpe([tiny_corpus], len(tx.RESERVED_TOKENS) + 256 + 1)
+    plain = minimal_vocab(())
+    lines = ["aaab aaab", "aaab", "", "aaab"]
+    assert tx.encode("aaab", merged) != tx.encode("aaab", plain)
+    for vocab in (merged, plain, merged, plain):
+        assert tx.encode_lines(lines, vocab) == \
+            [reference_encode(line, vocab) for line in lines]
+    # lines sharing a unit get their own lists
+    out = tx.encode_lines(lines, merged)
+    out[1].append(-1)
+    assert out[3] == reference_encode("aaab", merged)
+
+
 def test_vocab_save_load_roundtrip(tmp_path, tiny_corpus):
     base = len(tx.RESERVED_TOKENS) + 1 + 256
     vocab = tx.train_bpe([tiny_corpus], vocab_size=base + 3, min_freq=1,
@@ -277,6 +390,43 @@ def test_vocab_load_rejects_bad_merges(tmp_path, bad, line_no, message):
         tx.Vocabulary.load(tmp_path / "bpe")
     assert f"{path} line {line_no}" in str(err.value)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize("special, tokens, merges", [
+    ("<2de>", ["<2", "<2d", "<2de"], "< 2\n<2 d\n<2d e\n<2de >\n"),
+    ("<unk>", ["<u", "<un", "<unk"], "< u\n<u n\n<un k\n<unk >\n"),
+])
+def test_vocab_load_rejects_merge_spelling_special_token(tmp_path, special,
+                                                         tokens, merges):
+    # loaded, "x <2de>" would encode to the tag id and decode to "x "
+    base = minimal_vocab(("de",))
+    (tmp_path / "bpe.vocab").write_text(
+        "\n".join(base.tokens + tokens) + "\n", encoding="utf-8")
+    (tmp_path / "bpe.merges").write_text(merges, encoding="utf-8")
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert f"{tmp_path / 'bpe.merges'} line 4" in str(err.value)
+    assert f"{special!r} is a reserved or language tag" in str(err.value)
+
+
+@pytest.mark.parametrize("merges, line_no, first", [
+    ("a b\na b\n", 2, 1),
+    ("a b\nb c\nab c\na bc\n", 4, 3),
+])
+def test_vocab_load_rejects_merge_result_produced_twice(tmp_path, merges,
+                                                        line_no, first):
+    # "a bc" after "ab c": two merges spelling "abc" would make the table's
+    # meaning depend on the order they are applied in
+    base = minimal_vocab(())
+    (tmp_path / "bpe.vocab").write_text(
+        "\n".join(base.tokens + ["ab", "bc", "abc"]) + "\n",
+        encoding="utf-8")
+    (tmp_path / "bpe.merges").write_text(merges, encoding="utf-8")
+    path = tmp_path / "bpe.merges"
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert f"{path} line {line_no}" in str(err.value)
+    assert f"already produced by line {first}" in str(err.value)
 
 
 def test_vocab_load_frozen_benchmark_vocabulary():

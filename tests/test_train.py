@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
-from promptmt.errors import NumericError
+from promptmt.errors import ConfigError, NumericError
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
 from promptmt.text import BOS_ID, EOS_ID, ParallelExample
@@ -58,6 +58,12 @@ def test_lr_requires_positive_step():
 def scalar_param(value=1.0):
     return {"w": ad.Tensor(np.array([value], dtype=np.float32),
                            requires_grad=True)}
+
+
+def test_train_config_from_dict_rejects_unknown_keys():
+    with pytest.raises(ConfigError) as err:
+        TrainConfig.from_dict({"epoch": 3, "max_tokens": 64})
+    assert "TrainConfig" in str(err.value) and "'epoch'" in str(err.value)
 
 
 def test_adam_first_step_closed_form():
