@@ -12,26 +12,24 @@ import json
 import shutil
 import sys
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from .checks import full_model_reports, primitive_reports
 from .decoding import beam_search
 from .errors import ConfigError, PromptMtError
-from .evaluate import (evaluate, mask_sweep, visual_tokens_for,
-                       write_report_csv, write_sentences_tsv, write_sweep_csv)
+from .evaluate import (build_requests, evaluate, mask_sweep,
+                       visual_tokens_for, write_report_csv,
+                       write_sentences_tsv, write_sweep_csv)
 from .model import ModelConfig, MultimodalTranslator, load_checkpoint
-from .text import (BOS_ID, EOS_ID, Vocabulary, decode, encode_lines,
-                   load_manifest, load_parallel_examples, prefix_target_token,
+from .text import (Vocabulary, decode, load_manifest, load_parallel_examples,
                    train_bpe)
 from .train import TrainConfig, TrainState, train_loop
-from .vision import make_pseudo_vtok, read_vtok
+from .vision import make_pseudo_vtok
 
 
-def _load_vocab_near(ckpt: Path, explicit: str | None) -> Vocabulary:
-    if explicit:
-        return Vocabulary.load(explicit)
-    return Vocabulary.load(Path(ckpt).parent / "bpe")
+def _load_model(args) -> tuple[MultimodalTranslator, Vocabulary]:
+    model, _ = load_checkpoint(args.ckpt)
+    return model, Vocabulary.load(args.vocab or Path(args.ckpt).parent / "bpe")
 
 
 def cmd_train(args) -> int:
@@ -86,27 +84,20 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{args.resume} holds no optimizer state, "
                               "cannot resume")
         state = TrainState.from_checkpoint_dict(ck_state)
+        visual = visual_tokens_for(model, manifest.vtok_path)
     else:
         mcfg = section("model")
         mcfg.setdefault("vocab_size", len(vocab))
         mcfg.setdefault("n_langs", len(vocab.languages))
-        if mcfg.get("variant", "full") != "text_only" and not mcfg.get("d_v"):
-            if manifest.vtok_path is None:
-                raise ConfigError("model.d_v not set and manifest has no "
-                                  "vtok_path to infer it from")
-            sample = read_vtok(manifest.vtok_path)
-            if sample:
-                mcfg["d_v"] = next(iter(sample.values())).tokens.shape[1]
+        # read before the model exists: a config without d_v takes the table's
+        unbuilt = SimpleNamespace(config=SimpleNamespace(
+            variant=mcfg.get("variant", "full"), d_v=mcfg.get("d_v", 0)))
+        visual = visual_tokens_for(unbuilt, manifest.vtok_path)
+        if visual and not mcfg.get("d_v"):
+            mcfg["d_v"] = next(iter(visual.values())).tokens.shape[1]
         model = MultimodalTranslator(build("model", ModelConfig, mcfg),
                                      seed=tcfg.seed)
         state = TrainState.fresh(model, tcfg)
-
-    visual = None
-    if model.config.variant != "text_only":
-        if manifest.vtok_path is None:
-            raise ConfigError(f"variant {model.config.variant!r} requires a "
-                              "vtok_path in the manifest")
-        visual = visual_tokens_for(model, manifest.vtok_path)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for suffix in (".vocab", ".merges"):
@@ -123,44 +114,31 @@ def cmd_train(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
-    vocab = _load_vocab_near(Path(args.ckpt), args.vocab)
-    needs_vision = model.config.variant != "text_only"
-    visual_map = {}
-    if needs_vision:
-        if not args.vtok:
-            raise ConfigError("this checkpoint's variant needs --vtok, and "
-                              "input lines of the form 'image_id<TAB>text'")
-        visual_map = visual_tokens_for(model, args.vtok)
+    model, vocab = _load_model(args)
+    visual_map = visual_tokens_for(model, args.vtok)
 
     lines = (sys.stdin.read().splitlines() if args.input == "-"
              else _read_lines(args.input))
-    # parse every line before translating any, so a malformed line fails
-    # before output starts; a blank line is (None, None) and prints blank
-    requests = []
-    for line in lines:
-        if not line.strip():
-            requests.append((None, None))
-        elif needs_vision:
-            if "\t" not in line:
-                raise ConfigError("expected 'image_id<TAB>text' input line "
-                                  f"for a vision variant, got {line!r}")
-            image_id, text = line.split("\t", 1)
-            if image_id not in visual_map:
-                raise ConfigError(f"image id {image_id!r} not in {args.vtok}")
-            requests.append((text, visual_map[image_id]))
+    # translate every line before printing any, so a malformed line or a
+    # bad argument fails before output starts; a blank line prints blank
+    sources = []   # (image_id, text)
+    for line in filter(str.strip, lines):
+        if visual_map is None:
+            sources.append((None, line))
+        elif "\t" in line:
+            sources.append(line.split("\t", 1))
         else:
-            requests.append((line, None))
-    encoded = encode_lines([text or "" for text, _ in requests], vocab)
-    for (text, visual), src in zip(requests, encoded):
-        if text is None:
-            print()
-            continue
-        ids = prefix_target_token([BOS_ID] + src + [EOS_ID], args.tgt_lang,
-                                  vocab)
-        hyp = beam_search(model, vocab, ids, args.tgt_lang, visual,
-                          beam=args.beam, alpha=args.alpha)
-        print(decode(hyp.tokens, vocab))
+            raise ConfigError("expected 'image_id<TAB>text' input line "
+                              f"for a vision variant, got {line!r}")
+    requests = build_requests([text for _, text in sources],
+                              [image for image, _ in sources], args.tgt_lang,
+                              vocab, visual_map, args.vtok)
+    outputs = iter([decode(beam_search(model, vocab, ids, args.tgt_lang,
+                                       visual, beam=args.beam,
+                                       alpha=args.alpha).tokens, vocab)
+                    for ids, visual in requests])
+    for line in lines:
+        print(next(outputs) if line.strip() else "")
     return 0
 
 
@@ -172,8 +150,7 @@ def _read_lines(path) -> list[str]:
 
 
 def cmd_evaluate(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
-    vocab = _load_vocab_near(Path(args.ckpt), args.vocab)
+    model, vocab = _load_model(args)
     manifest = load_manifest(args.manifest)
     report = evaluate(model, vocab, manifest, args.direction, beam=args.beam,
                       alpha=args.alpha, lowercase=args.lowercase)
@@ -185,8 +162,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mask_sweep(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
-    vocab = _load_vocab_near(Path(args.ckpt), args.vocab)
+    model, vocab = _load_model(args)
     manifest = load_manifest(args.manifest)
     ratios = [float(r) for r in args.ratios.split(",") if r != ""]
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
@@ -318,10 +294,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PromptMtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PromptMtError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

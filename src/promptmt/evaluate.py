@@ -1,5 +1,11 @@
-"""Corpus evaluation: unsmoothed cumulative 4-gram BLEU, per-direction
-decoding reports, and the masking-ratio sweep.
+"""Corpus evaluation: decode requests, unsmoothed cumulative 4-gram BLEU,
+per-direction decoding reports, and the masking-ratio sweep.
+
+A decode request is a source's ``[tag, BOS, ..., EOS]`` ids plus the
+``VisualTokens`` of its image; ``build_requests`` makes them for
+``evaluate``, ``mask_sweep`` and ``promptmt translate``, and only
+``visual_tokens_for`` decides which VTOK table a model reads. A sweep
+loads its direction once and runs one decode-and-score step per run.
 
 BLEU is computed on whitespace tokens of detokenized text, corpus-level:
 geometric mean of modified n-gram precisions for n = 1..4 times the brevity
@@ -27,17 +33,44 @@ from .text import (BOS_ID, EOS_ID, CorpusManifest, Vocabulary, decode,
 from .vision import read_vtok
 
 
-def visual_tokens_for(model: MultimodalTranslator, vtok_path) -> dict:
-    """Load a VTOK file, rejecting a feature width that disagrees with the
-    model configuration."""
+def visual_tokens_for(model: MultimodalTranslator,
+                      vtok_path) -> Optional[dict]:
+    """The image id -> VisualTokens table ``model`` decodes with: None for
+    ``text_only`` (no file is read); any other variant needs a VTOK file
+    whose width is ``model.config.d_v``, or any width while it is 0 (a train
+    config that leaves d_v out)."""
+    config = model.config
+    if config.variant == "text_only":
+        return None
+    if vtok_path is None:
+        raise ConfigError(f"variant {config.variant!r} needs a VTOK table of "
+                          "visual tokens: a vtok_path in the manifest, or "
+                          "--vtok for translate")
     table = read_vtok(vtok_path)
-    if table:
+    if table and config.d_v:
         d_v = next(iter(table.values())).tokens.shape[1]
-        if d_v != model.config.d_v:
+        if d_v != config.d_v:
             raise ConfigError(
                 f"visual feature width mismatch: {vtok_path} has d_v={d_v}, "
-                f"model expects d_v={model.config.d_v}")
+                f"model expects d_v={config.d_v}")
     return table
+
+
+def build_requests(lines: Sequence[str], image_ids: Sequence, tgt_lang: str,
+                   vocab: Vocabulary, visual_map: Optional[dict],
+                   vtok_path) -> list[tuple]:
+    """(``[tag, BOS, ..., EOS]`` ids, VisualTokens or None) per source line,
+    all lines encoded in one ``encode_lines`` call; ``visual_map`` is what
+    ``visual_tokens_for`` gave the model."""
+    requests = []
+    for src, image_id in zip(encode_lines(lines, vocab), image_ids):
+        if visual_map is not None and image_id not in visual_map:
+            raise ConfigError(f"no visual tokens for image id {image_id!r} "
+                              f"in {vtok_path}")
+        requests.append((
+            prefix_target_token([BOS_ID] + src + [EOS_ID], tgt_lang, vocab),
+            None if visual_map is None else visual_map[image_id]))
+    return requests
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -105,6 +138,41 @@ def _tokens(text: str, lowercase: bool) -> list[str]:
     return (text.lower() if lowercase else text).split()
 
 
+def _scorer(model, vocab, manifest, direction, beam, alpha, lowercase):
+    """Load one direction of the corpus once; return its decode-and-score
+    step ``(mask_ratio, mask_seed) -> EvalReport``."""
+    src_lang, tgt_lang = parse_direction(direction)
+    src_lines = manifest_lines(manifest, src_lang)
+    ref_lines = manifest_lines(manifest, tgt_lang)
+    image_ids = manifest_image_ids(manifest, len(src_lines))
+    requests = build_requests(src_lines, image_ids, tgt_lang, vocab,
+                              visual_tokens_for(model, manifest.vtok_path),
+                              manifest.vtok_path)
+
+    def score(mask_ratio, mask_seed) -> EvalReport:
+        if mask_ratio is not None and not 0.0 <= mask_ratio <= 1.0:
+            raise ConfigError(f"mask ratio must be in [0, 1], got {mask_ratio}")
+        sentences, hyp_tok, ref_tok = [], [], []
+        for i, ((ids, visual), ref) in enumerate(zip(requests, ref_lines)):
+            if mask_ratio:
+                ids = mask_source(ids, mask_ratio,
+                                  derive_seed(mask_seed or 0, i), vocab)
+            hyp = beam_search(model, vocab, ids, tgt_lang, visual,
+                              beam=beam, alpha=alpha)
+            hyp_text = decode(hyp.tokens, vocab)
+            sentences.append(SentenceResult(
+                example_id=f"{manifest.split}-{i:06d}-{src_lang}2{tgt_lang}",
+                source=decode(ids, vocab), hypothesis=hyp_text,
+                reference=ref))
+            hyp_tok.append(_tokens(hyp_text, lowercase))
+            ref_tok.append(_tokens(ref, lowercase))
+        return EvalReport(direction=f"{src_lang}-{tgt_lang}",
+                          bleu=bleu4(hyp_tok, ref_tok), sentences=sentences,
+                          ratio=mask_ratio, seed=mask_seed)
+
+    return score
+
+
 def evaluate(model: MultimodalTranslator, vocab: Vocabulary,
              manifest: CorpusManifest, direction: str, beam: int = 5,
              alpha: float = 1.0, mask_ratio: Optional[float] = None,
@@ -116,44 +184,8 @@ def evaluate(model: MultimodalTranslator, vocab: Vocabulary,
     per-sentence seed derived from ``mask_seed``, so results are independent
     of processing order.
     """
-    src_lang, tgt_lang = parse_direction(direction)
-    src_lines = manifest_lines(manifest, src_lang)
-    ref_lines = manifest_lines(manifest, tgt_lang)
-    image_ids = manifest_image_ids(manifest, len(src_lines))
-
-    visual_map = None
-    if model.config.variant != "text_only":
-        if manifest.vtok_path is None:
-            raise ConfigError(f"variant {model.config.variant!r} needs a "
-                              "vtok_path in the manifest")
-        visual_map = visual_tokens_for(model, manifest.vtok_path)
-
-    sentences = []
-    hyp_tok, ref_tok = [], []
-    src_ids = encode_lines(src_lines, vocab)
-    for i, (src, ref) in enumerate(zip(src_ids, ref_lines)):
-        ids = prefix_target_token([BOS_ID] + src + [EOS_ID], tgt_lang, vocab)
-        if mask_ratio is not None and mask_ratio > 0:
-            ids = mask_source(ids, mask_ratio,
-                              derive_seed(mask_seed or 0, i), vocab)
-        visual = None
-        if visual_map is not None:
-            if image_ids[i] not in visual_map:
-                raise ConfigError(f"no visual tokens for image "
-                                  f"{image_ids[i]!r} in {manifest.vtok_path}")
-            visual = visual_map[image_ids[i]]
-        hyp = beam_search(model, vocab, ids, tgt_lang, visual,
-                          beam=beam, alpha=alpha)
-        hyp_text = decode(hyp.tokens, vocab)
-        sentences.append(SentenceResult(
-            example_id=f"{manifest.split}-{i:06d}-{src_lang}2{tgt_lang}",
-            source=decode(ids, vocab), hypothesis=hyp_text, reference=ref))
-        hyp_tok.append(_tokens(hyp_text, lowercase))
-        ref_tok.append(_tokens(ref, lowercase))
-
-    return EvalReport(direction=f"{src_lang}-{tgt_lang}",
-                      bleu=bleu4(hyp_tok, ref_tok), sentences=sentences,
-                      ratio=mask_ratio, seed=mask_seed)
+    return _scorer(model, vocab, manifest, direction, beam, alpha,
+                   lowercase)(mask_ratio, mask_seed)
 
 
 def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
@@ -163,27 +195,21 @@ def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
                ) -> tuple[list[EvalReport], list[dict]]:
     """Evaluate under each masking ratio, averaged over seeds.
 
-    Ratio 0 is a no-op mask, so it is decoded once and reused for every
-    seed. Returns the individual reports plus {ratio, mean_bleu, std}
-    summary rows for plotting.
+    The direction is loaded once for every run. Ratio 0 is a no-op mask,
+    so it is decoded once and reused for every seed. Returns the individual
+    reports plus {ratio, mean_bleu, std} summary rows for plotting.
     """
     if len(seeds) == 0:
         raise ConfigError("mask_sweep: seeds is empty; a mean over no mask "
                           "seeds is undefined")
+    score = _scorer(model, vocab, manifest, direction, beam, alpha, lowercase)
     reports, summary = [], []
     for ratio in ratios:
-        if not 0.0 <= ratio <= 1.0:
-            raise ConfigError(f"mask ratio must be in [0, 1], got {ratio}")
         if ratio == 0:
-            rep = evaluate(model, vocab, manifest, direction, beam=beam,
-                           alpha=alpha, mask_ratio=0.0, mask_seed=seeds[0],
-                           lowercase=lowercase)
-            per_seed = [rep] * len(seeds)
-            reports.append(rep)
+            per_seed = [score(0.0, seeds[0])] * len(seeds)
+            reports.append(per_seed[0])
         else:
-            per_seed = [evaluate(model, vocab, manifest, direction, beam=beam,
-                                 alpha=alpha, mask_ratio=ratio, mask_seed=s,
-                                 lowercase=lowercase) for s in seeds]
+            per_seed = [score(ratio, s) for s in seeds]
             reports.extend(per_seed)
         scores = np.array([r.bleu for r in per_seed])
         summary.append({"ratio": ratio, "mean_bleu": float(scores.mean()),

@@ -3,6 +3,7 @@ workspace; errors exit nonzero with the offending path in the message."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,21 +115,30 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     assert cli_out == decode(hyp.tokens, vocab)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ("no tab here", "expected 'image_id<TAB>text'"),
-    ("nope-000000\tthe cat", "image id 'nope-000000'"),
+@pytest.mark.parametrize("text, args, message", [
+    pytest.param("{good}\n\nno tab here\n", [],
+                 "expected 'image_id<TAB>text'",
+                 id="no tab here-expected 'image_id<TAB>text'"),
+    pytest.param("{good}\n\nnope-000000\tthe cat\n", [],
+                 "image id 'nope-000000'",
+                 id="nope-000000\tthe cat-image id 'nope-000000'"),
+    # argument errors after a leading blank line used to print it first
+    pytest.param("\n{good}\n", ["--tgt-lang", "xx"],
+                 "no tag token for language 'xx'", id="unknown tgt-lang"),
+    pytest.param("\n{good}\n", ["--beam", "0"], "beam must be >= 1",
+                 id="beam 0"),
 ])
 def test_translate_cli_malformed_line_fails_before_output(workspace, capsys,
-                                                          tmp_path, bad,
-                                                          message):
+                                                          tmp_path, text,
+                                                          args, message):
     first_line = (workspace / "train.en").read_text().splitlines()[0]
     src = tmp_path / "input.txt"
-    src.write_text(f"train-000000\t{first_line}\n\n{bad}\n",
+    src.write_text(text.format(good=f"train-000000\t{first_line}"),
                    encoding="utf-8")
     rc = main(["translate", "--ckpt",
                str(workspace / "run" / "checkpoint_last.lvpm"),
                "--tgt-lang", "de", "--input", str(src), "--beam", "1",
-               "--vtok", str(workspace / "train.vtok")])
+               "--vtok", str(workspace / "train.vtok")] + args)
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err
@@ -244,6 +254,63 @@ def test_vtok_width_mismatch_rejected(workspace, tmp_path, capsys):
                "--vtok", str(wrong)])
     assert rc != 0
     assert "width mismatch" in capsys.readouterr().err
+
+
+def test_translate_cli_vision_checkpoint_needs_vtok(workspace, tmp_path,
+                                                   capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("train-000000\thello\n", encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "VTOK table" in err
+
+
+def _train_config(workspace, tmp_path, manifest, model):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"),
+        "data": {"train_manifest": str(manifest),
+                 "vocab": str(workspace / "bpe")},
+        "model": model, "train": {"epochs": 1, "max_tokens": 256}}),
+        encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("d_v", [None, 8])
+def test_train_cli_full_variant_needs_vtok(workspace, tmp_path, capsys, d_v):
+    manifest = json.loads((workspace / "train.json").read_text())
+    del manifest["vtok_path"]
+    manifest["text_paths"] = {lang: str(workspace / path) for lang, path
+                              in manifest["text_paths"].items()}
+    manifest["image_ids_path"] = str(workspace / manifest["image_ids_path"])
+    (tmp_path / "novtok.json").write_text(json.dumps(manifest),
+                                          encoding="utf-8")
+    model = {"d_model": 16, "n_heads": 2, "variant": "full"}
+    if d_v:
+        model["d_v"] = d_v
+    config = _train_config(workspace, tmp_path, tmp_path / "novtok.json",
+                           model)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "VTOK table" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_cli_reads_vtok_once(workspace, tmp_path, monkeypatch):
+    # a config without model.d_v takes the width of the VTOK table it
+    # trains with; that table is read once
+    reads = []
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda path: reads.append(path) or real(path))
+    config = _train_config(workspace, tmp_path, workspace / "train.json",
+                           {"d_model": 16, "n_heads": 2, "n_enc_layers": 1,
+                            "n_dec_layers": 1})
+    assert main(["train", "--config", str(config)]) == 0
+    assert reads.count(workspace / "train.vtok") == 1
 
 
 def test_translate_cli_rejects_non_finite_alpha(workspace, tmp_path, capsys):

@@ -2,6 +2,10 @@
 sweep determinism, and error paths (BLEU math itself is in test_bleu)."""
 
 import csv
+import dataclasses
+import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +81,50 @@ def test_mask_sweep_ratio_zero_matches_plain_evaluate(workspace):
     assert summary[0]["std"] == 0.0
     assert [s.hypothesis for s in reports[0].sentences] == \
         [s.hypothesis for s in plain.sentences]
+
+
+def test_mask_sweep_loads_the_corpus_once(workspace, monkeypatch):
+    manifest, vocab = workspace
+    model = small_model(vocab)
+    # the package re-exports the function under the module's name
+    evaluate_module = sys.modules["promptmt.evaluate"]
+    calls = Counter()
+    for name in ("encode_lines", "manifest_lines", "manifest_image_ids",
+                 "read_vtok", "beam_search"):
+        def counted(*args, _name=name, _real=getattr(evaluate_module, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(evaluate_module, name, counted)
+    reports, _ = mask_sweep(model, vocab, manifest, "en-de",
+                            ratios=[0, 0.4, 0.8], seeds=[1, 2, 3], beam=1)
+    assert calls == {"encode_lines": 1, "manifest_lines": 2,
+                     "manifest_image_ids": 1, "read_vtok": 1,
+                     "beam_search": 28}
+    monkeypatch.undo()
+    assert len(reports) == 7
+    for rep in reports:
+        assert rep == evaluate(model, vocab, manifest, "en-de", beam=1,
+                               mask_ratio=rep.ratio, mask_seed=rep.seed)
+
+
+@pytest.mark.parametrize("ratio", [-0.5, 1.5, float("nan")])
+def test_evaluate_rejects_invalid_mask_ratio(workspace, ratio):
+    # -0.5 and nan used to decode unmasked and report that ratio
+    manifest, vocab = workspace
+    with pytest.raises(ConfigError, match=re.escape(f"got {ratio}")):
+        evaluate(small_model(vocab), vocab, manifest, "en-de", beam=1,
+                 mask_ratio=ratio, mask_seed=1)
+
+
+def test_vtok_table_needed_by_vision_variants_only(workspace):
+    manifest, vocab = workspace
+    no_vtok = dataclasses.replace(manifest, vtok_path=None)
+    with pytest.raises(ConfigError, match="needs a VTOK table"):
+        evaluate(small_model(vocab), vocab, no_vtok, "en-de", beam=1)
+    model = small_model(vocab, "text_only")
+    assert evaluate(model, vocab, no_vtok, "en-de", beam=1) == \
+        evaluate(model, vocab, manifest, "en-de", beam=1)
 
 
 @pytest.mark.parametrize("ratios", [[0.0], [0.5], [0.0, 0.5]])
