@@ -36,8 +36,9 @@ its checks, and those stay cheap: an aligned-shape check that passes is
 one tuple comparison. Every op still goes through ``make_node``, so
 counting its calls counts the nodes of a pass, recorded or not.
 
-Core arithmetic is float32. A float64 mode, entered via ``precision()``,
-exists for finite-difference gradient checking; see ``grad_check``.
+Core arithmetic is float32: a ``Tensor`` is float32 unless built with
+an explicit ``dtype``. float64 exists for finite-difference gradient
+checking; see ``grad_check``.
 
 Broadcasting is restricted to missing leading (batch) dimensions: shapes
 are aligned from the right and every aligned dimension must match
@@ -80,7 +81,6 @@ import numpy as np
 from .errors import (DegenerateBatchError, GraphError, NumericError,
                      ShapeError, VocabularyError)
 
-_DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 
 
@@ -101,27 +101,6 @@ def grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the dtype used for newly created tensors.
-
-    ``precision(np.float64)`` is the gradient-check mode: everything built
-    inside the context (parameters included) carries float64 data, which
-    makes central finite differences reliable at h ~ 1e-3..1e-4.
-    """
-    global _DEFAULT_DTYPE
-    prev = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = np.dtype(dtype).type
-    try:
-        yield
-    finally:
-        _DEFAULT_DTYPE = prev
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tensor:
     """A dense float array plus its position in the autodiff graph.
 
@@ -133,7 +112,7 @@ class Tensor:
                  "_backward_ran")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -330,11 +309,6 @@ def sum_(x: Tensor, axis: Optional[int] = None) -> Tensor:
                                               x.shape).copy())
 
     return make_node(np.asarray(out_data), (x,), backward)
-
-
-def mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    n = x.size if axis is None else x.shape[axis]
-    return scale(sum_(x, axis=axis), 1.0 / n)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -731,31 +705,30 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3,
     central finite differences, in float64.
 
     Any other tensors ``f`` closes over should also be float64 (build them
-    under ``precision(np.float64)``). With ``max_entries`` set, a seeded
-    sample of coordinates is checked instead of all of them.
+    with ``dtype=np.float64``). With ``max_entries`` set, a seeded sample of
+    coordinates is checked instead of all of them.
     """
-    with precision(np.float64):
-        x64 = Tensor(np.asarray(x.data, dtype=np.float64), requires_grad=True)
-        loss = f(x64)
-        backward(loss)
-        analytic = x64.grad.copy() if x64.grad is not None else np.zeros_like(x64.data)
+    x64 = Tensor(x.data, requires_grad=True, dtype=np.float64)
+    loss = f(x64)
+    backward(loss)
+    analytic = x64.grad.copy() if x64.grad is not None else np.zeros_like(x64.data)
 
-        flat = x64.data.reshape(-1)
-        indices = np.arange(flat.size)
-        if max_entries is not None and flat.size > max_entries:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            indices = rng.choice(flat.size, size=max_entries, replace=False)
+    flat = x64.data.reshape(-1)
+    indices = np.arange(flat.size)
+    if max_entries is not None and flat.size > max_entries:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        indices = rng.choice(flat.size, size=max_entries, replace=False)
 
-        max_err = 0.0
-        for i in indices:
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = f(x64).item()
-            flat[i] = orig - h
-            f_minus = f(x64).item()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2 * h)
-            max_err = max(max_err, _rel_err(float(analytic.reshape(-1)[i]), numeric))
+    max_err = 0.0
+    for i in indices:
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = f(x64).item()
+        flat[i] = orig - h
+        f_minus = f(x64).item()
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2 * h)
+        max_err = max(max_err, _rel_err(float(analytic.reshape(-1)[i]), numeric))
 
     return GradCheckReport(name=name, max_rel_err=max_err,
                            n_checked=len(indices), tol=tol)

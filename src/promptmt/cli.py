@@ -8,8 +8,6 @@ a missing file or an inconsistent configuration.
 from __future__ import annotations
 
 import argparse
-import json
-import shutil
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +18,7 @@ from .errors import ConfigError, PromptMtError
 from .evaluate import (build_requests, evaluate, mask_sweep,
                        visual_tokens_for, write_report_csv,
                        write_sentences_tsv, write_sweep_csv)
+from .files import about, read_json, read_lines
 from .model import ModelConfig, MultimodalTranslator, load_checkpoint
 from .text import (Vocabulary, decode, load_manifest, load_parallel_examples,
                    train_bpe)
@@ -34,27 +33,17 @@ def _load_model(args) -> tuple[MultimodalTranslator, Vocabulary]:
 
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise ConfigError(f"config file not found: {cfg_path}")
-    try:
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{cfg_path}: malformed JSON at line {exc.lineno} "
-                          f"column {exc.colno}: {exc.msg}") from None
-    data = raw.get("data", {}) if isinstance(raw, dict) else None
+    raw = read_json(cfg_path, "config file")
+    data = raw.get("data", {})
     if not isinstance(data, dict):
         raise ConfigError(f"{cfg_path}: expected a JSON object with a "
                           "\"data\" object")
-    base = cfg_path.parent
-
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else base / p
+    base = cfg_path.parent   # "/abs" joined to it stays "/abs"
 
     def data_path(key):
         if key not in data:
             raise ConfigError(f"{cfg_path}: missing key data.{key}")
-        return resolve(data[key])
+        return base / data[key]
 
     def section(name):
         values = raw.get(name, {})
@@ -64,12 +53,10 @@ def cmd_train(args) -> int:
         return dict(values)
 
     def build(name, cls, values):
-        try:
+        with about(cfg_path):
             return cls.from_dict(values, prefix=f"{name}.")
-        except ConfigError as exc:
-            raise ConfigError(f"{cfg_path}: {exc}") from None
 
-    out_dir = resolve(raw.get("out_dir", "run"))
+    out_dir = base / raw.get("out_dir", "run")
     vocab_prefix = data_path("vocab")
     manifest_path = data_path("train_manifest")
     tcfg = build("train", TrainConfig, section("train"))
@@ -83,7 +70,8 @@ def cmd_train(args) -> int:
         if ck_state is None:
             raise ConfigError(f"{args.resume} holds no optimizer state, "
                               "cannot resume")
-        state = TrainState.from_checkpoint_dict(ck_state)
+        with about(args.resume):
+            state = TrainState.from_checkpoint_dict(ck_state)
         visual = visual_tokens_for(model, manifest.vtok_path)
     else:
         mcfg = section("model")
@@ -99,11 +87,7 @@ def cmd_train(args) -> int:
                                      seed=tcfg.seed)
         state = TrainState.fresh(model, tcfg)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for suffix in (".vocab", ".merges"):
-        src = Path(f"{vocab_prefix}{suffix}")
-        if src.exists():
-            shutil.copy(src, out_dir / f"bpe{suffix}")
+    vocab.save(out_dir / "bpe")
 
     rows = train_loop(model, examples, visual, state,
                       out_dir=out_dir, log_every=args.log_every)
@@ -118,7 +102,7 @@ def cmd_translate(args) -> int:
     visual_map = visual_tokens_for(model, args.vtok)
 
     lines = (sys.stdin.read().splitlines() if args.input == "-"
-             else _read_lines(args.input))
+             else read_lines(args.input, "input file"))
     # translate every line before printing any, so a malformed line or a
     # bad argument fails before output starts; a blank line prints blank
     sources = []   # (image_id, text)
@@ -142,13 +126,6 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _read_lines(path) -> list[str]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
-    return path.read_text(encoding="utf-8").splitlines()
-
-
 def cmd_evaluate(args) -> int:
     model, vocab = _load_model(args)
     manifest = load_manifest(args.manifest)
@@ -161,11 +138,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _numbers(text: str, kind, flag: str) -> list:
+    """The comma-separated numbers of ``flag``, empty items skipped."""
+    out = []
+    for item in filter(None, text.split(",")):
+        try:
+            out.append(kind(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: {item!r} is not of type "
+                              f"{kind.__name__}") from None
+    return out
+
+
 def cmd_mask_sweep(args) -> int:
     model, vocab = _load_model(args)
     manifest = load_manifest(args.manifest)
-    ratios = [float(r) for r in args.ratios.split(",") if r != ""]
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    ratios = _numbers(args.ratios, float, "--ratios")
+    seeds = _numbers(args.seeds, int, "--seeds")
     if not ratios or not seeds:
         raise ConfigError("need at least one ratio and one seed")
     reports, summary = mask_sweep(model, vocab, manifest, args.direction,
@@ -196,7 +185,8 @@ def cmd_make_vtok(args) -> int:
     if not args.pseudo:
         raise ConfigError("only --pseudo generation is supported; real "
                           "backbones are external and write VTOK directly")
-    ids = [l.strip() for l in _read_lines(args.ids) if l.strip()]
+    ids = [l.strip() for l in read_lines(args.ids, "input file")
+           if l.strip()]
     n = make_pseudo_vtok(ids, args.mv, args.dv, args.seed, args.out)
     print(f"wrote {n} records ({args.mv}x{args.dv}) to {args.out}")
     return 0
@@ -294,7 +284,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PromptMtError, FileNotFoundError) as exc:
+    except PromptMtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,8 @@ class ConfigError(PromptMtError):
 
 
 class FormatError(PromptMtError):
-    """Malformed binary file. Carries the byte offset of the defect."""
+    """Malformed file contents: a byte that is not UTF-8, or a defect in a
+    binary container. Carries the byte offset of the defect."""
 
     def __init__(self, message, offset=None):
         if offset is not None:

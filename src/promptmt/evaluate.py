@@ -150,8 +150,6 @@ def _scorer(model, vocab, manifest, direction, beam, alpha, lowercase):
                               manifest.vtok_path)
 
     def score(mask_ratio, mask_seed) -> EvalReport:
-        if mask_ratio is not None and not 0.0 <= mask_ratio <= 1.0:
-            raise ConfigError(f"mask ratio must be in [0, 1], got {mask_ratio}")
         sentences, hyp_tok, ref_tok = [], [], []
         for i, ((ids, visual), ref) in enumerate(zip(requests, ref_lines)):
             if mask_ratio:

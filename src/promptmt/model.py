@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import struct
+import typing
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import (ConfigError, FormatError, ShapeError, VariantError)
+from .errors import ConfigError, ShapeError, VariantError
+from .files import BinaryReader, about
 from .seeding import derive_seed, rng_for
 from .text import BOS_ID, PAD_ID, RESERVED_TOKENS
 from .vision import VisualTokens
@@ -62,6 +64,16 @@ class ModelConfig:
                             # 0: not recorded, any non-reserved id may be one
 
     def __post_init__(self):
+        check_fields(self, ("d_model", "n_heads"), lambda v: v >= 1,
+                     "below 1")
+        check_fields(self, ("n_enc_layers", "n_dec_layers", "d_ffn", "d_v",
+                            "d_ctrl", "n_coattn_layers", "n_langs"),
+                     lambda v: v >= 0, "negative")
+        check_fields(self, ("dropout", "eps_ls"), lambda v: 0.0 <= v < 1.0,
+                     "outside [0, 1)")
+        ids = len(RESERVED_TOKENS) + self.n_langs
+        check_fields(self, ("vocab_size",), lambda v: v > ids,
+                     f"not above the {ids} reserved and tag ids")
         if self.d_ffn == 0:
             self.d_ffn = 4 * self.d_model
         if self.d_ctrl == 0:
@@ -74,10 +86,6 @@ class ModelConfig:
                               f"n_heads={self.n_heads}")
         if self.variant != "text_only" and self.d_v <= 0:
             raise ConfigError(f"variant {self.variant!r} requires d_v > 0")
-        for name in ("dropout", "eps_ls"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"{name}={rate} is outside [0, 1)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,13 +97,33 @@ class ModelConfig:
 
 def config_from_dict(cls, d: Mapping, prefix: str = ""):
     """``cls(**d)`` for a config dataclass, refusing a key that names no
-    field instead of dropping it. ``prefix`` (say ``"model."``) is put
-    before each key the error names."""
+    field instead of dropping it, and a value that does not have its
+    field's annotated type: ``bool`` is no ``int``, an ``int`` is a
+    ``float``, ``Optional`` takes ``None``. ``prefix`` (say ``"model."``)
+    is put before each key the error names."""
     unknown = sorted(set(d) - set(cls.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} key(s): "
                           + ", ".join(repr(prefix + k) for k in unknown))
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if float in kinds:
+            kinds += (int,)
+        if isinstance(value, bool) and bool not in kinds \
+                or not isinstance(value, kinds):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{cls.__name__} key {prefix + key!r} must be "
+                              f"{expected}, got {value!r}")
     return cls(**d)
+
+
+def check_fields(config, names, ok, rule: str):
+    """Refuse the first field in ``names`` whose value fails ``ok``."""
+    for name in names:
+        value = getattr(config, name)
+        if not ok(value):
+            raise ConfigError(f"{name}={value!r} is {rule}")
 
 
 def sinusoidal_positions(n: int, d: int, dtype=np.float32,
@@ -127,7 +155,7 @@ class MultimodalTranslator:
 
     def _build(self, config: ModelConfig, seed: int, dtype, init_rng):
         self.config = config
-        self.dtype = np.dtype(dtype or ad.default_dtype()).type
+        self.dtype = np.dtype(dtype or np.float32).type
         self.train_mode = False
         self._rng = rng_for("dropout", seed)
         self.params: dict[str, Tensor] = {}
@@ -660,57 +688,30 @@ def save_checkpoint(path: str | Path, model: MultimodalTranslator,
 def load_checkpoint(path: str | Path
                     ) -> tuple[MultimodalTranslator, Optional[dict]]:
     """Rebuild a model (and optimizer state, if stored) from a checkpoint."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    data = path.read_bytes()
-    offset = 0
-
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(data):
-            raise FormatError(f"{path}: truncated while reading {what}",
-                              offset=offset)
-        chunk = data[offset:offset + n]
-        offset += n
-        return chunk
-
-    if take(4, "magic") != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a checkpoint", offset=0)
-    version, cfg_len = struct.unpack("<II", take(8, "header"))
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
-    config = ModelConfig.from_dict(json.loads(take(cfg_len, "config")))
-    model = MultimodalTranslator._unfilled(config)
-
-    (n_params,) = struct.unpack("<I", take(4, "parameter count"))
+    reader = BinaryReader(path, "checkpoint", CKPT_MAGIC, CKPT_VERSION)
+    cfg = reader.json("<I", "config")
+    (n_params,) = reader.unpack("<I", "parameter count")
     blobs: dict[str, np.ndarray] = {}
     for i in range(n_params):
-        (name_len,) = struct.unpack("<H", take(2, f"name length {i}"))
-        name = take(name_len, f"name {i}").decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1, f"ndim of {name}"))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
-        n_items = int(np.prod(shape, dtype=np.int64))
-        raw = take(4 * n_items, f"data of {name}")
-        blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    load_parameters(model, blobs)
+        name = reader.text("<H", f"name {i}")
+        (ndim,) = reader.unpack("<B", f"ndim of {name}")
+        shape = reader.unpack(f"<{ndim}I", f"shape of {name}")
+        blobs[name] = reader.floats(shape, f"data of {name}")
+    with about(reader.path):
+        model = MultimodalTranslator._unfilled(ModelConfig.from_dict(cfg))
+        load_parameters(model, blobs)
 
-    (has_state,) = struct.unpack("<B", take(1, "optimizer flag"))
+    (has_state,) = reader.unpack("<B", "optimizer flag")
     state = None
     if has_state:
-        step, seed = struct.unpack("<QQ", take(16, "step/seed"))
-        (tcfg_len,) = struct.unpack("<I", take(4, "trainer config length"))
-        tcfg = json.loads(take(tcfg_len, "trainer config"))
+        step, seed = reader.unpack("<QQ", "step/seed")
+        tcfg = reader.json("<I", "trainer config")
         state = {"step": step, "seed": seed, "config": tcfg, "m": {}, "v": {}}
         for section in ("m", "v"):
-            for name in model.params:
-                shape = model.params[name].shape
-                raw = take(4 * model.params[name].size,
-                           f"{section} moment of {name}")
-                state[section][name] = np.frombuffer(raw, dtype="<f4") \
-                    .reshape(shape).copy()
-    if offset != len(data):
-        raise FormatError(f"{path}: trailing bytes", offset=offset)
+            for name, p in model.params.items():
+                state[section][name] = reader.floats(
+                    p.shape, f"{section} moment of {name}")
+    reader.end()
     return model, state
 
 

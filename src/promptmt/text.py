@@ -12,7 +12,6 @@ whitespace-normalized text.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -20,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, LanguageError, VocabularyError
+from .files import about, read_json, read_lines
 from .seeding import rng_for
 
 PAD_ID = 0
@@ -90,9 +90,10 @@ class Vocabulary:
         if len(self._token_to_id) != len(self.tokens):
             raise VocabularyError("duplicate token in vocabulary")
         for i, t in enumerate(RESERVED_TOKENS):
-            if self.tokens[i] != t:
+            found = self.tokens[i] if i < len(self.tokens) else None
+            if found != t:
                 raise VocabularyError(
-                    f"reserved id {i} must be {t!r}, found {self.tokens[i]!r}")
+                    f"reserved id {i} must be {t!r}, found {found!r}")
         self._tag_ids = {}
         for lang in self.languages:
             tok = tag_token(lang)
@@ -136,9 +137,7 @@ class Vocabulary:
     def load(cls, prefix: str | Path) -> "Vocabulary":
         prefix = Path(prefix)
         vocab_path = Path(f"{prefix}.vocab")
-        if not vocab_path.exists():
-            raise ConfigError(f"vocabulary file not found: {vocab_path}")
-        tokens = vocab_path.read_text(encoding="utf-8").splitlines()
+        tokens = read_lines(vocab_path, "vocabulary file")
         # tags fill the block after the reserved ids, up to the byte
         # alphabet; a merged token spelling "<2xx>" later on is content
         languages = []
@@ -153,7 +152,7 @@ class Vocabulary:
             specials = set(tokens[:len(RESERVED_TOKENS) + len(languages)])
             symbols = set(_BYTE_TO_CHAR.values())
             produced: dict[str, int] = {}   # merge result -> its line
-            lines = merges_path.read_text(encoding="utf-8").splitlines()
+            lines = read_lines(merges_path, "merges file")
             for n, line in enumerate(lines, 1):
                 where = f"{merges_path} line {n}"
                 parts = line.split(" ")
@@ -185,7 +184,8 @@ class Vocabulary:
                 symbols.add(merged)
                 produced[merged] = n
                 merges.append((parts[0], parts[1]))
-        return cls(tokens=tokens, languages=languages, merges=merges)
+        with about(vocab_path):
+            return cls(tokens=tokens, languages=languages, merges=merges)
 
 
 def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
@@ -219,10 +219,7 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     unit_freqs: dict[str, int] = {}
     n_lines = 0
     for path in corpus_paths:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"corpus file not found: {path}")
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in read_lines(path, "corpus file"):
             line = normalize_whitespace(line)
             if not line:
                 continue
@@ -446,38 +443,35 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     mismatch is a hard error naming the offending files.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    for key in ("split", "languages", "text_paths"):
-        if key not in raw:
-            raise ConfigError(f"manifest {path} missing key {key!r}")
-    base = path.parent
-
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
+    raw = read_json(path, "manifest")
+    for key, kind in (("split", str), ("languages", list),
+                      ("text_paths", dict)):
+        if not isinstance(raw.get(key), kind):
+            raise ConfigError(f"manifest {path}: key {key!r} missing or "
+                              f"not a {kind.__name__}")
+    languages, paths = raw["languages"], raw["text_paths"]
+    if not all(isinstance(v, str) for v in (
+            *languages, *paths.values(), raw.get("vtok_path") or "",
+            raw.get("image_ids_path") or "")):
+        raise ConfigError(f"manifest {path}: languages, text paths, "
+                          "vtok_path and image_ids_path must be strings")
+    base = path.parent   # "/abs" joined to it stays "/abs"
     text_paths = {}
-    for lang in raw["languages"]:
-        if lang not in raw["text_paths"]:
+    for lang in languages:
+        if lang not in paths:
             raise ConfigError(f"manifest {path}: no text path for language {lang!r}")
-        text_paths[lang] = resolve(raw["text_paths"][lang])
+        text_paths[lang] = base / paths[lang]
 
     manifest = CorpusManifest(
         split=raw["split"],
-        languages=list(raw["languages"]),
+        languages=list(languages),
         text_paths=text_paths,
-        vtok_path=resolve(raw["vtok_path"]) if raw.get("vtok_path") else None,
-        image_ids_path=(resolve(raw["image_ids_path"])
+        vtok_path=base / raw["vtok_path"] if raw.get("vtok_path") else None,
+        image_ids_path=(base / raw["image_ids_path"]
                         if raw.get("image_ids_path") else None),
     )
-
-    counts = {}
-    for lang, tp in manifest.text_paths.items():
-        if not tp.exists():
-            raise ConfigError(f"text file not found: {tp}")
-        counts[lang] = len(tp.read_text(encoding="utf-8").splitlines())
+    counts = {lang: len(read_lines(tp, "text file"))
+              for lang, tp in text_paths.items()}
     if len(set(counts.values())) > 1:
         detail = ", ".join(f"{manifest.text_paths[l]}={c}" for l, c in counts.items())
         raise ConfigError(f"misaligned corpus files (line counts differ): {detail}")
@@ -488,13 +482,13 @@ def manifest_lines(manifest: CorpusManifest, lang: str) -> list[str]:
     if lang not in manifest.text_paths:
         raise LanguageError(f"language {lang!r} not in manifest "
                             f"(has {manifest.languages})")
-    lines = manifest.text_paths[lang].read_text(encoding="utf-8").splitlines()
-    return [normalize_whitespace(l) for l in lines]
+    return [normalize_whitespace(l)
+            for l in read_lines(manifest.text_paths[lang], "text file")]
 
 
 def manifest_image_ids(manifest: CorpusManifest, n: int) -> list[str]:
     if manifest.image_ids_path is not None:
-        ids = manifest.image_ids_path.read_text(encoding="utf-8").splitlines()
+        ids = read_lines(manifest.image_ids_path, "image id file")
         if len(ids) != n:
             raise ConfigError(f"image id file {manifest.image_ids_path} has "
                               f"{len(ids)} lines, corpus has {n}")

@@ -11,6 +11,7 @@ bitwise-identical parameters.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, asdict, field
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError
-from .model import MultimodalTranslator, config_from_dict, save_checkpoint
+from .model import (MultimodalTranslator, check_fields, config_from_dict,
+                    save_checkpoint)
 from .seeding import derive_seed, rng_for
 from .text import ParallelExample, make_batches
 from .vision import VisualTokens
@@ -39,6 +41,21 @@ class TrainConfig:
     max_tokens: int = 4096
     seed: int = 1
     grad_clip: Optional[float] = None  # off unless set
+
+    def __post_init__(self):
+        check_fields(self, ("lr_peak", "adam_eps"),
+                     lambda v: 0 < v < math.inf, "not a finite positive number")
+        check_fields(self, ("lr_init",), lambda v: 0 <= v < math.inf,
+                     "not a finite non-negative number")
+        check_fields(self, ("beta1", "beta2"), lambda v: 0 <= v < 1,
+                     "outside [0, 1)")
+        check_fields(self, ("epochs", "max_tokens"), lambda v: v >= 1,
+                     "below 1")
+        check_fields(self, ("warmup_steps", "seed"), lambda v: v >= 0,
+                     "negative")
+        check_fields(self, ("grad_clip",),
+                     lambda v: v is None or 0 < v < math.inf,
+                     "not None or a finite positive number")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FormatError
+from .files import BinaryReader, about
 from .seeding import rng_for
 
 MAGIC = b"VTOK"
@@ -82,42 +83,17 @@ def read_vtok(path: str | Path) -> dict[str, VisualTokens]:
     Structural defects (bad magic, truncation, duplicate ids) raise
     FormatError carrying the byte offset of the problem.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    offset = 0
-
-    def take(n, what):
-        nonlocal offset
-        if offset + n > len(data):
-            raise FormatError(f"{path}: truncated while reading {what}",
-                              offset=offset)
-        chunk = data[offset:offset + n]
-        offset += n
-        return chunk
-
-    if take(4, "magic") != MAGIC:
-        raise FormatError(f"{path}: bad magic, not a VTOK file", offset=0)
-    version, count, m_v, d_v = struct.unpack("<IIII", take(16, "header"))
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}", offset=4)
-
+    reader = BinaryReader(path, "VTOK file", MAGIC, VERSION)
+    count, m_v, d_v = reader.unpack("<III", "header")
     out: dict[str, VisualTokens] = {}
     for i in range(count):
-        (id_len,) = struct.unpack("<H", take(2, f"id length of record {i}"))
-        ident = take(id_len, f"id of record {i}").decode("utf-8")
-        rec_offset = offset
-        raw = take(m_v * d_v * 4, f"tokens of record {i} ({ident!r})")
+        ident = reader.text("<H", f"id of record {i}")
         if ident in out:
-            raise FormatError(f"{path}: duplicate image id {ident!r}",
-                              offset=rec_offset)
-        tokens = np.frombuffer(raw, dtype="<f4").reshape(m_v, d_v).copy()
-        if not np.isfinite(tokens).all():
-            raise FormatError(f"{path}: non-finite value in record {ident!r}",
-                              offset=rec_offset)
-        out[ident] = VisualTokens(image_id=ident, tokens=tokens)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes after "
-                          f"declared {count} records", offset=offset)
+            raise reader.error(f"duplicate image id {ident!r}", reader.offset)
+        tokens = reader.floats((m_v, d_v), f"tokens of record {i} ({ident!r})")
+        with about(reader.path):   # an empty or non-finite matrix
+            out[ident] = VisualTokens(image_id=ident, tokens=tokens)
+    reader.end()
     return out
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from promptmt.cli import main
-from promptmt.model import ModelConfig, MultimodalTranslator, save_checkpoint
+from promptmt.model import (ModelConfig, MultimodalTranslator,
+                            load_checkpoint, save_checkpoint)
 from promptmt.text import Vocabulary, load_manifest
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import read_vtok
@@ -103,7 +104,6 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     cli_out = capsys.readouterr().out.rstrip("\n")
 
     from promptmt.decoding import beam_search
-    from promptmt.model import load_checkpoint
     from promptmt.text import BOS_ID, EOS_ID, decode, encode, prefix_target_token
 
     model, _ = load_checkpoint(ckpt)
@@ -352,7 +352,10 @@ def test_train_cli_rejects_config_without_data_object(tmp_path, capsys, text):
     config.write_text(text, encoding="utf-8")
     assert main(["train", "--config", str(config)]) != 0
     err = capsys.readouterr().err
-    assert str(config) in err and '"data" object' in err
+    # a top level that is no object is refused by the JSON reader itself
+    message = ('"data" object' if text.startswith("{")
+               else "expected a JSON object, got list")
+    assert str(config) in err and message in err
 
 
 @pytest.mark.parametrize("section, key", [("model", "dropuot"),
@@ -382,3 +385,114 @@ def test_train_cli_rejects_non_object_section(workspace, tmp_path, capsys,
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert str(config) in err and f'"{section}" to be a JSON object' in err
+
+
+@pytest.mark.parametrize("ratios, seeds, named", [
+    ("0,abc", "1", "--ratios"),
+    ("0,0.5", "1,x2", "--seeds"),
+    ("0,0.5", "1.5", "--seeds"),
+])
+def test_mask_sweep_cli_names_malformed_list_item(workspace, tmp_path, capsys,
+                                                 ratios, seeds, named):
+    rc = main(["mask-sweep", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--manifest", str(workspace / "train.json"),
+               "--direction", "en-de", "--ratios", ratios, "--seeds", seeds,
+               "--out", str(tmp_path / "sweep.csv"), "--beam", "1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    bad = [item for item in (ratios + "," + seeds).split(",")
+           if item in ("abc", "x2", "1.5")][0]
+    assert out == "" and err.count("\n") == 1 and err.startswith("error:")
+    assert named in err and repr(bad) in err
+
+
+def _corrupt(src: Path, dst: Path, offset: int, value: int = 0xFF) -> Path:
+    blob = bytearray(src.read_bytes())
+    blob[offset] = value
+    dst.write_bytes(bytes(blob))
+    return dst
+
+
+def _missing_config(ws, tmp):
+    return ["train", "--config", str(tmp / "none.json")], tmp / "none.json"
+
+
+def _truncated_resume(ws, tmp):
+    ckpt = tmp / "short.lvpm"
+    ckpt.write_bytes((ws / "run" / "checkpoint_last.lvpm").read_bytes()[:-7])
+    return ["train", "--config", str(ws / "config.json"), "--resume",
+            str(ckpt)], ckpt
+
+
+def _resume_bad_trainer_config(ws, tmp):
+    model, state = load_checkpoint(ws / "run" / "checkpoint_last.lvpm")
+    state["config"]["epochs"] = "3"
+    save_checkpoint(tmp / "bad.lvpm", model, state)
+    return ["train", "--config", str(ws / "config.json"), "--resume",
+            str(tmp / "bad.lvpm")], tmp / "bad.lvpm"
+
+
+def _translate(ws, tmp, extra):
+    src = tmp / "in.txt"
+    first_line = (ws / "train.en").read_text().splitlines()[0]
+    src.write_text(f"train-000000\t{first_line}\n", encoding="utf-8")
+    return ["translate", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+            "--tgt-lang", "de", "--input", str(src)] + extra
+
+
+def _translate_missing_vtok(ws, tmp):
+    return _translate(ws, tmp, ["--vtok", str(tmp / "none.vtok")]), \
+        tmp / "none.vtok"
+
+
+def _translate_corrupt_merges(ws, tmp):
+    (tmp / "bpe.vocab").write_bytes((ws / "bpe.vocab").read_bytes())
+    merges = _corrupt(ws / "bpe.merges", tmp / "bpe.merges", 1)
+    return _translate(ws, tmp, ["--vtok", str(ws / "train.vtok"), "--vocab",
+                                str(tmp / "bpe")]), merges
+
+
+def _evaluate_malformed_manifest(ws, tmp):
+    manifest = tmp / "train.json"
+    manifest.write_text('{"split": "train",, }', encoding="utf-8")
+    return ["evaluate", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+            "--manifest", str(manifest), "--direction", "en-de", "--out",
+            str(tmp / "r.csv")], manifest
+
+
+def _mask_sweep_corrupt_name(ws, tmp):
+    src = ws / "run" / "checkpoint_last.lvpm"
+    # the first parameter name, right after the config JSON
+    ckpt = _corrupt(src, tmp / "c.lvpm", src.read_bytes().index(b"embedding"))
+    return ["mask-sweep", "--ckpt", str(ckpt), "--manifest",
+            str(ws / "train.json"), "--direction", "en-de", "--ratios", "0",
+            "--seeds", "1", "--out", str(tmp / "s.csv"),
+            "--vocab", str(ws / "bpe")], ckpt
+
+
+def _make_vtok_missing_ids(ws, tmp):
+    return ["make-vtok", "--pseudo", "--ids", str(tmp / "none.ids"), "--mv",
+            "2", "--dv", "4", "--out", str(tmp / "o.vtok")], tmp / "none.ids"
+
+
+def _bpe_train_non_utf8_corpus(ws, tmp):
+    corpus = tmp / "corpus.txt"
+    corpus.write_bytes(b"the cat sat\nthe \xff dog\n")
+    return ["bpe-train", "--corpus", str(corpus), "--vocab-size", "300",
+            "--out", str(tmp / "bpe")], corpus
+
+
+@pytest.mark.parametrize("case", [
+    _missing_config, _truncated_resume, _resume_bad_trainer_config,
+    _translate_missing_vtok,
+    _translate_corrupt_merges, _evaluate_malformed_manifest,
+    _mask_sweep_corrupt_name, _make_vtok_missing_ids,
+    _bpe_train_non_utf8_corpus,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_cli_names_bad_input_file(workspace, tmp_path, capsys, case):
+    argv, bad_file = case(workspace, tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert str(bad_file) in err and "Traceback" not in err

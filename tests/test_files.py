@@ -1,0 +1,294 @@
+"""Input files fail by name: the rules of ``promptmt.files``, the defects
+that used to escape as bare ``UnicodeDecodeError``/``JSONDecodeError``, and
+one seeded property per reader. A property flips 1-3 bytes of a frozen
+benchmark artifact, or truncates it, and requires the reader to either load
+the file or raise a ``PromptMtError`` whose message names the mutated file
+(or, for a manifest, a file it now points to). ``perfbench/frozen/`` is
+copied, never written."""
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from promptmt.errors import ConfigError, FormatError, PromptMtError
+from promptmt.files import BinaryReader, read_json, read_lines
+from promptmt.model import load_checkpoint
+from promptmt.text import (Vocabulary, load_manifest, manifest_image_ids,
+                           manifest_lines)
+from promptmt.vision import read_vtok
+
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
+
+
+@pytest.fixture
+def frozen(tmp_path):
+    """A private copy of the frozen artifacts."""
+    for src in FROZEN.iterdir():
+        shutil.copy(src, tmp_path / src.name)
+    return tmp_path
+
+
+def corrupt(path: Path, offset: int, data: bytes) -> Path:
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(data)] = data
+    path.write_bytes(bytes(blob))
+    return path
+
+
+# ---------------------------------------------------------------------------
+# the module's rules
+# ---------------------------------------------------------------------------
+
+def test_missing_file_is_named(tmp_path):
+    with pytest.raises(ConfigError, match="corpus file not found: .*nope"):
+        read_lines(tmp_path / "nope", "corpus file")
+    with pytest.raises(ConfigError, match="corpus file .*: Is a directory"):
+        read_lines(tmp_path, "corpus file")
+
+
+def test_non_utf8_text_names_line_and_offset(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"ok\nfine\nbad \xff\n")
+    with pytest.raises(FormatError, match=r"a\.txt: text is not UTF-8 at "
+                                          r"line 3") as exc:
+        read_lines(path, "text")
+    assert exc.value.offset == 12
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a": 1,\n "b": }', "line 2 column 7"),
+    ("[1, 2]", "expected a JSON object, got list"),
+])
+def test_json_defects_are_config_errors(tmp_path, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as exc:
+        read_json(path, "config")
+    assert str(path) in str(exc.value)
+
+
+def test_binary_reader_names_every_defect_by_offset(tmp_path):
+    path = tmp_path / "x.bin"
+
+    def reader(blob):
+        path.write_bytes(blob)
+        return BinaryReader(path, "test file", b"TEST", 1)
+
+    head = b"TEST\x01\x00\x00\x00"
+    with pytest.raises(FormatError, match="bad magic") as exc:
+        reader(b"NOPE\x01\x00\x00\x00")
+    assert exc.value.offset == 0
+    with pytest.raises(FormatError, match="unsupported version 2") as exc:
+        reader(b"TEST\x02\x00\x00\x00")
+    assert exc.value.offset == 4
+    with pytest.raises(FormatError, match="truncated while reading x") as exc:
+        reader(head + b"\x01").unpack("<H", "x")
+    assert exc.value.offset == 8
+    with pytest.raises(FormatError, match="name length") as exc:
+        reader(head + b"\x04").text("<H", "name")
+    assert exc.value.offset == 8
+    with pytest.raises(FormatError, match="name is not UTF-8") as exc:
+        reader(head + b"\x04ab\xffc").text("<B", "name")
+    assert exc.value.offset == 11
+    with pytest.raises(FormatError, match="malformed JSON in cfg") as exc:
+        reader(head + b'\x06{"a":}').json("<B", "cfg")
+    assert exc.value.offset == 14
+    with pytest.raises(FormatError, match="cfg is not a JSON object"):
+        reader(head + b"\x03[1]").json("<B", "cfg")
+    assert reader(head + b"\x00\x00\x80\x3f").floats((1,), "f") == 1.0
+    r = reader(head + b"xyz")
+    assert r.take(1, "x") == b"x"
+    with pytest.raises(FormatError, match="2 trailing bytes") as exc:
+        r.end()
+    assert exc.value.offset == 9
+
+
+# ---------------------------------------------------------------------------
+# the defects that escaped as bare exceptions
+# ---------------------------------------------------------------------------
+
+def test_checkpoint_name_byte(frozen):
+    # magic, version, config length, 197 config bytes, count, name length
+    path = corrupt(frozen / "model.lvpm", 215, b"\xff")
+    with pytest.raises(FormatError, match="name 0 is not UTF-8") as exc:
+        load_checkpoint(path)
+    assert exc.value.offset == 215 and str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("anchor, data, error, message", [
+    (b"{", b"\xff", FormatError, "config is not UTF-8"),
+    (b"{", b"[", FormatError, "malformed JSON in config"),
+    (b'"full"', b"\x00", FormatError, "malformed JSON in config"),
+    (b" 64,", b'"6"', ConfigError, "'d_model' must be int"),
+    (b'"full"', b'"fulx"', ConfigError, "unknown variant"),
+])
+def test_checkpoint_config_defects(frozen, anchor, data, error, message):
+    path = frozen / "model.lvpm"
+    path = corrupt(path, path.read_bytes().index(anchor), data)
+    with pytest.raises(error, match=message) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_parameter_mismatch_names_file(frozen):
+    path = frozen / "model.lvpm"
+    blob = path.read_bytes()
+    at = blob.index(b"embedding")
+    path.write_bytes(blob[:at] + b"embeddinx" + blob[at + 9:])
+    with pytest.raises(ConfigError, match="parameter names do not match") \
+            as exc:
+        load_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_vtok_id_byte(frozen):
+    path = corrupt(frozen / "train.vtok", 22, b"\xff")
+    with pytest.raises(FormatError, match="id of record 0 is not UTF-8") \
+            as exc:
+        read_vtok(path)
+    assert exc.value.offset == 22 and str(path) in str(exc.value)
+
+
+def test_merges_byte(frozen):
+    path = corrupt(frozen / "bpe.merges", 3, b"\xff")
+    with pytest.raises(FormatError, match="line 1") as exc:
+        Vocabulary.load(frozen / "bpe")
+    assert exc.value.offset == 3 and str(path) in str(exc.value)
+
+
+def test_vocabulary_defect_names_file(frozen):
+    path = frozen / "bpe.vocab"
+    path.write_text("<pad>\n<s>\n", encoding="utf-8")
+    (frozen / "bpe.merges").write_text("", encoding="utf-8")
+    with pytest.raises(PromptMtError, match="reserved id 2") as exc:
+        Vocabulary.load(frozen / "bpe")
+    assert str(path) in str(exc.value)
+
+
+def test_manifest_json(frozen):
+    path = corrupt(frozen / "train.json", 4, b"x")
+    with pytest.raises(ConfigError, match="line 2 column 3") as exc:
+        load_manifest(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("languages", "en", "'languages' missing or not a list"),
+    ("text_paths", ["train.en"], "'text_paths' missing or not a dict"),
+    ("split", None, "'split' missing or not a str"),
+    ("languages", ["en", 2], "must be strings"),
+    ("vtok_path", 7, "must be strings"),
+])
+def test_manifest_field_types(frozen, key, value, message):
+    path = frozen / "train.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw[key] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_manifest(path)
+    assert str(path) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# one property per reader
+# ---------------------------------------------------------------------------
+
+EXAMPLES = settings(max_examples=200, deadline=None, database=None)
+
+
+def mutations(size: int, hot=()):
+    """1-3 ``(offset, byte)`` flips, half of them drawn from ``hot`` when
+    given, or an ``int``: the length to truncate to."""
+    offsets = st.integers(0, size - 1)
+    if hot:
+        offsets = st.one_of(offsets, st.sampled_from(sorted(hot)))
+    flips = st.lists(st.tuples(offsets, st.integers(0, 255)), min_size=1,
+                     max_size=3)
+    return st.one_of(flips, st.integers(0, size - 1))
+
+
+def mutate(blob: bytes, mutation) -> bytes:
+    if isinstance(mutation, int):
+        return blob[:mutation]
+    out = bytearray(blob)
+    for offset, value in mutation:
+        out[offset] = value
+    return bytes(out)
+
+
+def loads_or_names(load, *names):
+    try:
+        load()
+    except PromptMtError as exc:
+        assert any(str(n) in str(exc) for n in names), str(exc)
+
+
+def check_reader(path: Path, load, hot=(), names=lambda blob: ()):
+    blob = path.read_bytes()
+
+    @seed(len(blob))
+    @EXAMPLES
+    @given(mutations(len(blob), hot))
+    def prop(mutation):
+        mutated = mutate(blob, mutation)
+        path.write_bytes(mutated)
+        loads_or_names(load, path, *names(mutated))
+
+    prop()
+
+
+def test_checkpoint_mutations(frozen):
+    path = frozen / "model.lvpm"
+    blob = path.read_bytes()
+    # the header, the config and every parameter's name, ndim and dims
+    hot = set(range(12 + int.from_bytes(blob[8:12], "little") + 4))
+    at = 0
+    for name, p in load_checkpoint(path)[0].params.items():
+        at = blob.index(name.encode(), at)
+        hot.update(range(at - 2, at + len(name) + 1 + 4 * p.data.ndim))
+    hot.add(len(blob) - 1)   # the optimizer flag
+    check_reader(path, lambda: load_checkpoint(path), hot)
+
+
+def test_vtok_mutations(frozen):
+    path = frozen / "train.vtok"
+    blob = path.read_bytes()
+    hot = set(range(20))
+    for ident in read_vtok(path):
+        at = blob.index(ident.encode())
+        hot.update(range(at - 2, at + len(ident)))
+    check_reader(path, lambda: read_vtok(path), hot)
+
+
+@pytest.mark.parametrize("suffix", [".vocab", ".merges"])
+def test_vocabulary_mutations(frozen, suffix):
+    check_reader(frozen / f"bpe{suffix}",
+                 lambda: Vocabulary.load(frozen / "bpe"))
+
+
+def test_manifest_mutations(frozen):
+    path = frozen / "train.json"
+
+    def load():
+        manifest = load_manifest(path)
+        for lang in manifest.languages:
+            manifest_lines(manifest, lang)
+        manifest_image_ids(manifest, 32)
+        if manifest.vtok_path is not None:
+            read_vtok(manifest.vtok_path)
+
+    def pointed_to(mutated):
+        try:
+            raw = json.loads(mutated)
+        except ValueError:
+            return []
+        values = raw.values() if isinstance(raw, dict) else []
+        strings = [v for v in values if isinstance(v, str)]
+        for v in values:
+            strings += v.values() if isinstance(v, dict) else []
+        return [frozen / s for s in strings if isinstance(s, str)]
+
+    check_reader(path, load, names=pointed_to)

@@ -96,6 +96,32 @@ def test_config_from_dict_rejects_unknown_keys(extra, named):
     assert "ModelConfig" in str(err.value) and named in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("d_model", "64"), ("n_heads", True), ("dropout", "0.1"),
+    ("variant", 3), ("n_langs", 2.0),
+])
+def test_config_from_dict_names_field_of_wrong_type(key, value):
+    with pytest.raises(ConfigError) as err:
+        ModelConfig.from_dict({"vocab_size": 10, "d_v": 4, key: value},
+                              prefix="model.")
+    assert f"'model.{key}'" in str(err.value)
+
+
+def test_config_from_dict_accepts_int_for_float():
+    assert ModelConfig.from_dict({"vocab_size": 10, "d_v": 4,
+                                  "dropout": 0}).dropout == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_heads", 0), ("vocab_size", 0), ("vocab_size", 5), ("d_model", 0),
+    ("n_enc_layers", -1), ("n_dec_layers", -1), ("d_ffn", -4),
+    ("n_coattn_layers", -1), ("d_ctrl", -1), ("n_langs", -1),
+])
+def test_config_names_field_out_of_range(key, value):
+    with pytest.raises(ConfigError, match=key):
+        tiny_config(**{key: value})
+
+
 def test_frozen_benchmark_checkpoint_config_loads():
     # its stored config predates n_langs; every key it has is a field
     model, state = load_checkpoint(FROZEN / "model.lvpm")

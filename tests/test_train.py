@@ -66,6 +66,32 @@ def test_train_config_from_dict_rejects_unknown_keys():
     assert "TrainConfig" in str(err.value) and "'epoch'" in str(err.value)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "3"), ("max_tokens", 64.0), ("seed", False),
+    ("lr_peak", "1e-3"), ("grad_clip", "1"),
+])
+def test_train_config_from_dict_names_field_of_wrong_type(key, value):
+    with pytest.raises(ConfigError) as err:
+        TrainConfig.from_dict({key: value}, prefix="train.")
+    assert f"'train.{key}'" in str(err.value)
+
+
+def test_train_config_from_dict_accepts_int_float_and_none():
+    cfg = TrainConfig.from_dict({"lr_peak": 1, "grad_clip": None})
+    assert (cfg.lr_peak, cfg.grad_clip) == (1, None)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_tokens", 0), ("warmup_steps", -1), ("lr_peak", float("nan")),
+    ("lr_peak", 0.0), ("lr_init", -1e-7), ("lr_init", float("inf")),
+    ("epochs", 0), ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0),
+    ("seed", -1), ("grad_clip", 0.0), ("grad_clip", float("nan")),
+])
+def test_train_config_names_field_out_of_range(key, value):
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**{key: value})
+
+
 def test_adam_first_step_closed_form():
     # with zero-initialized moments, the bias-corrected first update is
     # exactly -lr * g / (|g| + eps)
