@@ -15,7 +15,6 @@ scores exactly 0.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +24,7 @@ import numpy as np
 
 from .decoding import beam_search
 from .errors import ConfigError
+from .files import csv_text, write_file
 from .model import MultimodalTranslator
 from .seeding import derive_seed
 from .text import (BOS_ID, EOS_ID, CorpusManifest, Vocabulary, decode,
@@ -220,34 +220,24 @@ def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
 # ---------------------------------------------------------------------------
 
 def write_report_csv(path: str | Path, reports: Sequence[EvalReport]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["direction", "ratio", "seed", "bleu"])
-        for r in reports:
-            writer.writerow([r.direction,
-                             "" if r.ratio is None else f"{r.ratio:g}",
-                             "" if r.seed is None else r.seed,
-                             f"{r.bleu:.4f}"])
+    write_file(path, "report", csv_text(
+        [["direction", "ratio", "seed", "bleu"]]
+        + [[r.direction, "" if r.ratio is None else f"{r.ratio:g}",
+            "" if r.seed is None else r.seed, f"{r.bleu:.4f}"]
+           for r in reports]))
 
 
 def write_sweep_csv(path: str | Path, summary: Sequence[dict]):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["ratio", "mean_bleu", "std"])
-        for row in summary:
-            writer.writerow([f"{row['ratio']:g}", f"{row['mean_bleu']:.4f}",
-                             f"{row['std']:.4f}"])
+    write_file(path, "sweep report", csv_text(
+        [["ratio", "mean_bleu", "std"]]
+        + [[f"{row['ratio']:g}", f"{row['mean_bleu']:.4f}",
+            f"{row['std']:.4f}"] for row in summary]))
 
 
 def write_sentences_tsv(path: str | Path, report: EvalReport):
     """Per-sentence dump: id, (possibly masked) source, prediction, truth."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("example_id\tsource\thypothesis\treference\n")
-        for s in report.sentences:
-            f.write(f"{s.example_id}\t{s.source}\t{s.hypothesis}\t{s.reference}\n")
+    rows = [["example_id", "source", "hypothesis", "reference"]] + [
+        [s.example_id, s.source, s.hypothesis, s.reference]
+        for s in report.sentences]
+    write_file(path, "sentence report",
+               "".join("\t".join(row) + "\n" for row in rows))

@@ -1,6 +1,8 @@
 """Reading the files that come from outside the program: text (corpora,
 vocabularies, image id lists, translate input), JSON (manifests, train
-configs) and the two binary containers (VTOK, LVPM checkpoints).
+configs) and the two binary containers (VTOK, LVPM checkpoints); and
+writing the files the program makes: those same kinds, plus CSV reports and
+the training metrics log.
 
 Each kind of defect has one rule, written here once:
 
@@ -16,11 +18,18 @@ Each kind of defect has one rule, written here once:
 
 An error raised while building an object from a file's contents (a config,
 a vocabulary, a parameter table) names the file through ``about``.
+
+A writer creates the file's missing parent directories, and a path it
+cannot write raises ``ConfigError``, ``"cannot write <what> <path>:
+<reason>"``. Writes are not atomic: an interrupted one can leave a partial
+file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import json
 import math
 import struct
@@ -140,3 +149,61 @@ class BinaryReader:
         if self.offset != len(self.data):
             raise self.error(f"{len(self.data) - self.offset} trailing "
                              "bytes", self.offset)
+
+
+@contextlib.contextmanager
+def _writing(path, what: str):
+    """Create the parents of ``path``; an ``OSError`` in the block, or in
+    creating them, becomes a ``ConfigError`` naming ``what`` and ``path``."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc.strerror}") \
+            from None
+
+
+def write_file(path, what: str, data: str | bytes):
+    """Replace ``path`` by ``data``; text is written as UTF-8."""
+    with _writing(path, what):
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str)
+                               else data)
+
+
+def append_text(path, what: str, text: str):
+    with _writing(path, what), open(path, "ab") as f:
+        f.write(text.encode("utf-8"))
+
+
+def csv_text(rows) -> str:
+    """``rows`` in the ``csv`` module's default dialect (``\\r\\n`` line
+    ends)."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+class BinaryWriter:
+    """Builds what ``BinaryReader`` reads: ``magic``, the u32 ``version``,
+    then whatever the caller packs, little-endian."""
+
+    def __init__(self, magic: bytes, version: int):
+        self.data = bytearray(magic)
+        self.pack("<I", version)
+
+    def pack(self, fmt: str, *values):
+        self.data += struct.pack(fmt, *values)
+
+    def text(self, length: str, s: str):
+        """UTF-8 ``s`` after its length, a ``struct`` format."""
+        raw = s.encode("utf-8")
+        self.data += struct.pack(length, len(raw)) + raw
+
+    def json(self, length: str, obj: dict):
+        self.text(length, json.dumps(obj))
+
+    def floats(self, array):
+        self.data += np.ascontiguousarray(array, dtype="<f4").tobytes()
+
+    def write(self, path, what: str):
+        write_file(path, what, self.data)

@@ -20,8 +20,6 @@ Variants (ablation switches):
 
 from __future__ import annotations
 
-import json
-import struct
 import typing
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -33,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, VariantError
-from .files import BinaryReader, about
+from .files import BinaryReader, BinaryWriter, about
 from .seeding import derive_seed, rng_for
 from .text import BOS_ID, PAD_ID, RESERVED_TOKENS
 from .vision import VisualTokens
@@ -654,35 +652,23 @@ def save_checkpoint(path: str | Path, model: MultimodalTranslator,
     optional optimizer section: step u64, seed u64, trainer-config JSON,
     then first/second moments in parameter order.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = list(model.params)
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        cfg = json.dumps(model.config.to_dict()).encode("utf-8")
-        f.write(struct.pack("<II", CKPT_VERSION, len(cfg)))
-        f.write(cfg)
-        f.write(struct.pack("<I", len(names)))
-        for name in names:
-            data = model.params[name].data.astype("<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
-        if train_state is None:
-            f.write(struct.pack("<B", 0))
-        else:
-            f.write(struct.pack("<B", 1))
-            f.write(struct.pack("<QQ", train_state["step"], train_state["seed"]))
-            tcfg = json.dumps(train_state["config"]).encode("utf-8")
-            f.write(struct.pack("<I", len(tcfg)))
-            f.write(tcfg)
-            for section in ("m", "v"):
-                for name in names:
-                    f.write(np.ascontiguousarray(
-                        train_state[section][name], dtype="<f4").tobytes())
+    out = BinaryWriter(CKPT_MAGIC, CKPT_VERSION)
+    out.json("<I", model.config.to_dict())
+    out.pack("<I", len(names))
+    for name in names:
+        data = model.params[name].data
+        out.text("<H", name)
+        out.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
+        out.floats(data)
+    out.pack("<B", train_state is not None)   # the optimizer flag
+    if train_state is not None:
+        out.pack("<QQ", train_state["step"], train_state["seed"])
+        out.json("<I", train_state["config"])
+        for section in ("m", "v"):
+            for name in names:
+                out.floats(train_state[section][name])
+    out.write(path, "checkpoint")
 
 
 def load_checkpoint(path: str | Path

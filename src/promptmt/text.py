@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, LanguageError, VocabularyError
-from .files import about, read_json, read_lines
+from .files import about, read_json, read_lines, write_file
 from .seeding import rng_for
 
 PAD_ID = 0
@@ -124,14 +124,10 @@ class Vocabulary:
         return set(self._tag_ids.values())
 
     def save(self, prefix: str | Path):
-        prefix = Path(prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        with open(f"{prefix}.vocab", "w", encoding="utf-8") as f:
-            for tok in self.tokens:
-                f.write(tok + "\n")
-        with open(f"{prefix}.merges", "w", encoding="utf-8") as f:
-            for a, b in self.merges:
-                f.write(f"{a} {b}\n")
+        write_file(f"{prefix}.vocab", "vocabulary file",
+                   "".join(f"{tok}\n" for tok in self.tokens))
+        write_file(f"{prefix}.merges", "merges file",
+                   "".join(f"{a} {b}\n" for a, b in self.merges))
 
     @classmethod
     def load(cls, prefix: str | Path) -> "Vocabulary":
@@ -147,43 +143,42 @@ class Vocabulary:
             languages.append(t[2:-1])
         merges = []
         merges_path = Path(f"{prefix}.merges")
-        if merges_path.exists():
-            in_vocab = set(tokens)
-            specials = set(tokens[:len(RESERVED_TOKENS) + len(languages)])
-            symbols = set(_BYTE_TO_CHAR.values())
-            produced: dict[str, int] = {}   # merge result -> its line
-            lines = read_lines(merges_path, "merges file")
-            for n, line in enumerate(lines, 1):
-                where = f"{merges_path} line {n}"
-                parts = line.split(" ")
-                if len(parts) != 2 or not all(parts):
+        lines = read_lines(merges_path, "merges file")
+        in_vocab = set(tokens)
+        specials = set(tokens[:len(RESERVED_TOKENS) + len(languages)])
+        symbols = set(_BYTE_TO_CHAR.values())
+        produced: dict[str, int] = {}   # merge result -> its line
+        for n, line in enumerate(lines, 1):
+            where = f"{merges_path} line {n}"
+            parts = line.split(" ")
+            if len(parts) != 2 or not all(parts):
+                raise VocabularyError(
+                    f"{where}: expected two space-separated tokens, "
+                    f"got {line!r}")
+            for part in parts:
+                if part not in symbols:
                     raise VocabularyError(
-                        f"{where}: expected two space-separated tokens, "
-                        f"got {line!r}")
-                for part in parts:
-                    if part not in symbols:
-                        raise VocabularyError(
-                            f"{where}: {part!r} is neither a byte symbol nor "
-                            "the result of an earlier merge")
-                merged = parts[0] + parts[1]
-                if merged in produced:
-                    # the table's meaning would depend on which of the two
-                    # merges ran first
-                    raise VocabularyError(
-                        f"{where}: merge result {merged!r} was already "
-                        f"produced by line {produced[merged]}")
-                if merged not in in_vocab:
-                    raise VocabularyError(
-                        f"{where}: merge result {merged!r} is not in "
-                        f"{vocab_path}")
-                if merged in specials:
-                    # encode would emit the special id for literal text
-                    raise VocabularyError(
-                        f"{where}: merge result {merged!r} is a reserved "
-                        "or language tag token")
-                symbols.add(merged)
-                produced[merged] = n
-                merges.append((parts[0], parts[1]))
+                        f"{where}: {part!r} is neither a byte symbol nor "
+                        "the result of an earlier merge")
+            merged = parts[0] + parts[1]
+            if merged in produced:
+                # the table's meaning would depend on which of the two
+                # merges ran first
+                raise VocabularyError(
+                    f"{where}: merge result {merged!r} was already "
+                    f"produced by line {produced[merged]}")
+            if merged not in in_vocab:
+                raise VocabularyError(
+                    f"{where}: merge result {merged!r} is not in "
+                    f"{vocab_path}")
+            if merged in specials:
+                # encode would emit the special id for literal text
+                raise VocabularyError(
+                    f"{where}: merge result {merged!r} is a reserved "
+                    "or language tag token")
+            symbols.add(merged)
+            produced[merged] = n
+            merges.append((parts[0], parts[1]))
         with about(vocab_path):
             return cls(tokens=tokens, languages=languages, merges=merges)
 

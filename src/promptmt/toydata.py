@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .files import write_file
 from .seeding import rng_for
 from .text import train_bpe
 from .vision import make_pseudo_vtok
@@ -53,7 +54,6 @@ def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
     text stream stays load-bearing under source masking.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     languages = [pivot] + list(target_langs)
     lex = {lang: lexicon(lang) for lang in languages}
     for lang in languages:
@@ -61,12 +61,12 @@ def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
         for i in range(n_lines):
             idxs = sentence_indices(i, seed)
             lines.append(" ".join(lex[lang][j] for j in idxs))
-        (out_dir / f"{split}.{lang}").write_text("\n".join(lines) + "\n",
-                                                 encoding="utf-8")
+        write_file(out_dir / f"{split}.{lang}", "text file",
+                   "\n".join(lines) + "\n")
     n_images = min(n_images, n_lines)
     image_ids = [f"{split}-{i % n_images:06d}" for i in range(n_lines)]
-    (out_dir / f"{split}.ids").write_text("\n".join(image_ids) + "\n",
-                                          encoding="utf-8")
+    write_file(out_dir / f"{split}.ids", "image id file",
+               "\n".join(image_ids) + "\n")
     vtok_path = out_dir / f"{split}.vtok"
     make_pseudo_vtok(sorted(set(image_ids)), m_v, d_v, seed=seed,
                      path=vtok_path)
@@ -78,7 +78,7 @@ def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
         "image_ids_path": f"{split}.ids",
     }
     manifest_path = out_dir / f"{split}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    write_file(manifest_path, "manifest", json.dumps(manifest, indent=2))
     return manifest_path
 
 

@@ -10,7 +10,6 @@ bitwise-identical parameters.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from collections import deque
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError
+from .files import append_text, csv_text, write_file
 from .model import (MultimodalTranslator, check_fields, config_from_dict,
                     save_checkpoint)
 from .seeding import derive_seed, rng_for
@@ -183,29 +183,26 @@ class MetricsLog:
         self.path = Path(path) if path else None
         self.rows: list[StepMetrics] = []
         if self.path and not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "w", newline="") as f:
-                csv.writer(f).writerow(self.FIELDS)
+            write_file(self.path, "metrics file", csv_text([self.FIELDS]))
 
     def append(self, row: StepMetrics):
         self.rows.append(row)
         if self.path:
-            with open(self.path, "a", newline="") as f:
-                csv.writer(f).writerow(
-                    [row.step, row.epoch, f"{row.lr:.8g}",
-                     f"{row.loss:.6f}", f"{row.tokens_per_sec:.1f}"])
+            append_text(self.path, "metrics file", csv_text(
+                [[row.step, row.epoch, f"{row.lr:.8g}", f"{row.loss:.6f}",
+                  f"{row.tokens_per_sec:.1f}"]]))
 
 
 def train_loop(model: MultimodalTranslator,
                examples: Sequence[ParallelExample],
                visual_map: Optional[Mapping[str, VisualTokens]],
                state: TrainState,
-               epochs: Optional[int] = None,
                out_dir: Optional[str | Path] = None,
                stop_loss: Optional[float] = None,
                max_steps: Optional[int] = None,
                log_every: int = 0) -> list[StepMetrics]:
-    """Run the optimization loop; returns per-step metrics.
+    """Run the optimization loop for ``state.config.epochs`` epochs;
+    returns per-step metrics.
 
     Checkpoints (parameters + moments) are written per epoch when
     ``out_dir`` is set, and ``checkpoint_last.lvpm`` also on an early stop,
@@ -217,7 +214,6 @@ def train_loop(model: MultimodalTranslator,
     gradients.
     """
     cfg = state.config
-    epochs = cfg.epochs if epochs is None else epochs
     out_dir = Path(out_dir) if out_dir else None
     log = MetricsLog(out_dir / "metrics.csv" if out_dir else None)
     model.train_mode = True
@@ -225,7 +221,7 @@ def train_loop(model: MultimodalTranslator,
     recent: deque = deque(maxlen=1)
     stopped = False
     try:
-        for epoch in range(start_epoch, epochs):
+        for epoch in range(start_epoch, cfg.epochs):
             batches = make_batches(examples, cfg.max_tokens,
                                    seed=derive_seed(cfg.seed, "epoch", epoch))
             if recent.maxlen != len(batches):

@@ -15,7 +15,6 @@ VTOK layout, all integers little-endian:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import FormatError
-from .files import BinaryReader, about
+from .files import BinaryReader, BinaryWriter, about
 from .seeding import rng_for
 
 MAGIC = b"VTOK"
@@ -65,16 +64,12 @@ def write_vtok(records: Iterable[VisualTokens] | Mapping[str, VisualTokens],
             raise FormatError(f"duplicate image id {rec.image_id!r}")
         seen.add(rec.image_id)
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<IIII", VERSION, len(records), m_v, d_v))
-        for rec in records:
-            ident = rec.image_id.encode("utf-8")
-            f.write(struct.pack("<H", len(ident)))
-            f.write(ident)
-            f.write(rec.tokens.astype("<f4").tobytes())
+    out = BinaryWriter(MAGIC, VERSION)
+    out.pack("<III", len(records), m_v, d_v)
+    for rec in records:
+        out.text("<H", rec.image_id)
+        out.floats(rec.tokens)
+    out.write(path, "VTOK file")
 
 
 def read_vtok(path: str | Path) -> dict[str, VisualTokens]:

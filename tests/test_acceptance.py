@@ -344,12 +344,12 @@ def test_criterion_9_variant_matrix(workspace):
                              d_v=0 if variant == "text_only" else 32,
                              variant=variant, dropout=0.1, eps_ls=0.1)
         model = MultimodalTranslator(config, seed=4)
-        tcfg = TrainConfig(lr_peak=1e-3, warmup_steps=5, max_tokens=512,
-                           seed=4)
+        tcfg = TrainConfig(lr_peak=1e-3, warmup_steps=5, epochs=1,
+                           max_tokens=512, seed=4)
         state = TrainState.fresh(model, tcfg)
         rows = train_loop(model, examples,
                           None if variant == "text_only" else visual,
-                          state, epochs=1, max_steps=1)
+                          state, max_steps=1)
         assert len(rows) == 1 and np.isfinite(rows[0].loss)
         ex = examples[0]
         hyp = beam_search(model, vocab, ex.source_ids, ex.target_lang,

@@ -453,6 +453,12 @@ def _translate_corrupt_merges(ws, tmp):
                                 str(tmp / "bpe")]), merges
 
 
+def _translate_missing_merges(ws, tmp):
+    (tmp / "bpe.vocab").write_bytes((ws / "bpe.vocab").read_bytes())
+    return _translate(ws, tmp, ["--vtok", str(ws / "train.vtok"), "--vocab",
+                                str(tmp / "bpe")]), tmp / "bpe.merges"
+
+
 def _evaluate_malformed_manifest(ws, tmp):
     manifest = tmp / "train.json"
     manifest.write_text('{"split": "train",, }', encoding="utf-8")
@@ -485,14 +491,79 @@ def _bpe_train_non_utf8_corpus(ws, tmp):
 
 @pytest.mark.parametrize("case", [
     _missing_config, _truncated_resume, _resume_bad_trainer_config,
-    _translate_missing_vtok,
-    _translate_corrupt_merges, _evaluate_malformed_manifest,
+    _translate_missing_vtok, _translate_corrupt_merges,
+    _translate_missing_merges, _evaluate_malformed_manifest,
     _mask_sweep_corrupt_name, _make_vtok_missing_ids,
     _bpe_train_non_utf8_corpus,
 ], ids=lambda case: case.__name__.lstrip("_"))
 def test_cli_names_bad_input_file(workspace, tmp_path, capsys, case):
-    argv, bad_file = case(workspace, tmp_path)
+    assert_fails_by_name(case(workspace, tmp_path), capsys)
+
+
+def assert_fails_by_name(case, capsys):
+    argv, bad_file = case
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert str(bad_file) in err and "Traceback" not in err
+
+
+# an output path with a directory, or a regular file for a parent, in the
+# way; not a read-only mode, which does not stop a write by root
+
+def _in_the_way(tmp, kind):
+    path = tmp / "taken"
+    if kind == "dir":
+        path.mkdir()
+    else:
+        path.write_text("", encoding="utf-8")
+    return path
+
+
+def _make_vtok_out_is_dir(ws, tmp):
+    ids = tmp / "ids.txt"
+    ids.write_text("a\nb\n", encoding="utf-8")
+    out = _in_the_way(tmp, "dir")
+    return ["make-vtok", "--pseudo", "--ids", str(ids), "--mv", "2", "--dv",
+            "4", "--out", str(out)], out
+
+
+def _evaluate_out_is_dir(ws, tmp):
+    out = _in_the_way(tmp, "dir")
+    return ["evaluate", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+            "--manifest", str(ws / "train.json"), "--direction", "en-de",
+            "--beam", "1", "--out", str(out)], out
+
+
+def _mask_sweep_out_under_file(ws, tmp):
+    out = _in_the_way(tmp, "file") / "s.csv"
+    return ["mask-sweep", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+            "--manifest", str(ws / "train.json"), "--direction", "en-de",
+            "--ratios", "0", "--seeds", "1", "--beam", "1",
+            "--out", str(out)], out
+
+
+def _bpe_train_out_under_file(ws, tmp):
+    out = _in_the_way(tmp, "file") / "sub" / "bpe"
+    return ["bpe-train", "--corpus", str(ws / "train.en"), "--vocab-size",
+            "300", "--out", str(out)], out
+
+
+def _train_out_dir_under_file(ws, tmp):
+    # fails in saving the vocabulary, before any step
+    out_dir = _in_the_way(tmp, "file") / "run"
+    config = json.loads((ws / "config.json").read_text(encoding="utf-8"))
+    config["out_dir"] = str(out_dir)
+    config["data"].update(train_manifest=str(ws / "train.json"),
+                          vocab=str(ws / "bpe"))
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["train", "--config", str(path)], out_dir
+
+
+@pytest.mark.parametrize("case", [
+    _make_vtok_out_is_dir, _evaluate_out_is_dir, _mask_sweep_out_under_file,
+    _bpe_train_out_under_file, _train_out_dir_under_file,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_cli_names_bad_output_file(workspace, tmp_path, capsys, case):
+    assert_fails_by_name(case(workspace, tmp_path), capsys)

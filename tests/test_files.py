@@ -1,6 +1,7 @@
-"""Input files fail by name: the rules of ``promptmt.files``, the defects
-that used to escape as bare ``UnicodeDecodeError``/``JSONDecodeError``, and
-one seeded property per reader. A property flips 1-3 bytes of a frozen
+"""Files fail by name: the rules of ``promptmt.files``, the defects that
+used to escape as bare ``UnicodeDecodeError``/``JSONDecodeError``, writers
+that reproduce the frozen artifacts byte for byte, and one seeded property
+per reader. A property flips 1-3 bytes of a frozen
 benchmark artifact, or truncates it, and requires the reader to either load
 the file or raise a ``PromptMtError`` whose message names the mutated file
 (or, for a manifest, a file it now points to). ``perfbench/frozen/`` is
@@ -10,15 +11,19 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from promptmt.errors import ConfigError, FormatError, PromptMtError
-from promptmt.files import BinaryReader, read_json, read_lines
-from promptmt.model import load_checkpoint
+from promptmt.files import (BinaryReader, BinaryWriter, append_text, csv_text,
+                            read_json, read_lines, write_file)
+from promptmt.model import (ModelConfig, MultimodalTranslator,
+                            load_checkpoint, save_checkpoint)
 from promptmt.text import (Vocabulary, load_manifest, manifest_image_ids,
                            manifest_lines)
-from promptmt.vision import read_vtok
+from promptmt.train import MetricsLog, StepMetrics, TrainConfig, TrainState
+from promptmt.vision import pseudo_visual_tokens, read_vtok, write_vtok
 
 FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
 
@@ -159,6 +164,14 @@ def test_merges_byte(frozen):
     assert exc.value.offset == 3 and str(path) in str(exc.value)
 
 
+def test_vocabulary_requires_merges(frozen):
+    # without its .merges a .vocab would encode byte by byte, silently
+    path = frozen / "bpe.merges"
+    path.unlink()
+    with pytest.raises(ConfigError, match=f"merges file not found: {path}$"):
+        Vocabulary.load(frozen / "bpe")
+
+
 def test_vocabulary_defect_names_file(frozen):
     path = frozen / "bpe.vocab"
     path.write_text("<pad>\n<s>\n", encoding="utf-8")
@@ -190,6 +203,103 @@ def test_manifest_field_types(frozen, key, value, message):
     with pytest.raises(ConfigError, match=message) as exc:
         load_manifest(path)
     assert str(path) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the write side
+# ---------------------------------------------------------------------------
+
+def test_write_file_creates_parents_and_appends(tmp_path):
+    path = tmp_path / "a" / "b" / "out.csv"
+    write_file(path, "report", "é\n")
+    append_text(path, "report", csv_text([["x", 1], ["y", ""]]))
+    assert path.read_bytes() == "é\nx,1\r\ny,\r\n".encode("utf-8")
+    write_file(path, "report", b"\x00")
+    assert path.read_bytes() == b"\x00"
+
+
+@pytest.mark.parametrize("write", [write_file, append_text])
+def test_unwritable_path_is_named(tmp_path, write):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"")
+    for path, reason in ((tmp_path / "dir", "Is a directory"),
+                         (tmp_path / "file" / "sub" / "out",
+                          "Not a directory")):
+        with pytest.raises(ConfigError) as exc:
+            write(path, "report", "x")
+        assert str(exc.value) == f"cannot write report {path}: {reason}"
+
+
+def test_binary_writer_mirrors_reader(tmp_path):
+    path = tmp_path / "x.bin"
+    out = BinaryWriter(b"TEST", 1)
+    out.pack("<HB", 7, 2)
+    out.text("<B", "né")
+    out.json("<I", {"a": [1]})
+    out.floats(np.arange(3.0))
+    out.write(path, "test file")
+    reader = BinaryReader(path, "test file", b"TEST", 1)
+    assert reader.unpack("<HB", "x") == (7, 2)
+    assert reader.text("<B", "name") == "né"
+    assert reader.json("<I", "cfg") == {"a": [1]}
+    assert reader.floats((3,), "f").tolist() == [0.0, 1.0, 2.0]
+    reader.end()
+
+
+def _metrics_append(path):
+    path.mkdir()   # the header is skipped: the path exists
+    MetricsLog(path).append(StepMetrics(step=1, epoch=0, lr=1e-3, loss=1.0,
+                                        tokens_per_sec=1.0))
+
+
+def _small_model():
+    return MultimodalTranslator(ModelConfig(
+        vocab_size=16, d_model=8, n_heads=2, n_enc_layers=1, n_dec_layers=1,
+        d_v=4), seed=0)
+
+
+@pytest.mark.parametrize("write, what", [
+    (lambda path: save_checkpoint(path, _small_model()), "checkpoint"),
+    (lambda path: write_vtok([pseudo_visual_tokens("a", 1, 2, seed=0)], path),
+     "VTOK file"),
+    (lambda path: Vocabulary.load(FROZEN / "bpe").save(path),
+     "vocabulary file"),
+    (MetricsLog, "metrics file"),
+    (_metrics_append, "metrics file"),
+], ids=["checkpoint", "vtok", "vocabulary", "metrics_header",
+        "metrics_append"])
+def test_library_writers_name_unwritable_path(tmp_path, write, what):
+    (tmp_path / "file").write_bytes(b"")
+    path = (tmp_path / "out" if write is _metrics_append
+            else tmp_path / "file" / "out")
+    with pytest.raises(ConfigError, match=f"^cannot write {what} ") as exc:
+        write(path)
+    assert str(path) in str(exc.value)
+
+
+def test_writers_reproduce_frozen_bytes(tmp_path):
+    write_vtok(read_vtok(FROZEN / "train.vtok"), tmp_path / "train.vtok")
+    Vocabulary.load(FROZEN / "bpe").save(tmp_path / "bpe")
+    for name in ("train.vtok", "bpe.vocab", "bpe.merges"):
+        assert (tmp_path / name).read_bytes() == \
+            (FROZEN / name).read_bytes(), name
+
+
+def test_checkpoint_resave_is_idempotent(tmp_path):
+    # model.lvpm predates the n_langs config key, so a re-save of it is
+    # compared with the re-save of that, not with the file itself
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    state = TrainState.fresh(model, TrainConfig(seed=3))
+    state.step = 7
+    rng = np.random.default_rng(0)
+    for moments in (state.m, state.v):
+        for name in moments:
+            moments[name] = rng.random(moments[name].shape, np.float32)
+    for train_state in (None, state.to_checkpoint_dict()):
+        first, second = tmp_path / "first.lvpm", tmp_path / "second.lvpm"
+        save_checkpoint(first, model, train_state)
+        save_checkpoint(second, *load_checkpoint(first))
+        assert first.read_bytes() == second.read_bytes()
 
 
 # ---------------------------------------------------------------------------

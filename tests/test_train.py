@@ -1,6 +1,8 @@
 """Tests for the learning-rate schedule, Adam, and the training loop:
 closed-form anchor values, determinism, and checkpoint resume."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,16 +273,16 @@ def toy_setup(variant="full", seed=3):
 
 def test_loss_trend_decreases_over_first_steps():
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    rows = train_loop(model, examples, visual, state, epochs=30, max_steps=50)
+    state = TrainState.fresh(model, replace(tcfg, epochs=30))
+    rows = train_loop(model, examples, visual, state, max_steps=50)
     assert rows[-1].loss < rows[0].loss
 
 
 def test_two_runs_same_seed_bitwise_identical():
     def run():
         model, examples, visual, tcfg = toy_setup()
-        state = TrainState.fresh(model, tcfg)
-        train_loop(model, examples, visual, state, epochs=4)
+        state = TrainState.fresh(model, replace(tcfg, epochs=4))
+        train_loop(model, examples, visual, state)
         return model
 
     m1, m2 = run(), run()
@@ -290,17 +292,18 @@ def test_two_runs_same_seed_bitwise_identical():
 
 def test_resume_reproduces_next_step_loss(tmp_path):
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    train_loop(model, examples, visual, state, epochs=2,
-               out_dir=tmp_path / "run")
+    state = TrainState.fresh(model, replace(tcfg, epochs=2))
+    train_loop(model, examples, visual, state, out_dir=tmp_path / "run")
 
     # continue the original in memory
-    rows_direct = train_loop(model, examples, visual, state, epochs=3)
+    state.config.epochs = 3
+    rows_direct = train_loop(model, examples, visual, state)
 
     # resume from the epoch-2 checkpoint
     resumed, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
     rstate = TrainState.from_checkpoint_dict(ck_state)
-    rows_resumed = train_loop(resumed, examples, visual, rstate, epochs=3)
+    rstate.config.epochs = 3
+    rows_resumed = train_loop(resumed, examples, visual, rstate)
 
     assert rows_direct[0].step == rows_resumed[0].step
     assert rows_direct[0].loss == pytest.approx(rows_resumed[0].loss, abs=0)
@@ -312,16 +315,15 @@ def test_resume_reproduces_next_step_loss(tmp_path):
 def test_text_only_trains_without_vtok():
     model, examples, _, tcfg = toy_setup(variant="text_only")
     model.config.d_v = 0
-    state = TrainState.fresh(model, tcfg)
-    rows = train_loop(model, examples, None, state, epochs=1)
+    state = TrainState.fresh(model, replace(tcfg, epochs=1))
+    rows = train_loop(model, examples, None, state)
     assert len(rows) >= 1 and np.isfinite(rows[-1].loss)
 
 
 def test_metrics_csv_written(tmp_path):
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    train_loop(model, examples, visual, state, epochs=1,
-               out_dir=tmp_path / "run")
+    state = TrainState.fresh(model, replace(tcfg, epochs=1))
+    train_loop(model, examples, visual, state, out_dir=tmp_path / "run")
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
     assert lines[0] == "step,epoch,lr,loss,tokens_per_sec"
     assert len(lines) >= 2
@@ -329,8 +331,8 @@ def test_metrics_csv_written(tmp_path):
 
 def test_checkpoint_moments_roundtrip_bit_exact(tmp_path):
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    train_loop(model, examples, visual, state, epochs=1)
+    state = TrainState.fresh(model, replace(tcfg, epochs=1))
+    train_loop(model, examples, visual, state)
     path = tmp_path / "ck.lvpm"
     save_checkpoint(path, model, state.to_checkpoint_dict())
     _, loaded = load_checkpoint(path)
@@ -343,8 +345,8 @@ def test_early_stop_writes_final_checkpoint(tmp_path):
     # max_steps fires mid-epoch: the last checkpoint must hold the model
     # the loop returns, not the state of the last completed epoch
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    rows = train_loop(model, examples, visual, state, epochs=5,
+    state = TrainState.fresh(model, replace(tcfg, epochs=5))
+    rows = train_loop(model, examples, visual, state,
                       out_dir=tmp_path / "run", max_steps=3)
     assert rows[-1].step == 3
     loaded, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
@@ -356,8 +358,8 @@ def test_early_stop_writes_final_checkpoint(tmp_path):
 
 def test_stop_loss_writes_final_checkpoint(tmp_path):
     model, examples, visual, tcfg = toy_setup()
-    state = TrainState.fresh(model, tcfg)
-    rows = train_loop(model, examples, visual, state, epochs=50,
+    state = TrainState.fresh(model, replace(tcfg, epochs=50))
+    rows = train_loop(model, examples, visual, state,
                       out_dir=tmp_path / "run", stop_loss=1e9)
     _, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
     assert ck_state["step"] == rows[-1].step == state.step
@@ -366,17 +368,18 @@ def test_stop_loss_writes_final_checkpoint(tmp_path):
 def test_resume_from_mid_epoch_checkpoint(tmp_path):
     def fresh():
         model, examples, visual, tcfg = toy_setup()
-        return model, examples, visual, TrainState.fresh(model, tcfg)
+        return (model, examples, visual,
+                TrainState.fresh(model, replace(tcfg, epochs=3)))
 
     model, examples, visual, state = fresh()
-    rows_direct = train_loop(model, examples, visual, state, epochs=3)
+    rows_direct = train_loop(model, examples, visual, state)
 
     stopped, examples, visual, sstate = fresh()
-    train_loop(stopped, examples, visual, sstate, epochs=3,
-               out_dir=tmp_path / "run", max_steps=3)
+    train_loop(stopped, examples, visual, sstate, out_dir=tmp_path / "run",
+               max_steps=3)
     resumed, ck_state = load_checkpoint(tmp_path / "run" / "checkpoint_last.lvpm")
     rstate = TrainState.from_checkpoint_dict(ck_state)
-    rows_resumed = train_loop(resumed, examples, visual, rstate, epochs=3)
+    rows_resumed = train_loop(resumed, examples, visual, rstate)
 
     assert [r.step for r in rows_resumed] == [r.step for r in rows_direct[3:]]
     assert [r.loss for r in rows_resumed] == [r.loss for r in rows_direct[3:]]
