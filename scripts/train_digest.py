@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
 """Fingerprint a training run: SHA-256 of its encoded examples, its
-per-step losses, its final parameters and its Adam moments.
+per-step losses, its final parameters and its Adam moments; and of the
+benchmark's tokenize encodings.
 
 Builds the benchmark's `train` workload (perfbench/workloads.py,
 `TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
-prints the BLAS thread count and the four digests. The examples digest
-covers each example's id, source ids, target ids and image id, in load
-order, so it checks the text pipeline on its own. Two checkouts that
+prints the BLAS thread count and the four training digests. The examples
+digest covers each example's id, source ids, target ids and image id, in
+load order, so it checks the text pipeline on its own. Two checkouts that
 print the same digests at the same thread count encode and train
 bit-identically; a change that only reorders float32 rounding prints
 different losses, parameters and moments.
+
+The fifth digest, tokenize, covers the ids `encode` gives each of the
+1000 Zipf-like lines of the benchmark's `tokenize` workload
+(`TokenizeWorkload`) at seed 921, under the 500-merge table `train_bpe`
+learns on them: the merge count the benchmark times encoding at, where
+the toy vocabulary of the examples digest has 95. It does not depend on
+BLAS.
 
     python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
@@ -69,15 +77,27 @@ def examples_digest(examples) -> str:
     return h.hexdigest()
 
 
+def ids_digest(lines_ids) -> str:
+    h = hashlib.sha256()
+    for ids in lines_ids:
+        h.update(json.dumps(ids).encode("utf-8"))
+    return h.hexdigest()
+
+
 def main():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
+    from promptmt import text
     from promptmt.train import train_loop
-    from workloads import Sizes, TrainWorkload
+    from workloads import Sizes, TokenizeWorkload, TrainWorkload
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = TrainWorkload(SEED, Path(tmp), Sizes(train_epochs=EPOCHS))
         workload.setup()
+        tokenize = TokenizeWorkload(SEED, Path(tmp), Sizes())
+        tokenize.setup()
+        vocab = text.train_bpe([tokenize.corpus], len(text.RESERVED_TOKENS)
+                               + 256 + tokenize.sizes.tokenize_merges)
     model, state = workload._fresh()
     rows = train_loop(model, workload.examples, workload.visual, state)
 
@@ -93,6 +113,8 @@ def main():
     print(f"parameters    "
           f"{digest((n, model.params[n].data) for n in names)}")
     print(f"moments       {digest(moments)}")
+    print(f"tokenize      "
+          f"{ids_digest(text.encode(line, vocab) for line in tokenize.lines)}")
 
 
 if __name__ == "__main__":

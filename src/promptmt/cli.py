@@ -72,6 +72,16 @@ def cmd_train(args) -> int:
                               "cannot resume")
         with about(args.resume):
             state = TrainState.from_checkpoint_dict(ck_state)
+        # the run continues under the checkpoint's trainer config, so a
+        # train section that says otherwise would be silently ignored
+        stored = state.config.to_dict()
+        changed = [f"train.{key} {value!r} (checkpoint {stored[key]!r})"
+                   for key, value in tcfg.to_dict().items()
+                   if value != stored[key]]
+        if changed:
+            raise ConfigError(f"{cfg_path}: train section differs from the "
+                              f"trainer config in {args.resume}: "
+                              + ", ".join(changed))
         visual = visual_tokens_for(model, manifest.vtok_path)
     else:
         mcfg = section("model")

@@ -21,8 +21,10 @@ a vocabulary, a parameter table) names the file through ``about``.
 
 A writer creates the file's missing parent directories, and a path it
 cannot write raises ``ConfigError``, ``"cannot write <what> <path>:
-<reason>"``. Writes are not atomic: an interrupted one can leave a partial
-file.
+<reason>"``. A string longer than its length field in a binary file
+raises ``FormatError`` naming the item and its byte length, before the
+file is written. Writes are not atomic: an interrupted one can leave a
+partial file.
 """
 
 from __future__ import annotations
@@ -194,13 +196,20 @@ class BinaryWriter:
     def pack(self, fmt: str, *values):
         self.data += struct.pack(fmt, *values)
 
-    def text(self, length: str, s: str):
-        """UTF-8 ``s`` after its length, a ``struct`` format."""
+    def text(self, length: str, s: str, what: str):
+        """UTF-8 ``s`` after its length, a ``struct`` format; ``what`` names
+        ``s`` in the ``FormatError`` for a length the format cannot hold,
+        raised before anything of ``s`` is packed."""
         raw = s.encode("utf-8")
-        self.data += struct.pack(length, len(raw)) + raw
+        try:
+            self.data += struct.pack(length, len(raw)) + raw
+        except struct.error:
+            limit = 256 ** struct.calcsize(length) - 1   # unsigned formats
+            raise FormatError(f"{what} is {len(raw)} UTF-8 bytes, more than "
+                              f"the {limit} its length field holds") from None
 
-    def json(self, length: str, obj: dict):
-        self.text(length, json.dumps(obj))
+    def json(self, length: str, obj: dict, what: str):
+        self.text(length, json.dumps(obj), what)
 
     def floats(self, array):
         self.data += np.ascontiguousarray(array, dtype="<f4").tobytes()

@@ -654,17 +654,17 @@ def save_checkpoint(path: str | Path, model: MultimodalTranslator,
     """
     names = list(model.params)
     out = BinaryWriter(CKPT_MAGIC, CKPT_VERSION)
-    out.json("<I", model.config.to_dict())
+    out.json("<I", model.config.to_dict(), "config")
     out.pack("<I", len(names))
-    for name in names:
+    for i, name in enumerate(names):
         data = model.params[name].data
-        out.text("<H", name)
+        out.text("<H", name, f"name {i}")
         out.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
         out.floats(data)
     out.pack("<B", train_state is not None)   # the optimizer flag
     if train_state is not None:
         out.pack("<QQ", train_state["step"], train_state["seed"])
-        out.json("<I", train_state["config"])
+        out.json("<I", train_state["config"], "trainer config")
         for section in ("m", "v"):
             for name in names:
                 out.floats(train_state[section][name])

@@ -86,6 +86,8 @@ class Vocabulary:
     merges: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self):
+        # _encode_unit looks each merge up in a set of symbol-pair tuples
+        self.merges = [tuple(pair) for pair in self.merges]
         self._token_to_id = {t: i for i, t in enumerate(self.tokens)}
         if len(self._token_to_id) != len(self.tokens):
             raise VocabularyError("duplicate token in vocabulary")
@@ -309,10 +311,19 @@ def _apply_merge(symbols: tuple, pair: tuple[str, str]) -> tuple:
 
 def _encode_unit(unit: str, vocab: Vocabulary) -> list[int]:
     """Ids of one word unit: every merge, in order, over its byte symbols.
-    Symbols missing from the vocabulary map to UNK."""
+    Symbols missing from the vocabulary map to UNK.
+
+    A merge whose pair is not among the unit's adjacent symbol pairs would
+    return the symbols unchanged, so only a merge whose pair occurs is
+    applied, and the pair set is rebuilt after each one that is: the ids
+    are those of applying every merge.
+    """
     symbols = _unit_to_chars(unit)
+    pairs = set(zip(symbols, symbols[1:]))
     for pair in vocab.merges:
-        symbols = _apply_merge(symbols, pair)
+        if pair in pairs:
+            symbols = _apply_merge(symbols, pair)
+            pairs = set(zip(symbols, symbols[1:]))
     return [vocab._token_to_id.get(sym, UNK_ID) for sym in symbols]
 
 

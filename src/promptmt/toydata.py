@@ -55,12 +55,10 @@ def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
     """
     out_dir = Path(out_dir)
     languages = [pivot] + list(target_langs)
-    lex = {lang: lexicon(lang) for lang in languages}
+    sentences = [sentence_indices(i, seed) for i in range(n_lines)]
     for lang in languages:
-        lines = []
-        for i in range(n_lines):
-            idxs = sentence_indices(i, seed)
-            lines.append(" ".join(lex[lang][j] for j in idxs))
+        lex = lexicon(lang)
+        lines = [" ".join(lex[j] for j in idxs) for idxs in sentences]
         write_file(out_dir / f"{split}.{lang}", "text file",
                    "\n".join(lines) + "\n")
     n_images = min(n_images, n_lines)

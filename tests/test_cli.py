@@ -76,6 +76,20 @@ def test_make_vtok_cli(tmp_path):
     assert table["a"].tokens.shape == (3, 5)
 
 
+def test_make_vtok_cli_refuses_id_longer_than_its_length(tmp_path, capsys):
+    # a VTOK id's byte length is a u16
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a\n" + "x" * 70000 + "\n", encoding="utf-8")
+    out = tmp_path / "features.vtok"
+    rc = main(["make-vtok", "--pseudo", "--ids", str(ids), "--mv", "2",
+               "--dv", "4", "--out", str(out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "id of record 1 is 70000 UTF-8 bytes" in err
+    assert not out.exists()
+
+
 def test_train_cli_produces_artifacts(workspace):
     run = workspace / "run"
     assert (run / "checkpoint_last.lvpm").exists()
@@ -90,6 +104,29 @@ def test_train_cli_resume(workspace):
     rc = main(["train", "--config", str(workspace / "config.json"),
                "--resume", str(workspace / "run" / "checkpoint_last.lvpm")])
     assert rc == 0
+
+
+def test_train_cli_resume_refuses_changed_train_section(workspace,
+                                                        tmp_path, capsys):
+    # the checkpoint trained at epochs 2; resuming under it would train 0
+    # more steps and exit 0, ignoring the file's epochs 3
+    config = json.loads((workspace / "config.json").read_text())
+    config["train"].update(epochs=3, lr_peak=2e-3)
+    config["out_dir"] = str(tmp_path / "run")
+    config["data"].update(train_manifest=str(workspace / "train.json"),
+                          vocab=str(workspace / "bpe"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["train", "--config", str(path), "--resume",
+               str(workspace / "run" / "checkpoint_last.lvpm")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
+    assert "train.lr_peak 0.002 (checkpoint 0.001)" in err
+    assert "train.epochs 3 (checkpoint 2)" in err
+    assert "seed" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):

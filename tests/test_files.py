@@ -9,6 +9,7 @@ copied, never written."""
 
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +235,8 @@ def test_binary_writer_mirrors_reader(tmp_path):
     path = tmp_path / "x.bin"
     out = BinaryWriter(b"TEST", 1)
     out.pack("<HB", 7, 2)
-    out.text("<B", "né")
-    out.json("<I", {"a": [1]})
+    out.text("<B", "né", "name")
+    out.json("<I", {"a": [1]}, "cfg")
     out.floats(np.arange(3.0))
     out.write(path, "test file")
     reader = BinaryReader(path, "test file", b"TEST", 1)
@@ -244,6 +245,25 @@ def test_binary_writer_mirrors_reader(tmp_path):
     assert reader.json("<I", "cfg") == {"a": [1]}
     assert reader.floats((3,), "f").tolist() == [0.0, 1.0, 2.0]
     reader.end()
+
+
+@pytest.mark.parametrize("length, too_long, longest", [
+    ("<B", "x" * 256, "x" * 255),
+    ("<B", "é" * 128, "é" * 127),
+    ("<H", "x" * 70000, "x" * 65535),
+])
+def test_binary_writer_refuses_text_longer_than_its_length(length, too_long,
+                                                           longest):
+    out = BinaryWriter(b"TEST", 1)
+    before = bytes(out.data)
+    with pytest.raises(FormatError) as exc:
+        out.text(length, too_long, "id of record 3")
+    size = len(too_long.encode("utf-8"))
+    assert str(exc.value).startswith(f"id of record 3 is {size} UTF-8 bytes")
+    assert bytes(out.data) == before
+    out.text(length, longest, "id of record 3")
+    assert len(out.data) == len(before) + struct.calcsize(length) \
+        + len(longest.encode("utf-8"))
 
 
 def _metrics_append(path):

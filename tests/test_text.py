@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from promptmt import text as tx
 from promptmt.errors import ConfigError, LanguageError, VocabularyError
-from promptmt.toydata import make_toy_corpus, train_toy_vocab
+from promptmt.seeding import rng_for
+from promptmt.toydata import make_toy_corpus, pseudo_word, train_toy_vocab
 
 SAMPLE_SENTENCES = {
     "en": "a man plays with a red ball",
@@ -96,6 +97,22 @@ def test_bpe_never_spells_reserved_or_tag_token(tmp_path, line, repeat,
     assert special not in tx.encode(line, vocab)
 
 
+def merge_pair(symbols, pair):
+    """``symbols`` with every non-overlapping ``pair``, left to right,
+    joined into one symbol."""
+    a, b = pair
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == (a, b):
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
 def reference_train_bpe(corpus_paths, vocab_size, min_freq=2, languages=()):
     """The full-recount learner ``train_bpe`` replaced: every merge recounts
     every pair of every word type. The one rule added since, skipping a
@@ -125,7 +142,7 @@ def reference_train_bpe(corpus_paths, vocab_size, min_freq=2, languages=()):
         best = min(p for f, p in candidates if f == best_freq)
         merges.append(best)
         tokens.append(best[0] + best[1])
-        units = {tx._apply_merge(u, best): f for u, f in units.items()}
+        units = {merge_pair(u, best): f for u, f in units.items()}
     return tokens, merges
 
 
@@ -225,12 +242,13 @@ def test_roundtrip_property_arbitrary_text(s):
 
 def reference_encode(text, vocab):
     """The line encoder ``encode_lines`` replaced: every merge, in order,
-    over every word unit of the line, a repeated unit paid for again."""
+    over every word unit of the line, a repeated unit paid for again, and
+    a merge whose pair the unit does not hold scanned all the same."""
     ids = []
     for unit in tx._split_units(tx.normalize_whitespace(text)):
         symbols = tx._unit_to_chars(unit)
         for pair in vocab.merges:
-            symbols = tx._apply_merge(symbols, pair)
+            symbols = merge_pair(symbols, pair)
         for sym in symbols:
             ids.append(vocab._token_to_id.get(sym, tx.UNK_ID))
     return ids
@@ -242,23 +260,71 @@ def toy_manifest(root):
         d_v=32, n_images=8))
 
 
+def zipf_lines(seed, n_lexicon=3000, n_lines=1000):
+    """Lines of 5-12 pseudo words drawn with p(rank r) ~ 1/r from a seeded
+    lexicon in a seeded rank order, so words repeat as they do in text."""
+    lexicon = sorted({pseudo_word(f"zipf{seed}", i) for i in range(n_lexicon)})
+    rng = rng_for("zipf-lines", seed)
+    rng.shuffle(lexicon)
+    p = 1.0 / np.arange(1, len(lexicon) + 1)
+    p /= p.sum()
+    return [" ".join(lexicon[int(i)] for i in
+                     rng.choice(len(lexicon), size=int(rng.integers(5, 13)),
+                                p=p))
+            for _ in range(n_lines)]
+
+
+def random_lines(seed, n_words=3000):
+    """Every one of ``n_words`` random 3-9 letter words (some letters
+    multi-byte) twice, ten to a line, so merging can run to thousands of
+    tokens before no pair reaches a count of 2."""
+    letters = list("abcdefghijklmnopqrstuvwxyz") + ["é", "č", "ğ", "गें", "€"]
+    rng = rng_for("random-lines", seed)
+    words = sorted({"".join(letters[int(i)] for i in rng.integers(
+        0, len(letters), size=int(rng.integers(3, 10))))
+        for _ in range(n_words)})
+    order = np.concatenate([rng.permutation(len(words)) for _ in range(2)])
+    return [" ".join(words[int(i)] for i in order[k:k + 10])
+            for k in range(0, len(order), 10)]
+
+
+def corpus_words(paths):
+    return sorted({w for path in paths
+                   for w in path.read_text(encoding="utf-8").split()})
+
+
 @pytest.fixture(scope="module")
 def encoding_vocabs(tmp_path_factory):
-    """The tiny-corpus vocabulary, the toy corpus's at 360 and at 600 (every
-    pair reaching min_freq merged), and the toy corpus's words."""
+    """name -> (vocabulary, words its property draws lines from): the
+    tiny-corpus vocabulary and the toy corpus's at 360 and at 600 (every
+    pair reaching min_freq merged), over the toy corpus's words; 500 merges
+    on a Zipf-like corpus, as in the benchmark's tokenize workload; and an
+    8000-token vocabulary on a random corpus."""
     root = tmp_path_factory.mktemp("encode")
     tiny = root / "tiny.txt"
     tiny.write_text("aaab aaab\n", encoding="utf-8")
     manifest = toy_manifest(root)
     paths = [manifest.text_paths[lang] for lang in manifest.languages]
-    words = sorted({w for path in paths
-                    for w in path.read_text(encoding="utf-8").split()})
+    toy_words = corpus_words(paths)
+    for name, lines in (("zipf", zipf_lines(0)),
+                        ("random", random_lines(0))):
+        (root / f"{name}.txt").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
+    base = len(tx.RESERVED_TOKENS) + 256
     vocabs = {
-        "tiny": tx.train_bpe([tiny], len(tx.RESERVED_TOKENS) + 256 + 1),
-        "toy360": tx.train_bpe(paths, 360, 2, manifest.languages),
-        "toy600": tx.train_bpe(paths, 600, 2, manifest.languages),
+        "tiny": (tx.train_bpe([tiny], base + 1), toy_words),
+        "toy360": (tx.train_bpe(paths, 360, 2, manifest.languages),
+                   toy_words),
+        "toy600": (tx.train_bpe(paths, 600, 2, manifest.languages),
+                   toy_words),
+        "zipf500": (tx.train_bpe([root / "zipf.txt"], base + 500),
+                    corpus_words([root / "zipf.txt"])),
+        "random8000": (tx.train_bpe([root / "random.txt"], 8000),
+                       corpus_words([root / "random.txt"])),
     }
-    return vocabs, words
+    assert len(vocabs["zipf500"][0].merges) == 500
+    assert len(vocabs["random8000"][0]) == 8000
+    return vocabs
 
 
 # literal specials, multi-byte characters, and words the merges touch
@@ -280,18 +346,49 @@ def corpora(draw, words):
     return draw(st.lists(line, min_size=0, max_size=10))
 
 
-@pytest.mark.parametrize("name", ["tiny", "toy360", "toy600"])
+@pytest.mark.parametrize("name", ["tiny", "toy360", "toy600", "zipf500",
+                                  "random8000"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_encode_lines_matches_per_line_reference(encoding_vocabs, name,
                                                  data):
-    vocabs, words = encoding_vocabs
-    vocab = vocabs[name]
+    vocab, words = encoding_vocabs[name]
     lines = data.draw(corpora(words))
-    assert tx.encode_lines(lines, vocab) == \
-        [reference_encode(line, vocab) for line in lines]
-    for line in lines:
-        assert tx.encode(line, vocab) == reference_encode(line, vocab)
+    expected = [reference_encode(line, vocab) for line in lines]
+    assert tx.encode_lines(lines, vocab) == expected
+    for line, ids in zip(lines, expected):
+        assert tx.encode(line, vocab) == ids
+
+
+def hand_vocab(merges):
+    """The byte alphabet plus one token per merge, in merge order."""
+    base = minimal_vocab(())
+    return tx.Vocabulary(tokens=base.tokens + [a + b for a, b in merges],
+                         languages=[], merges=merges)
+
+
+@pytest.mark.parametrize("merges, word, pieces", [
+    # a == b: left to right, without overlap
+    ([("a", "a")], "aaa", ["aa", "a"]),
+    ([("a", "a")], "aaaa", ["aa", "aa"]),
+    ([("a", "a"), ("aa", "aa")], "aaaaa", ["aaaa", "a"]),
+    # a pair that only appears after an earlier merge
+    ([("a", "b"), ("c", "ab")], "cab", ["cab"]),
+    ([("b", "c"), ("a", "bc"), ("abc", "d")], "abcd", ["abcd"]),
+    # a pair that an earlier merge took apart
+    ([("a", "b"), ("b", "c")], "abc", ["ab", "c"]),
+    ([("b", "c"), ("a", "b")], "abc", ["a", "bc"]),
+    # a pair that only a later merge would make is not applied again
+    ([("ab", "c"), ("a", "b")], "abc", ["ab", "c"]),
+    # lists, as a caller building the table by hand may give them
+    ([["a", "b"], ["ab", "c"]], "abcab", ["abc", "ab"]),
+])
+def test_encode_applies_merges_in_order(merges, word, pieces):
+    vocab = hand_vocab(merges)
+    ids = tx.encode(word, vocab)
+    assert [vocab.tokens[i] for i in ids] == pieces
+    assert ids == reference_encode(word, vocab)
+    assert tx.encode_lines([word, word], vocab) == [ids, ids]
 
 
 def test_load_parallel_examples_matches_per_line_reference(tmp_path):
