@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fingerprint a training run: SHA-256 of its encoded examples, its
-per-step losses, its final parameters and its Adam moments; and of the
-benchmark's tokenize encodings.
+per-step losses, its final parameters and its Adam moments; of the
+benchmark's tokenize encodings; and of the trained model after a
+checkpoint round trip.
 
 Builds the benchmark's `train` workload (perfbench/workloads.py,
 `TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
@@ -18,6 +19,11 @@ The fifth digest, tokenize, covers the ids `encode` gives each of the
 learns on them: the merge count the benchmark times encoding at, where
 the toy vocabulary of the examples digest has 95. It does not depend on
 BLAS.
+
+The sixth digest, checkpoint, covers the trained parameters and moments
+as `save_checkpoint` then `load_checkpoint` give them back, in file order
+(parameters, then first and then second moments), so a change to
+checkpoint reading or writing gets the same bit-for-bit check.
 
     python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
@@ -88,6 +94,7 @@ def main():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
     from promptmt import text
+    from promptmt.model import load_checkpoint, save_checkpoint
     from promptmt.train import train_loop
     from workloads import Sizes, TokenizeWorkload, TrainWorkload
 
@@ -98,8 +105,11 @@ def main():
         tokenize.setup()
         vocab = text.train_bpe([tokenize.corpus], len(text.RESERVED_TOKENS)
                                + 256 + tokenize.sizes.tokenize_merges)
-    model, state = workload._fresh()
-    rows = train_loop(model, workload.examples, workload.visual, state)
+        model, state = workload._fresh()
+        rows = train_loop(model, workload.examples, workload.visual, state)
+        ckpt = Path(tmp) / "model.lvpm"
+        save_checkpoint(ckpt, model, state.to_checkpoint_dict())
+        loaded, stored = load_checkpoint(ckpt)
 
     losses = np.array([r.loss for r in rows], dtype=np.float64)
     print(f"blas threads  {blas_threads()}")
@@ -115,6 +125,9 @@ def main():
     print(f"moments       {digest(moments)}")
     print(f"tokenize      "
           f"{ids_digest(text.encode(line, vocab) for line in tokenize.lines)}")
+    reloaded = ([(n, p.data) for n, p in loaded.params.items()]
+                + [(f"{s}.{n}", a) for s in "mv" for n, a in stored[s].items()])
+    print(f"checkpoint    {digest(reloaded)}")
 
 
 if __name__ == "__main__":

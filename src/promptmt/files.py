@@ -23,7 +23,8 @@ A writer creates the file's missing parent directories, and a path it
 cannot write raises ``ConfigError``, ``"cannot write <what> <path>:
 <reason>"``. A string longer than its length field in a binary file
 raises ``FormatError`` naming the item and its byte length, before the
-file is written. Writes are not atomic: an interrupted one can leave a
+file is written; the VTOK and checkpoint writers put the path in front
+through ``about``. Writes are not atomic: an interrupted one can leave a
 partial file.
 """
 
@@ -51,12 +52,13 @@ def _read_bytes(path, what: str) -> bytes:
         raise ConfigError(f"{what} {path}: {exc.strerror}") from None
 
 
-def _utf8(data: bytes, path, what: str, start: int = 0) -> str:
-    """``data``, found at byte ``start`` of ``path``, as text."""
+def _utf8(data, path, what: str, start: int = 0) -> str:
+    """``data`` (bytes or a ``memoryview``), found at byte ``start`` of
+    ``path``, as text."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = bytes(data[:exc.start]).count(b"\n") + 1
         raise FormatError(f"{path}: {what} is not UTF-8 at line {line}",
                           offset=start + exc.start) from None
 
@@ -96,11 +98,14 @@ def about(path):
 class BinaryReader:
     """Reads a little-endian container front to back: ``magic``, a u32
     version that must equal ``version``, then whatever the caller takes.
-    ``what`` names each item in errors, which carry its byte offset."""
+    ``what`` names each item in errors, which carry its byte offset.
+
+    The file is read once; ``take`` hands out views of it, and only
+    ``floats`` copies, once per array."""
 
     def __init__(self, path, what: str, magic: bytes, version: int):
         self.path = Path(path)
-        self.data = _read_bytes(self.path, what)
+        self.data = memoryview(_read_bytes(self.path, what))
         self.offset = 0
         if self.take(len(magic), "magic") != magic:
             raise self.error(f"bad magic, not a {what}", 0)
@@ -111,7 +116,7 @@ class BinaryReader:
     def error(self, message: str, offset: int) -> FormatError:
         return FormatError(f"{self.path}: {message}", offset=offset)
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.offset + n > len(self.data):
             raise self.error(f"truncated while reading {what}", self.offset)
         chunk = self.data[self.offset:self.offset + n]
@@ -122,9 +127,12 @@ class BinaryReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def floats(self, shape: tuple, what: str) -> np.ndarray:
-        """A little-endian float32 array of ``shape``, copied out."""
+        """A little-endian float32 array of ``shape``, copied out into an
+        aligned, C-contiguous float32 array of its own: a view of the file
+        would sit at any byte offset and keep the whole file alive."""
         raw = self.take(4 * math.prod(shape), what)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        return np.frombuffer(raw, dtype="<f4").reshape(shape) \
+            .astype(np.float32)
 
     def text(self, length: str, what: str) -> str:
         """UTF-8 text after its length, a ``struct`` format such as

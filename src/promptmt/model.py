@@ -23,7 +23,6 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -136,88 +135,121 @@ def sinusoidal_positions(n: int, d: int, dtype=np.float32,
     return out.astype(dtype)
 
 
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _affine(name: str, d_in: int, d_out: int, scale=1.0, bias=_zeros):
+    """A weight drawn uniformly in +-scale/sqrt(d_in), and a bias that
+    ``bias`` draws (zeros by default)."""
+    bound = scale / np.sqrt(d_in)
+    yield (f"{name}.w", (d_in, d_out),
+           lambda rng, shape: rng.uniform(-bound, bound, shape))
+    yield f"{name}.b", (d_out,), bias
+
+
+def _norm(prefix: str, d: int):
+    """A layer norm's gain (ones) and bias (zeros)."""
+    yield f"{prefix}.gain", (d,), _ones
+    yield f"{prefix}.bias", (d,), _zeros
+
+
 class MultimodalTranslator:
     """Parameter store plus the forward passes of every variant."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=None):
-        self._build(config, seed, dtype, rng_for("init", seed))
+        self._build(config, seed, dtype)
+        rng = rng_for("init", seed)
+        for name, shape, draw in self._init_params():
+            self._param(name, draw(rng, shape))
 
     @classmethod
-    def _unfilled(cls, config: ModelConfig, dtype=None
-                  ) -> "MultimodalTranslator":
-        """A model with every parameter allocated at its shape but nothing
-        drawn, for callers that overwrite all of them."""
+    def from_arrays(cls, config: ModelConfig,
+                    arrays: Mapping[str, np.ndarray], dtype=None
+                    ) -> "MultimodalTranslator":
+        """A model whose parameters are ``arrays``, by name, nothing drawn.
+        An array of the model's dtype becomes the parameter as it is, so the
+        caller hands it over; another is cast. A missing or extra name, or a
+        wrong shape, raises ``ConfigError``."""
         model = cls.__new__(cls)
-        model._build(config, 0, dtype, _UNFILLED)
+        model._build(config, 0, dtype)
+        shapes = {name: shape for name, shape, _ in model._init_params()}
+        missing = shapes.keys() - arrays.keys()
+        extra = arrays.keys() - shapes.keys()
+        if missing or extra:
+            raise ConfigError(f"parameter names do not match checkpoint "
+                              f"(missing {sorted(missing)}, extra "
+                              f"{sorted(extra)})")
+        for name, arr in arrays.items():
+            if arr.shape != shapes[name]:
+                raise ConfigError(f"shape mismatch for {name}: checkpoint "
+                                  f"{arr.shape} vs model {shapes[name]}")
+        for name in shapes:
+            model._param(name, arrays[name])
         return model
 
-    def _build(self, config: ModelConfig, seed: int, dtype, init_rng):
+    def _build(self, config: ModelConfig, seed: int, dtype):
         self.config = config
         self.dtype = np.dtype(dtype or np.float32).type
         self.train_mode = False
         self._rng = rng_for("dropout", seed)
         self.params: dict[str, Tensor] = {}
         self._positions = np.zeros((0, config.d_model), self.dtype)
-        self._init_params(init_rng)
 
     # -- parameter construction ------------------------------------------
 
     def _param(self, name: str, data: np.ndarray):
-        self.params[name] = Tensor(np.asarray(data, dtype=self.dtype),
-                                   requires_grad=True, dtype=self.dtype)
+        self.params[name] = Tensor(data, requires_grad=True, dtype=self.dtype)
 
-    def _affine(self, rng, name: str, d_in: int, d_out: int, scale=1.0):
-        bound = scale / np.sqrt(d_in)
-        self._param(f"{name}.w", rng.uniform(-bound, bound, (d_in, d_out)))
-        self._param(f"{name}.b", np.zeros(d_out))
-
-    def _layer_params(self, rng, prefix: str, cross: bool = False):
+    def _layer_params(self, prefix: str, cross: bool = False):
         d, d_ffn = self.config.d_model, self.config.d_ffn
         for proj in ("q", "k", "v", "o"):
-            self._affine(rng, f"{prefix}.self.{proj}", d, d)
-        self._param(f"{prefix}.ln1.gain", np.ones(d))
-        self._param(f"{prefix}.ln1.bias", np.zeros(d))
+            yield from _affine(f"{prefix}.self.{proj}", d, d)
+        yield from _norm(f"{prefix}.ln1", d)
         if cross:
             for proj in ("q", "k", "v", "o"):
-                self._affine(rng, f"{prefix}.cross.{proj}", d, d)
-            self._param(f"{prefix}.ln2.gain", np.ones(d))
-            self._param(f"{prefix}.ln2.bias", np.zeros(d))
-        self._affine(rng, f"{prefix}.ffn.1", d, d_ffn)
-        self._affine(rng, f"{prefix}.ffn.2", d_ffn, d)
-        last = "ln3" if cross else "ln2"
-        self._param(f"{prefix}.{last}.gain", np.ones(d))
-        self._param(f"{prefix}.{last}.bias", np.zeros(d))
+                yield from _affine(f"{prefix}.cross.{proj}", d, d)
+            yield from _norm(f"{prefix}.ln2", d)
+        yield from _affine(f"{prefix}.ffn.1", d, d_ffn)
+        yield from _affine(f"{prefix}.ffn.2", d_ffn, d)
+        yield from _norm(f"{prefix}.{'ln3' if cross else 'ln2'}", d)
 
-    def _init_params(self, rng):
+    def _init_params(self):
+        """Every parameter of the configured variant as ``(name, shape,
+        draw)``, in checkpoint order: ``draw(rng, shape)`` gives a fresh
+        model's initial values, drawn from ``rng`` in this order."""
         cfg = self.config
         d, d_v = cfg.d_model, cfg.d_v
-        self._param("embedding",
-                    rng.standard_normal((cfg.vocab_size, d)) / np.sqrt(d))
+        yield ("embedding", (cfg.vocab_size, d),
+               lambda rng, shape: rng.standard_normal(shape) / np.sqrt(d))
         for i in range(cfg.n_enc_layers):
-            self._layer_params(rng, f"enc.{i}")
+            yield from self._layer_params(f"enc.{i}")
         for i in range(cfg.n_dec_layers):
-            self._layer_params(rng, f"dec.{i}", cross=True)
+            yield from self._layer_params(f"dec.{i}", cross=True)
 
         if cfg.variant == "full":
             theta_len = d_v * d + d
-            self._affine(rng, "ctrl.1", d, cfg.d_ctrl)
+            yield from _affine("ctrl.1", d, cfg.d_ctrl)
             # output layer starts near zero with an identity-leaning bias, so
             # initial prompts are a mild fixed projection of the visual
             # tokens and the language conditioning grows from small
-            self._affine(rng, "ctrl.2", cfg.d_ctrl, theta_len, scale=0.01)
-            bias = np.concatenate([np.eye(d_v, d).reshape(-1), np.zeros(d)])
-            self.params["ctrl.2.b"] = Tensor(bias.astype(self.dtype),
-                                             requires_grad=True,
-                                             dtype=self.dtype)
+            yield from _affine(
+                "ctrl.2", cfg.d_ctrl, theta_len, scale=0.01,
+                bias=lambda rng, shape: np.concatenate(
+                    [np.eye(d_v, d).reshape(-1), np.zeros(d)]))
         elif cfg.variant == "static":
-            self._affine(rng, "static", d_v, d)
+            yield from _affine("static", d_v, d)
         elif cfg.variant == "no_lvpg":
-            self._affine(rng, "visproj", d_v, d)
+            yield from _affine("visproj", d_v, d)
         if cfg.variant in ("full", "static", "no_lvpg"):
-            self._layer_params(rng, "fuse_text")
-            self._layer_params(rng, "fuse_vis")
+            yield from self._layer_params("fuse_text")
+            yield from self._layer_params("fuse_vis")
             for j in range(cfg.n_coattn_layers):
-                self._layer_params(rng, f"coattn.{j}")
+                yield from self._layer_params(f"coattn.{j}")
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -228,11 +260,9 @@ class MultimodalTranslator:
 
     def astype(self, dtype) -> "MultimodalTranslator":
         """A copy with parameters cast to ``dtype`` (for gradient checks)."""
-        clone = MultimodalTranslator._unfilled(self.config, dtype=dtype)
-        for name, p in self.params.items():
-            clone.params[name] = Tensor(p.data.astype(dtype),
-                                        requires_grad=True, dtype=dtype)
-        return clone
+        return MultimodalTranslator.from_arrays(
+            self.config, {name: p.data.astype(dtype)
+                          for name, p in self.params.items()}, dtype)
 
     def set_dropout_rng(self, rng: np.random.Generator):
         self._rng = rng
@@ -582,12 +612,6 @@ class DecoderState:
                             for t in kv) for kv in self.cache]
 
 
-# stands in for the init generator when every parameter is overwritten
-# next: zeros of the requested shapes, nothing drawn
-_UNFILLED = SimpleNamespace(uniform=lambda low, high, size: np.zeros(size),
-                            standard_normal=np.zeros)
-
-
 def _stack_visual(visual) -> np.ndarray:
     """The token matrix of one ``VisualTokens``, or the [B, M_v, d_v] stack
     of a sequence of them, which must share one shape."""
@@ -654,20 +678,21 @@ def save_checkpoint(path: str | Path, model: MultimodalTranslator,
     """
     names = list(model.params)
     out = BinaryWriter(CKPT_MAGIC, CKPT_VERSION)
-    out.json("<I", model.config.to_dict(), "config")
-    out.pack("<I", len(names))
-    for i, name in enumerate(names):
-        data = model.params[name].data
-        out.text("<H", name, f"name {i}")
-        out.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
-        out.floats(data)
-    out.pack("<B", train_state is not None)   # the optimizer flag
-    if train_state is not None:
-        out.pack("<QQ", train_state["step"], train_state["seed"])
-        out.json("<I", train_state["config"], "trainer config")
-        for section in ("m", "v"):
-            for name in names:
-                out.floats(train_state[section][name])
+    with about(path):   # a name or JSON longer than its length field
+        out.json("<I", model.config.to_dict(), "config")
+        out.pack("<I", len(names))
+        for i, name in enumerate(names):
+            data = model.params[name].data
+            out.text("<H", name, f"name {i}")
+            out.pack(f"<B{data.ndim}I", data.ndim, *data.shape)
+            out.floats(data)
+        out.pack("<B", train_state is not None)   # the optimizer flag
+        if train_state is not None:
+            out.pack("<QQ", train_state["step"], train_state["seed"])
+            out.json("<I", train_state["config"], "trainer config")
+            for section in ("m", "v"):
+                for name in names:
+                    out.floats(train_state[section][name])
     out.write(path, "checkpoint")
 
 
@@ -677,15 +702,15 @@ def load_checkpoint(path: str | Path
     reader = BinaryReader(path, "checkpoint", CKPT_MAGIC, CKPT_VERSION)
     cfg = reader.json("<I", "config")
     (n_params,) = reader.unpack("<I", "parameter count")
-    blobs: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}
     for i in range(n_params):
         name = reader.text("<H", f"name {i}")
         (ndim,) = reader.unpack("<B", f"ndim of {name}")
         shape = reader.unpack(f"<{ndim}I", f"shape of {name}")
-        blobs[name] = reader.floats(shape, f"data of {name}")
+        arrays[name] = reader.floats(shape, f"data of {name}")
     with about(reader.path):
-        model = MultimodalTranslator._unfilled(ModelConfig.from_dict(cfg))
-        load_parameters(model, blobs)
+        model = MultimodalTranslator.from_arrays(ModelConfig.from_dict(cfg),
+                                                 arrays)
 
     (has_state,) = reader.unpack("<B", "optimizer flag")
     state = None
@@ -700,17 +725,3 @@ def load_checkpoint(path: str | Path
     reader.end()
     return model, state
 
-
-def load_parameters(model: MultimodalTranslator,
-                    blobs: Mapping[str, np.ndarray]):
-    """Copy named arrays into the model, rejecting any name/shape mismatch."""
-    missing = set(model.params) - set(blobs)
-    extra = set(blobs) - set(model.params)
-    if missing or extra:
-        raise ConfigError(f"parameter names do not match checkpoint "
-                          f"(missing {sorted(missing)}, extra {sorted(extra)})")
-    for name, arr in blobs.items():
-        if tuple(arr.shape) != model.params[name].shape:
-            raise ConfigError(f"shape mismatch for {name}: checkpoint "
-                              f"{arr.shape} vs model {model.params[name].shape}")
-        model.params[name].data = arr.astype(model.dtype)

@@ -66,9 +66,10 @@ def write_vtok(records: Iterable[VisualTokens] | Mapping[str, VisualTokens],
 
     out = BinaryWriter(MAGIC, VERSION)
     out.pack("<III", len(records), m_v, d_v)
-    for i, rec in enumerate(records):
-        out.text("<H", rec.image_id, f"id of record {i}")
-        out.floats(rec.tokens)
+    with about(path):   # an id longer than its length field
+        for i, rec in enumerate(records):
+            out.text("<H", rec.image_id, f"id of record {i}")
+            out.floats(rec.tokens)
     out.write(path, "VTOK file")
 
 

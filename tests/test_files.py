@@ -278,6 +278,16 @@ def _small_model():
         d_v=4), seed=0)
 
 
+def test_checkpoint_writer_names_its_path_for_a_too_long_name(tmp_path):
+    model = _small_model()
+    model.params = {"x" * 70000: model.params["embedding"]}
+    path = tmp_path / "model.lvpm"
+    with pytest.raises(FormatError) as exc:
+        save_checkpoint(path, model)
+    assert str(exc.value).startswith(f"{path}: name 0 is 70000 UTF-8 bytes")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("write, what", [
     (lambda path: save_checkpoint(path, _small_model()), "checkpoint"),
     (lambda path: write_vtok([pseudo_visual_tokens("a", 1, 2, seed=0)], path),

@@ -2,9 +2,13 @@
 co-attention against a hand computation, decoder causality, loss closed
 forms, the batched loss against a per-example reference, the fused
 attention ops against the composed graph they replace, full-model finite
-differences, and checkpoint round-trips."""
+differences, checkpoint round-trips, and the checkpoint loader against a
+plain reference reader, with its memory peak."""
 
 import contextlib
+import math
+import struct
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -18,8 +22,7 @@ from promptmt.errors import ConfigError, ShapeError, VariantError
 from promptmt.evaluate import visual_tokens_for
 from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
                             check_model_gradients, load_checkpoint,
-                            load_parameters, save_checkpoint,
-                            sinusoidal_positions)
+                            save_checkpoint, sinusoidal_positions)
 from promptmt.seeding import rng_for
 from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
                            Vocabulary, encode, load_manifest,
@@ -1033,14 +1036,116 @@ def test_checkpoint_with_optimizer_state_roundtrip(tmp_path):
         assert np.array_equal(loaded_state["v"][k], state["v"][k])
 
 
-def test_load_parameters_rejects_mismatches():
+@pytest.mark.parametrize("edit, message", [
+    (lambda params: params.pop("embedding"),
+     "parameter names do not match checkpoint (missing ['embedding'], "
+     "extra [])"),
+    (lambda params: params.update(extra=ad.Tensor(np.zeros(2, np.float32))),
+     "parameter names do not match checkpoint (missing [], extra "
+     "['extra'])"),
+    (lambda params: params.update(
+        embedding=ad.Tensor(np.zeros((3, 3), np.float32))),
+     "shape mismatch for embedding: checkpoint (3, 3) vs model (24, 16)"),
+], ids=["missing", "extra", "shape"])
+def test_load_checkpoint_rejects_mismatches(tmp_path, edit, message):
     m = tiny_model()
-    blobs = {k: p.data.copy() for k, p in m.params.items()}
-    bad = dict(blobs)
-    bad.pop("embedding")
-    with pytest.raises(ConfigError, match="embedding"):
-        load_parameters(m, bad)
-    bad = dict(blobs)
-    bad["embedding"] = np.zeros((3, 3), dtype=np.float32)
-    with pytest.raises(ConfigError, match="shape"):
-        load_parameters(m, bad)
+    edit(m.params)
+    path = tmp_path / "model.lvpm"
+    save_checkpoint(path, m)
+    with pytest.raises(ConfigError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def reference_load(path):
+    """The parameters and, if stored, the Adam moments of an LVPM file as
+    ``(name, array)`` pairs in file order (moments named ``m.<name>`` and
+    ``v.<name>``), read with ``struct`` and ``np.frombuffer`` alone."""
+    blob = Path(path).read_bytes()
+    at = 8                                        # magic, version
+
+    def unpack(fmt):
+        nonlocal at
+        values = struct.unpack_from(fmt, blob, at)
+        at += struct.calcsize(fmt)
+        return values
+
+    def floats(shape):
+        nonlocal at
+        n = math.prod(shape)
+        array = np.frombuffer(blob, "<f4", n, at).reshape(shape)
+        at += 4 * n
+        return array
+
+    (n,) = unpack("<I")
+    at += n                                       # config JSON
+    params = []
+    for _ in range(unpack("<I")[0]):
+        (n,) = unpack("<H")
+        name = blob[at:at + n].decode("utf-8")
+        at += n
+        (ndim,) = unpack("<B")
+        params.append((name, floats(unpack(f"<{ndim}I"))))
+    moments = []
+    if unpack("<B")[0]:
+        unpack("<QQ")                             # step, seed
+        (n,) = unpack("<I")
+        at += n                                   # trainer config JSON
+        moments = [(f"{section}.{name}", floats(p.shape))
+                   for section in "mv" for name, p in params]
+    assert at == len(blob)
+    return params, moments
+
+
+def checkpoint_with_moments(path):
+    """The frozen model saved with seeded random Adam moments."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    rng = np.random.default_rng(0)
+    state = {"step": 7, "seed": 3, "config": {"lr_peak": 1e-4},
+             **{section: {name: rng.random(p.shape, np.float32)
+                          for name, p in model.params.items()}
+                for section in "mv"}}
+    save_checkpoint(path, model, state)
+    return path
+
+
+@pytest.fixture(params=["frozen", "with_moments"])
+def stored_checkpoint(request, tmp_path):
+    if request.param == "frozen":
+        return FROZEN / "model.lvpm"
+    return checkpoint_with_moments(tmp_path / "model.lvpm")
+
+
+def test_load_checkpoint_matches_reference_reader(stored_checkpoint):
+    want_params, want_moments = reference_load(stored_checkpoint)
+    model, state = load_checkpoint(stored_checkpoint)
+    got_params = [(name, p.data) for name, p in model.params.items()]
+    got_moments = [] if state is None else [
+        (f"{section}.{name}", state[section][name])
+        for section in "mv" for name in state[section]]
+    assert len(want_moments) == (0 if state is None else 2 * len(want_params))
+    got, want = got_params + got_moments, want_params + want_moments
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, a), (_, b) in zip(got, want):
+        assert a.dtype == np.float32 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+        flags = a.flags
+        assert (flags.c_contiguous and flags.aligned and flags.writeable
+                and flags.owndata), name
+    # no two arrays share memory: by address, each ends before the next
+    spans = sorted((a.ctypes.data, a.ctypes.data + a.nbytes) for _, a in got)
+    assert all(end <= start for (_, end), (start, _) in zip(spans,
+                                                             spans[1:]))
+
+
+def test_load_checkpoint_peak_memory(stored_checkpoint):
+    # the file's bytes plus one copy of every array, and a little more
+    load_checkpoint(stored_checkpoint)            # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        load_checkpoint(stored_checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / stored_checkpoint.stat().st_size
+    assert ratio <= 2.2, f"load peak {ratio:.2f}x the file size"
