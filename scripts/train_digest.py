@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fingerprint a training run: SHA-256 of its encoded examples, its
 per-step losses, its final parameters and its Adam moments; of the
-benchmark's tokenize encodings; and of the trained model after a
-checkpoint round trip.
+benchmark's tokenize encodings; of the trained model after a checkpoint
+round trip; and of the benchmark's translate hypotheses.
 
 Builds the benchmark's `train` workload (perfbench/workloads.py,
 `TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
@@ -25,6 +25,13 @@ as `save_checkpoint` then `load_checkpoint` give them back, in file order
 (parameters, then first and then second moments), so a change to
 checkpoint reading or writing gets the same bit-for-bit check.
 
+The seventh digest, translate, covers the beam-5 hypothesis of each of
+the 96 requests of the benchmark's `translate` workload
+(`TranslateWorkload`) at seed 921 against its frozen checkpoint: the
+tokens, the float64 bytes of the logprob and the forced flag, in request
+order. So a change to decoding or to the no-grad forward pass gets the
+same bit-for-bit check as training.
+
     python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=2 python3 scripts/train_digest.py
@@ -39,6 +46,7 @@ import ctypes
 import hashlib
 import json
 import re
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -90,13 +98,22 @@ def ids_digest(lines_ids) -> str:
     return h.hexdigest()
 
 
+def hypotheses_digest(hyps) -> str:
+    h = hashlib.sha256()
+    for hyp in hyps:
+        h.update(json.dumps(hyp.tokens).encode("utf-8"))
+        h.update(struct.pack("<d?", hyp.logprob, hyp.forced))
+    return h.hexdigest()
+
+
 def main():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
     from promptmt import text
     from promptmt.model import load_checkpoint, save_checkpoint
     from promptmt.train import train_loop
-    from workloads import Sizes, TokenizeWorkload, TrainWorkload
+    from workloads import (Sizes, TokenizeWorkload, TrainWorkload,
+                           TranslateWorkload)
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = TrainWorkload(SEED, Path(tmp), Sizes(train_epochs=EPOCHS))
@@ -110,6 +127,9 @@ def main():
         ckpt = Path(tmp) / "model.lvpm"
         save_checkpoint(ckpt, model, state.to_checkpoint_dict())
         loaded, stored = load_checkpoint(ckpt)
+        translate = TranslateWorkload(SEED, Path(tmp), Sizes())
+        translate.setup()
+        hyps = [translate.request(req)[1] for req in translate.requests]
 
     losses = np.array([r.loss for r in rows], dtype=np.float64)
     print(f"blas threads  {blas_threads()}")
@@ -128,6 +148,7 @@ def main():
     reloaded = ([(n, p.data) for n, p in loaded.params.items()]
                 + [(f"{s}.{n}", a) for s in "mv" for n, a in stored[s].items()])
     print(f"checkpoint    {digest(reloaded)}")
+    print(f"translate     {hypotheses_digest(hyps)}")
 
 
 if __name__ == "__main__":

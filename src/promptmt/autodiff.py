@@ -32,9 +32,15 @@ No-grad cost rule: an op that records no graph (under ``no_grad``, or
 with no input requiring grad) costs its numpy calls plus one
 ``make_node``, which wraps the result array as it is and attaches no
 parents and no backward rule. Around the numpy calls an op keeps only
-its checks, and those stay cheap: an aligned-shape check that passes is
-one tuple comparison. Every op still goes through ``make_node``, so
-counting its calls counts the nodes of a pass, recorded or not.
+its checks, and a check that passes the shapes the model uses costs
+about one comparison: equal shapes in an aligned-shape check, agreeing
+inner dimensions against a 2-D right operand in a matmul check, a bias
+as wide as the weight in ``linear`` and ``heads``, and keys and values
+of one shape over the queries' leading dimensions in ``attention``. Any
+other shapes go through the full check, which names a mismatch in the
+same words whichever way it was reached. Every op still goes through
+``make_node``, so counting its calls counts the nodes of a pass,
+recorded or not.
 
 Core arithmetic is float32: a ``Tensor`` is float32 unless built with
 an explicit ``dtype``. float64 exists for finite-difference gradient
@@ -191,7 +197,10 @@ def make_node(data: np.ndarray, parents: Sequence[Tensor],
 
 def _check_aligned(sa, sb, opname):
     # Right-aligned dims must match exactly; only missing leading dims broadcast.
-    # One tuple comparison passes a match; the loop only names a mismatch.
+    # Equal shapes pass on one tuple comparison, others on a comparison of
+    # their right-aligned parts; the loop only names a mismatch.
+    if sa == sb:
+        return
     n = min(len(sa), len(sb))
     if sa[len(sa) - n:] == sb[len(sb) - n:]:
         return
@@ -325,6 +334,10 @@ def relu(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _check_matmul(sa, sb):
+    # a 2-D right operand has no batch dims to align, so agreeing inner
+    # dims pass it at once
+    if len(sb) == 2 and len(sa) >= 2 and sa[-1] == sb[0]:
+        return
     if len(sa) < 2 or len(sb) < 2:
         raise ShapeError(f"matmul: operands must be >=2-D, got {tuple(sa)} @ "
                          f"{tuple(sb)}")
@@ -369,9 +382,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def _affine(x: Tensor, w: Tensor, b: Tensor):
     """Forward of ``add(matmul(x, w), b)``: the product's shape (all its
     backward reads) and the sum."""
-    _check_matmul(x.shape, w.shape)
+    ws, bs = w.data.shape, b.data.shape
+    _check_matmul(x.data.shape, ws)
     product = np.matmul(x.data, w.data)
-    _check_aligned(product.shape, b.shape, "add")
+    if bs != ws[-1:]:   # else a bias as wide as the product
+        _check_aligned(product.shape, bs, "add")
     return product.shape, product + b.data
 
 
@@ -404,10 +419,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return make_node(out_data, (x, w, b), backward)
 
 
-def _swap_head_axes(n_lead: int) -> tuple[int, ...]:
-    """The permutation exchanging the head and position axes after
-    ``n_lead`` leading axes (its own inverse)."""
-    return tuple(range(n_lead)) + (n_lead + 1, n_lead, n_lead + 2)
+# _SWAP_HEAD_AXES[n_lead]: the permutation exchanging the head and position
+# axes after n_lead leading axes (its own inverse), for every rank numpy has
+_SWAP_HEAD_AXES = tuple(tuple(range(n)) + (n + 1, n, n + 2)
+                        for n in range(64 - 2))
 
 
 def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
@@ -421,7 +436,7 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     if d % n_heads != 0:
         raise ShapeError(f"heads: width {d} is not divisible by {n_heads} "
                          "heads")
-    swap = _swap_head_axes(y.ndim - 2)
+    swap = _SWAP_HEAD_AXES[y.ndim - 2]
     out_data = y.reshape(y_shape[:-1]
                          + (n_heads, d // n_heads)).transpose(swap)
 
@@ -430,6 +445,19 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
                          product_shape)
 
     return make_node(out_data, (x, w, b), backward)
+
+
+def _check_attention(qs, ks, vs):
+    """The matmul checks of ``q @ k^T`` and ``p @ v`` in ``attention``,
+    from the shapes of q, k and v. Keys and values of one shape whose
+    leading dims are a right-aligned suffix of the queries' pass at once."""
+    if (len(qs) >= len(ks) >= 2 and ks == vs and qs[-1] == ks[-1]
+            and qs[-len(ks):-2] == ks[:-2]):
+        return
+    kt = ks[:-2] + ks[-2:][::-1]
+    _check_matmul(qs, kt)
+    # the aligned leading dims broadcast to the longer of the two
+    _check_matmul(max(qs[:-2], kt[:-2], key=len) + (qs[-2], kt[-1]), vs)
 
 
 def attention(qh: Tensor, kh: Tensor, vh: Tensor,
@@ -445,8 +473,7 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     constants broadcasting over missing leading dimensions only.
     """
     qh, kh, vh = _as_tensor(qh), _as_tensor(kh), _as_tensor(vh)
-    kt_shape = kh.shape[:-2] + kh.shape[-2:][::-1]
-    _check_matmul(qh.shape, kt_shape)
+    _check_attention(qh.shape, kh.shape, vh.shape)
     kt = kh.data.swapaxes(-1, -2)
     product = np.matmul(qh.data, kt)
     product_shape = product.shape
@@ -460,9 +487,8 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     if keep is not None:
         _check_aligned(probs.shape, keep.shape, "mul")
         kept = probs * keep
-    _check_matmul(kept.shape, vh.shape)
     ctx = np.matmul(kept, vh.data)
-    swap = _swap_head_axes(ctx.ndim - 3)
+    swap = _SWAP_HEAD_AXES[ctx.ndim - 3]
     merged = ctx.transpose(swap)
     merged_shape = merged.shape
     out_data = merged.reshape(merged_shape[:-2] + (-1,))
@@ -482,7 +508,7 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
             qh.accumulate_grad(_grad_left(g_scores, kt, qh.shape))
         if kh.requires_grad:
             kh.accumulate_grad(np.swapaxes(
-                _grad_right(qh.data, g_scores, kt_shape), -1, -2))
+                _grad_right(qh.data, g_scores, kt.shape), -1, -2))
 
     return make_node(out_data, (qh, kh, vh), backward)
 
@@ -516,6 +542,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return make_node(out_data, (x,), backward)
 
 
+def _mean_last(a: np.ndarray, n) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` for a last axis of length ``n`` (a
+    scalar of a's dtype), bit for bit: np.mean divides the same sum in
+    float64 and rounds, and a correctly rounded float32 quotient is the
+    same number. np.add.reduce is the reduction ``a.sum`` wraps, at half
+    the per-call overhead."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / n
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last dimension (population variance), then affine."""
     d = x.shape[-1]
@@ -523,16 +558,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: gain/bias shape must be ({d},), got "
                          f"{gain.shape} / {bias.shape}")
     n = x.data.dtype.type(d)
-
-    def mean(a):
-        # == a.mean(axis=-1, keepdims=True) bit for bit (np.mean divides the
-        # same sum in float64 and rounds; a correctly rounded float32
-        # quotient is the same number), at half the per-call overhead;
-        # np.add.reduce is the reduction a.sum wraps
-        return np.add.reduce(a, axis=-1, keepdims=True) / n
-
-    xc = x.data - mean(x.data)
-    var = mean(xc * xc)
+    xc = x.data - _mean_last(x.data, n)
+    var = _mean_last(xc * xc, n)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
@@ -544,8 +571,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if x.requires_grad:
             gx = g * gain.data
-            m1 = mean(gx)
-            m2 = mean(gx * xhat)
+            m1 = _mean_last(gx, n)
+            m2 = _mean_last(gx * xhat, n)
             x.accumulate_grad(inv * (gx - m1 - xhat * m2))
 
     return make_node(out_data, (x, gain, bias), backward)
@@ -555,7 +582,8 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table``; backward scatter-adds into the gathered rows."""
     ids = np.asarray(ids, dtype=np.int64)
     v = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= v):
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0
+                     or np.maximum.reduce(ids, axis=None) >= v):
         bad = int(ids[(ids < 0) | (ids >= v)][0])
         raise VocabularyError(f"embedding_lookup: id {bad} outside table of size {v}")
     out_data = table.data[ids]

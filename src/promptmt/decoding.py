@@ -110,6 +110,7 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
     state = model.decoder_state(memory)
     alive: list[list[int]] = [[BOS_ID]]    # live prefixes, all one length
     alive_lp = np.zeros(1)                 # their cumulative logprobs
+    newest = np.array([[BOS_ID]], dtype=np.int64)   # their last tokens
     best: Optional[Hypothesis] = None      # first under (-score, tokens)
     every_token = np.arange(vocab_size)
     only_eos = np.array([EOS_ID])
@@ -117,14 +118,13 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
         if not alive or (best is not None and best.score > alive_lp.max()
                          / max(step ** alpha, max_len ** alpha)):
             break
-        newest = [[toks[-1]] for toks in alive]
         logits = model.decode(memory, newest, src_mask, state).data[:, -1]
         logp = log_softmax(logits)
         at_cap = step == max_len
         tokens = only_eos if at_cap else every_token
         if at_cap:
             logp = logp[:, tokens]
-        scores = (alive_lp[:, None] + logp.astype(np.float64)).ravel()
+        scores = np.add(alive_lp[:, None], logp, dtype=np.float64).ravel()
         parents, next_alive, next_lp = [], [], []
         for i in _best(scores, beam, alive, tokens):
             row, col = divmod(i, len(tokens))
@@ -142,6 +142,7 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
                 next_lp.append(lp)
         state.reorder(parents)
         alive, alive_lp = next_alive, np.array(next_lp)
+        newest = np.array([t[-1] for t in alive], dtype=np.int64)[:, None]
     return best
 
 

@@ -20,6 +20,7 @@ Variants (ablation switches):
 
 from __future__ import annotations
 
+import functools
 import typing
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
@@ -102,17 +103,28 @@ def config_from_dict(cls, d: Mapping, prefix: str = ""):
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} key(s): "
                           + ", ".join(repr(prefix + k) for k in unknown))
-    hints = typing.get_type_hints(cls)
+    field_kinds = _field_kinds(cls)
     for key, value in d.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if float in kinds:
-            kinds += (int,)
+        kinds = field_kinds[key]
         if isinstance(value, bool) and bool not in kinds \
                 or not isinstance(value, kinds):
             expected = " or ".join(k.__name__ for k in kinds)
             raise ConfigError(f"{cls.__name__} key {prefix + key!r} must be "
                               f"{expected}, got {value!r}")
     return cls(**d)
+
+
+@functools.cache
+def _field_kinds(cls) -> dict[str, tuple[type, ...]]:
+    """The types each annotated name of ``cls`` accepts, an ``int`` for a
+    ``float`` included. Worked out once per class: ``get_type_hints``
+    compiles the string annotations again on every call."""
+    kinds = {}
+    for key, hint in typing.get_type_hints(cls).items():
+        kinds[key] = typing.get_args(hint) or (hint,)
+        if float in kinds[key]:
+            kinds[key] += (int,)
+    return kinds
 
 
 def check_fields(config, names, ok, rule: str):
@@ -273,7 +285,9 @@ class MultimodalTranslator:
         return Tensor(np.asarray(data, dtype=self.dtype), dtype=self.dtype)
 
     def _dropout(self, x: Tensor) -> Tensor:
-        return ad.dropout(x, self.config.dropout, self._rng, self.train_mode)
+        if not self.train_mode:
+            return x
+        return ad.dropout(x, self.config.dropout, self._rng, True)
 
     def _lin(self, prefix: str, x: Tensor) -> Tensor:
         return ad.linear(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
@@ -582,12 +596,15 @@ class DecoderState:
     """Incremental decoding over one memory (``MultimodalTranslator.decode``).
 
     ``length`` positions have been decoded. ``cache[i]`` holds decoder layer
-    i's self-attention keys and values of them, [B, heads, length,
-    head_dim] for B rows, and ``cross[i]`` its keys and values of the
-    memory, [heads, m, head_dim], shared by every row.
+    i's self-attention keys and values of them as plain arrays, [B, heads,
+    length, head_dim] for B rows. ``cross[i]`` holds its keys and values of
+    the memory: [heads, m, head_dim] for a [m, d_model] memory shared by
+    every row, [B, heads, m, head_dim] for a [B, m, d_model] memory with
+    one source per row, whose rows ``reorder`` moves with the cache's (the
+    caller moves a per-row source key mask itself).
     """
     cross: list[tuple[Tensor, Tensor]]
-    cache: list[Optional[tuple[Tensor, Tensor]]] = field(init=False)
+    cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = field(init=False)
     length: int = 0
 
     def __post_init__(self):
@@ -595,21 +612,27 @@ class DecoderState:
 
     def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Add new positions' keys and values to a layer's cache; returns
-        the whole cache of that layer."""
-        if self.cache[layer] is not None:
-            old_k, old_v = self.cache[layer]
-            k = ad.concat([old_k, k], axis=-2)
-            v = ad.concat([old_v, v], axis=-2)
-        self.cache[layer] = (k, v)
-        return k, v
+        the whole cache of that layer: ``k`` and ``v`` themselves when the
+        cache was empty, else one node (no parents) wrapping each array."""
+        cached = self.cache[layer]
+        if cached is None:
+            self.cache[layer] = (k.data, v.data)
+            return k, v
+        ks = np.concatenate((cached[0], k.data), axis=-2)
+        vs = np.concatenate((cached[1], v.data), axis=-2)
+        self.cache[layer] = (ks, vs)
+        return ad.make_node(ks, (), None), ad.make_node(vs, (), None)
 
     def reorder(self, rows) -> None:
         """Keep the cached rows ``rows``, in that order (repeats allowed):
-        beam search passes the parent row of every surviving hypothesis."""
+        beam search passes the parent row of every surviving hypothesis.
+        Per-row cross keys and values are gathered alike."""
         rows = np.asarray(rows, dtype=np.int64)
-        self.cache = [None if kv is None else
+        self.cache = [None if kv is None else (kv[0][rows], kv[1][rows])
+                      for kv in self.cache]
+        self.cross = [kv if kv[0].ndim < 4 else
                       tuple(Tensor(t.data[rows], dtype=t.data.dtype)
-                            for t in kv) for kv in self.cache]
+                            for t in kv) for kv in self.cross]
 
 
 def _stack_visual(visual) -> np.ndarray:
@@ -628,8 +651,10 @@ def _stack_visual(visual) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis, in the dtype of ``logits``."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the ufunc reductions ``.max`` and ``.sum`` wrap, without the wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1,
+                                          keepdims=True))
 
 
 def check_model_gradients(model: MultimodalTranslator, batch,

@@ -318,6 +318,106 @@ def test_check_aligned_matches_reference_loop(pair):
             == check_outcome(reference_check_aligned, sa, sb))
 
 
+def reference_check_matmul(sa, sb):
+    """The matmul check with no fast path: rank, inner dims, batch dims."""
+    if len(sa) < 2 or len(sb) < 2:
+        raise ShapeError(f"matmul: operands must be >=2-D, got {tuple(sa)} @ "
+                         f"{tuple(sb)}")
+    if sa[-1] != sb[-2]:
+        raise ShapeError(f"matmul: inner dimensions disagree, {tuple(sa)} @ "
+                         f"{tuple(sb)}")
+    reference_check_aligned(sa[:-2], sb[:-2], "matmul (batch dims)")
+
+
+def reference_check_attention(qs, ks, vs):
+    """The checks of q @ k^T, then of the probabilities' p @ v."""
+    kt = ks[:-2] + ks[-2:][::-1]
+    reference_check_matmul(qs, kt)
+    ps = np.broadcast_shapes(qs[:-2], kt[:-2]) + (qs[-2], kt[-1])
+    reference_check_matmul(ps, vs)
+
+
+def shape_error(check, *shapes):
+    try:
+        check(*shapes)
+    except ShapeError as e:
+        return str(e)
+    return None
+
+
+def _spoil(draw, shape, drop=True):
+    """``shape`` as it is, or with one dim changed, or one dim dropped."""
+    how = draw(st.sampled_from(("keep", "keep", "change", "drop")
+                               if drop else ("keep", "change")))
+    if how == "keep" or not shape:
+        return shape
+    i = draw(st.integers(0, len(shape) - 1))
+    if how == "change":
+        return shape[:i] + (shape[i] % 4 + 1,) + shape[i + 1:]
+    return shape[:i] + shape[i + 1:]
+
+
+@st.composite
+def _matmul_pairs(draw):
+    """``a @ b`` shapes: lead + (n, k) against a right-aligned suffix of
+    lead (none: a 2-D b) + (k, m), either possibly spoilt."""
+    lead = tuple(draw(st.lists(_dims, max_size=2)))
+    n, k, m = draw(_dims), draw(_dims), draw(_dims)
+    sb = lead[draw(st.integers(0, len(lead))):] + (k, m)
+    return _spoil(draw, lead + (n, k)), _spoil(draw, sb)
+
+
+@st.composite
+def _attention_triples(draw):
+    """q, k, v shapes: lead + (heads, n, head_dim) queries; keys and values
+    each on a right-aligned suffix of lead (none: shared by every row) +
+    (heads, m, head_dim); any of the three possibly spoilt."""
+    lead = tuple(draw(st.lists(_dims, max_size=2)))
+    h, n, m, hd = (draw(_dims) for _ in range(4))
+
+    def kv():
+        return _spoil(draw, lead[draw(st.integers(0, len(lead))):]
+                      + (h, m, hd))
+
+    return _spoil(draw, lead + (h, n, hd), drop=False), kv(), kv()
+
+
+@settings(max_examples=400)
+@given(st.one_of(_matmul_pairs(), st.tuples(_shapes, _shapes)))
+@example(((3, 2), (2, 4)))
+@example(((5, 3, 2), (2, 4)))
+@example(((5, 3, 2), (5, 2, 4)))
+@example(((4, 5, 3, 2), (5, 2, 4)))
+@example(((5, 3, 2), (3, 2, 4)))
+@example(((5, 3, 2), (3, 4)))
+@example(((2,), (2, 4)))
+@example(((3, 2), (2,)))
+def test_check_matmul_matches_reference(pair):
+    assert (shape_error(ad._check_matmul, *pair)
+            == shape_error(reference_check_matmul, *pair))
+
+
+def _attend_zeros(qs, ks, vs):
+    ad.attention(*(ad.tensor(np.zeros(s)) for s in (qs, ks, vs)))
+
+
+@settings(max_examples=400)
+@given(_attention_triples())
+@example(((2, 2, 3, 4), (2, 2, 5, 4), (2, 2, 5, 4)))
+@example(((2, 2, 3, 4), (2, 5, 4), (2, 5, 4)))
+@example(((2, 2, 3, 4), (2, 5, 4), (2, 2, 5, 4)))
+@example(((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+@example(((2, 2, 3, 4), (3, 2, 5, 4), (3, 2, 5, 4)))
+@example(((2, 2, 3, 4), (2, 5, 4), (3, 5, 4)))
+@example(((2, 3, 4), (2, 5, 3), (2, 5, 3)))
+@example(((2, 3, 4), (2, 5, 4), (2, 6, 4)))
+@example(((2, 3, 4), (5, 4), (4,)))
+@example(((4,), (5, 4), (5, 4)))
+def test_attention_shape_checks_match_reference(triple):
+    assert (shape_error(_attend_zeros, *triple)
+            == shape_error(reference_check_attention, *triple))
+
+
 @pytest.mark.parametrize("axis", [1, -2])
 def test_concat_backward_splits_at_offsets(axis):
     # three inputs of widths 2, 1, 3 along the middle axis, the middle one

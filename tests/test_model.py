@@ -10,12 +10,14 @@ import math
 import struct
 import tracemalloc
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
+import promptmt.model as model_mod
 from promptmt.checks import full_model_batch
 from promptmt.decoding import beam_search
 from promptmt.errors import ConfigError, ShapeError, VariantError
@@ -28,6 +30,7 @@ from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
                            Vocabulary, encode, load_manifest,
                            manifest_image_ids, manifest_lines, mask_source,
                            prefix_target_token)
+from promptmt.train import TrainConfig
 from promptmt.vision import VisualTokens, pseudo_visual_tokens
 
 TAG_DE, TAG_FR = 5, 6  # ids of the two tag tokens in the tiny test vocab
@@ -113,6 +116,45 @@ def test_config_from_dict_names_field_of_wrong_type(key, value):
 def test_config_from_dict_accepts_int_for_float():
     assert ModelConfig.from_dict({"vocab_size": 10, "d_v": 4,
                                   "dropout": 0}).dropout == 0
+
+
+def test_config_from_dict_reads_type_hints_once_per_class(monkeypatch):
+    # get_type_hints compiles the string annotations on every call
+    calls = []
+    real_get_type_hints = typing.get_type_hints
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls.__name__)
+        return real_get_type_hints(cls, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    model_mod._field_kinds.cache_clear()
+    base = {"vocab_size": 10, "d_v": 4}
+    refused = [
+        (ModelConfig, {**base, "d_model": "64"}, "model.",
+         "ModelConfig key 'model.d_model' must be int, got '64'"),
+        (ModelConfig, {**base, "n_heads": True}, "",
+         "ModelConfig key 'n_heads' must be int, got True"),
+        (ModelConfig, {**base, "dropout": "0.1"}, "model.",
+         "ModelConfig key 'model.dropout' must be float or int, got '0.1'"),
+        (ModelConfig, {**base, "variant": 3}, "",
+         "ModelConfig key 'variant' must be str, got 3"),
+        (ModelConfig, {**base, "dropuot": 0.5}, "model.",
+         "unknown ModelConfig key(s): 'model.dropuot'"),
+        (TrainConfig, {"grad_clip": "1"}, "train.",
+         "TrainConfig key 'train.grad_clip' must be float or NoneType or "
+         "int, got '1'"),
+        (TrainConfig, {"seed": False}, "",
+         "TrainConfig key 'seed' must be int, got False"),
+    ]
+    for _ in range(5):
+        assert ModelConfig.from_dict({**base, "dropout": 0}).dropout == 0
+        assert TrainConfig.from_dict({"grad_clip": None}).grad_clip is None
+        for cls, d, prefix, message in refused:
+            with pytest.raises(ConfigError) as err:
+                cls.from_dict(d, prefix)
+            assert str(err.value) == message
+    assert sorted(calls) == ["ModelConfig", "TrainConfig"]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -918,6 +960,41 @@ def test_incremental_decode_matches_raw_numpy_frozen_checkpoint(monkeypatch):
                 raw.reorder(reorders[t])
     assert made
     assert all(n._parents == () and n._backward is None for n in made)
+
+
+def test_reorder_moves_per_row_memory_frozen_checkpoint():
+    """Two equal-length sources as the rows of one state over a [2, S, d]
+    memory, swapped by a reorder after every step: each row's logits are
+    those of decoding its own source's memory alone, bit for bit."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    vocab = Vocabulary.load(FROZEN / "bpe")
+    manifest = load_manifest(FROZEN / "train.json")
+    visual = visual_tokens_for(model, manifest.vtok_path)
+    sources = manifest_lines(manifest, "en")
+    images = manifest_image_ids(manifest, len(sources))
+    picks = (2, 5)   # 13 tokens each, two images
+    ids = np.array([prefix_target_token(
+        [BOS_ID] + encode(sources[k], vocab) + [EOS_ID], "de", vocab)
+        for k in picks])
+    rng = np.random.default_rng(3)
+    with ad.no_grad():
+        memory, mask = model.prepare_source(
+            ids, [visual[images[k]] for k in picks])
+        assert memory.shape[0] == 2 and not mask.any()
+        state = model.decoder_state(memory)
+        own = [ad.Tensor(memory.data[j]) for j in range(2)]
+        alone = [model.decoder_state(m) for m in own]
+        rows = np.arange(2)   # the source each row of the state decodes
+        for t in range(6):
+            tokens = (np.full((2, 1), BOS_ID) if t == 0 else
+                      rng.integers(10, model.config.vocab_size, (2, 1)))
+            got = model.decode(memory, tokens, mask[rows], state).data
+            for r, j in enumerate(rows):
+                want = model.decode(own[j], tokens[r:r + 1], mask[j],
+                                    alone[j]).data
+                assert np.array_equal(got[r], want[0]), f"step {t} row {r}"
+            state.reorder([1, 0])
+            rows = rows[[1, 0]]
 
 
 def test_fused_ops_halve_the_train_step_graph(monkeypatch, toy_batches):
