@@ -2,7 +2,8 @@
 """Fingerprint a training run: SHA-256 of its encoded examples, its
 per-step losses, its final parameters and its Adam moments; of the
 benchmark's tokenize encodings; of the trained model after a checkpoint
-round trip; and of the benchmark's translate hypotheses.
+round trip; of the benchmark's translate hypotheses; and of the BPE
+tables `train_bpe` learns.
 
 Builds the benchmark's `train` workload (perfbench/workloads.py,
 `TrainWorkload`) at seed 921, trains its fresh model for 2 epochs, then
@@ -31,6 +32,12 @@ the 96 requests of the benchmark's `translate` workload
 tokens, the float64 bytes of the logprob and the forced flag, in request
 order. So a change to decoding or to the no-grad forward pass gets the
 same bit-for-bit check as training.
+
+The eighth digest, bpe, covers the tokens and merges `train_bpe` learns
+in four runs: on the tokenize corpus at 500 merges and at its full table
+(every pair reaching a count of 2 merged), and on the toy corpus of the
+examples digest at 360 and at 600 tokens. So a change to the learner is
+checked on its own, past the merges the other digests reach.
 
     python3 scripts/train_digest.py
     OPENBLAS_NUM_THREADS=1 python3 scripts/train_digest.py
@@ -98,6 +105,13 @@ def ids_digest(lines_ids) -> str:
     return h.hexdigest()
 
 
+def vocabs_digest(vocabs) -> str:
+    h = hashlib.sha256()
+    for vocab in vocabs:
+        h.update(json.dumps([vocab.tokens, vocab.merges]).encode("utf-8"))
+    return h.hexdigest()
+
+
 def hypotheses_digest(hyps) -> str:
     h = hashlib.sha256()
     for hyp in hyps:
@@ -109,10 +123,10 @@ def hypotheses_digest(hyps) -> str:
 def main():
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import numpy as np
-    from promptmt import text
+    from promptmt import text, toydata
     from promptmt.model import load_checkpoint, save_checkpoint
     from promptmt.train import train_loop
-    from workloads import (Sizes, TokenizeWorkload, TrainWorkload,
+    from workloads import (TOY, Sizes, TokenizeWorkload, TrainWorkload,
                            TranslateWorkload)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -122,6 +136,13 @@ def main():
         tokenize.setup()
         vocab = text.train_bpe([tokenize.corpus], len(text.RESERVED_TOKENS)
                                + 256 + tokenize.sizes.tokenize_merges)
+        toy = text.load_manifest(toydata.make_toy_corpus(Path(tmp) / "toy",
+                                                         **TOY))
+        toy_paths = [toy.text_paths[lang] for lang in toy.languages]
+        # 10**6 tokens is past the full table: merging stops at min_freq
+        vocabs = [vocab, text.train_bpe([tokenize.corpus], 10 ** 6)] + [
+            text.train_bpe(toy_paths, size, 2, toy.languages)
+            for size in (360, 600)]
         model, state = workload._fresh()
         rows = train_loop(model, workload.examples, workload.visual, state)
         ckpt = Path(tmp) / "model.lvpm"
@@ -149,6 +170,7 @@ def main():
                 + [(f"{s}.{n}", a) for s in "mv" for n, a in stored[s].items()])
     print(f"checkpoint    {digest(reloaded)}")
     print(f"translate     {hypotheses_digest(hyps)}")
+    print(f"bpe           {vocabs_digest(vocabs)}")
 
 
 if __name__ == "__main__":

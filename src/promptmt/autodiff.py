@@ -449,15 +449,20 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
 
 def _check_attention(qs, ks, vs):
     """The matmul checks of ``q @ k^T`` and ``p @ v`` in ``attention``,
-    from the shapes of q, k and v. Keys and values of one shape whose
+    from the shapes of q, k and v, then that the queries are split into
+    heads. Split-head queries against keys and values of one shape whose
     leading dims are a right-aligned suffix of the queries' pass at once."""
-    if (len(qs) >= len(ks) >= 2 and ks == vs and qs[-1] == ks[-1]
-            and qs[-len(ks):-2] == ks[:-2]):
+    if (len(qs) >= 3 and len(qs) >= len(ks) >= 2 and ks == vs
+            and qs[-1] == ks[-1] and qs[-len(ks):-2] == ks[:-2]):
         return
     kt = ks[:-2] + ks[-2:][::-1]
     _check_matmul(qs, kt)
     # the aligned leading dims broadcast to the longer of the two
     _check_matmul(max(qs[:-2], kt[:-2], key=len) + (qs[-2], kt[-1]), vs)
+    if len(qs) < 3:
+        raise ShapeError(f"attention: queries must be lead + (heads, n, "
+                         f"head_dim), got q {tuple(qs)}, k {tuple(ks)}, "
+                         f"v {tuple(vs)}")
 
 
 def attention(qh: Tensor, kh: Tensor, vh: Tensor,

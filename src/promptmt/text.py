@@ -199,13 +199,20 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     decode(encode(t)) == t holds.
 
     Learning is incremental, as in the reference learner of Sennrich et
-    al. (2016): each word type is counted once, pair counts and a pair ->
-    word index are kept up to date, and a merge rewrites only the words
-    that hold the chosen pair (subtract the word's old pairs, merge, add
-    its new pairs). The best pair comes from a max-heap keyed by
-    (-count, pair) with lazy invalidation: a popped entry whose count is
-    stale goes back in at its current count. Only pairs that contain the
-    new symbol can gain count, and each gets a fresh entry after the merge.
+    al. (2016): each word type is counted once, and pair counts and a
+    pair -> holders index (the words holding each pair) are kept up to
+    date. A merge of (a, b) visits only the pair's holders, and in each
+    only the merge sites, left to right over the word as it changes: at a
+    site between ``left`` and ``right`` it subtracts (left, a) and
+    (b, right), adds (left, ab) and (ab, right), and registers the word as
+    a holder of both; then (a, b) is dropped. So runs such as "aaaa" and
+    "abab", where a neighbour is a merge just made, count as a full
+    recount of the word would. A holder that no longer holds the pair (an
+    earlier merge took it) is skipped unchanged. The best pair comes from
+    a max-heap keyed by (-count, pair) with lazy invalidation: a popped
+    entry whose count is stale goes back in at its current count. Only
+    pairs that contain the new symbol can gain count, and each gets a
+    fresh entry after the merge.
     """
     base = RESERVED_TOKENS + [tag_token(l) for l in languages] \
         + [_BYTE_TO_CHAR[b] for b in range(256)]
@@ -226,7 +233,7 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     if n_lines == 0:
         raise ConfigError("empty corpus: no non-blank lines found")
 
-    words = [_unit_to_chars(unit) for unit in unit_freqs]
+    words = [list(_unit_to_chars(unit)) for unit in unit_freqs]
     freqs = list(unit_freqs.values())
     del unit_freqs
     pair_freqs: dict[tuple[str, str], int] = {}
@@ -234,8 +241,9 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     # word lost the pair to another merge), never missing
     holders: dict[tuple[str, str], list[int]] = {}
     for w, symbols in enumerate(words):
+        f = freqs[w]
         for pair in zip(symbols, symbols[1:]):
-            pair_freqs[pair] = pair_freqs.get(pair, 0) + freqs[w]
+            pair_freqs[pair] = pair_freqs.get(pair, 0) + f
             held = holders.setdefault(pair, [])
             if not held or held[-1] != w:
                 held.append(w)
@@ -264,29 +272,39 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
         fresh = set()
         for w in holders.pop(pair):
             symbols = words[w]
-            n = len(symbols)
-            out = []
-            i = 0
-            while i < n:
-                if i + 1 < n and symbols[i] == a and symbols[i + 1] == b:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(symbols[i])
-                    i += 1
-            if len(out) == n:
-                continue
+            if a not in symbols:
+                continue    # stale: an earlier merge took the pair
             f = freqs[w]
-            for p in zip(symbols, symbols[1:]):
-                pair_freqs[p] -= f
-            for p in zip(out, out[1:]):
-                pair_freqs[p] = pair_freqs.get(p, 0) + f
-                if merged in p:
+            last = len(symbols) - 1
+            i = symbols.index(a)
+            while i < last:
+                if symbols[i] != a or symbols[i + 1] != b:
+                    i += 1
+                    continue
+                # in the word as merged so far, (left, a) and (b, right)
+                # give way to (left, ab) and (ab, right); (a, b) is dropped
+                # after the last holder
+                if i:
+                    left = symbols[i - 1]
+                    pair_freqs[left, a] -= f
+                    p = (left, merged)
+                    pair_freqs[p] = pair_freqs.get(p, 0) + f
                     fresh.add(p)
                     held = holders.setdefault(p, [])
                     if not held or held[-1] != w:
                         held.append(w)
-            words[w] = out
+                if i + 1 < last:
+                    right = symbols[i + 2]
+                    pair_freqs[b, right] -= f
+                    p = (merged, right)
+                    pair_freqs[p] = pair_freqs.get(p, 0) + f
+                    fresh.add(p)
+                    held = holders.setdefault(p, [])
+                    if not held or held[-1] != w:
+                        held.append(w)
+                symbols[i:i + 2] = (merged,)
+                last -= 1
+                i += 1
         del pair_freqs[pair]
         for p in fresh:
             if pair_freqs[p] >= floor:

@@ -568,6 +568,14 @@ def test_fused_ops_keep_the_chain_shape_and_nan_checks():
                      z(1, 3, 4))
 
 
+def test_attention_refuses_a_query_without_heads():
+    """A 2-D query passes both products' checks, so it is refused by
+    name, not left to fail inside numpy."""
+    with pytest.raises(ShapeError, match=r"attention: .*q \(3, 4\), "
+                                         r"k \(5, 4\), v \(5, 4\)"):
+        _attend_zeros((3, 4), (5, 4), (5, 4))
+
+
 # ---------------------------------------------------------------------------
 # cross entropy with label smoothing
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptmt import text as tx
@@ -177,6 +177,10 @@ def bpe_corpora(draw):
 @settings(max_examples=150, deadline=None)
 @given(bpe_corpora(), st.integers(0, 3),
        st.sampled_from([(), ("de",), ("de", "fr")]), st.integers(0, 40))
+# a merge whose neighbour is itself a merge just made in the same word
+@example(["abab abab"], 1, (), 40)
+@example(["aaaa aaaa"], 1, (), 40)
+@example(["aab aab baa"], 1, (), 40)
 def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
                                               min_freq, languages, extra):
     p = tmp_path_factory.mktemp("bpe") / "corpus.txt"
@@ -187,15 +191,33 @@ def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
         assert tx.decode(tx.encode(line, vocab), vocab) == line
 
 
-@pytest.mark.parametrize("vocab_size, reached", [(360, True), (600, False)])
-def test_incremental_bpe_matches_full_recount_on_toy_corpus(tmp_path,
+def toy_corpus(root):
+    """The toy corpus's files and languages."""
+    manifest = toy_manifest(root)
+    return ([manifest.text_paths[lang] for lang in manifest.languages],
+            manifest.languages)
+
+
+def zipf_corpus(root):
+    """300 Zipf-like lines, the benchmark tokenize corpus's shape cut
+    down, and no languages."""
+    p = root / "zipf.txt"
+    p.write_text("\n".join(zipf_lines(0, n_lines=300)) + "\n",
+                 encoding="utf-8")
+    return [p], ()
+
+
+@pytest.mark.parametrize("corpus, vocab_size, reached", [
+    pytest.param(toy_corpus, 360, True, id="360-True"),
+    pytest.param(toy_corpus, 600, False, id="600-False"),
+    pytest.param(zipf_corpus, len(tx.RESERVED_TOKENS) + 256 + 120, True,
+                 id="zipf-120-True"),
+])
+def test_incremental_bpe_matches_full_recount_on_toy_corpus(tmp_path, corpus,
                                                             vocab_size,
                                                             reached):
-    manifest = tx.load_manifest(make_toy_corpus(
-        tmp_path, n_lines=32, target_langs=("de", "fr", "cs"), seed=0,
-        m_v=4, d_v=32, n_images=8))
-    paths = [manifest.text_paths[lang] for lang in manifest.languages]
-    vocab = assert_matches_reference(paths, vocab_size, 2, manifest.languages)
+    paths, languages = corpus(tmp_path)
+    vocab = assert_matches_reference(paths, vocab_size, 2, languages)
     # at 600 no pair reaches min_freq before the vocabulary is full
     assert (len(vocab) == vocab_size) == reached
 
