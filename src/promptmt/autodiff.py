@@ -307,15 +307,11 @@ def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
     return make_node(out_data, tuple(xs), backward)
 
 
-def sum_(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    out_data = x.data.sum(axis=axis)
+def sum_(x: Tensor) -> Tensor:
+    out_data = x.data.sum()
 
     def backward(g):
-        if axis is None:
-            x.accumulate_grad(np.full_like(x.data, 1.0) * g)
-        else:
-            x.accumulate_grad(np.broadcast_to(np.expand_dims(g, axis),
-                                              x.shape).copy())
+        x.accumulate_grad(np.full_like(x.data, 1.0) * g)
 
     return make_node(np.asarray(out_data), (x,), backward)
 
@@ -532,6 +528,15 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax of an array over the last axis, in its dtype; the one
+    computation behind beam search's scores and the cross entropy."""
+    # the ufunc reductions ``.max`` and ``.sum`` wrap, without the wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1,
+                                          keepdims=True))
+
+
 def _softmax_backward(out: np.ndarray, g: np.ndarray,
                       axis: int = -1) -> np.ndarray:
     dot = (g * out).sum(axis=axis, keepdims=True)
@@ -625,9 +630,7 @@ def cross_entropy_label_smoothed(logits: Tensor, targets, eps_ls: float,
         raise DegenerateBatchError("cross_entropy: every position is padding")
 
     x = logits.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    logp = log_softmax(x)
     dt = x.dtype.type
     picked = logp[np.arange(n), targets]
     per_pos = -(dt(1.0 - eps_ls) * picked + dt(eps_ls) * logp.mean(axis=-1))

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError
-from .model import MultimodalTranslator, log_softmax
+from .model import MultimodalTranslator
 from .text import BOS_ID, EOS_ID, Vocabulary
 from .vision import VisualTokens
 
@@ -119,7 +119,7 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
                          / max(step ** alpha, max_len ** alpha)):
             break
         logits = model.decode(memory, newest, src_mask, state).data[:, -1]
-        logp = log_softmax(logits)
+        logp = ad.log_softmax(logits)
         at_cap = step == max_len
         tokens = only_eos if at_cap else every_token
         if at_cap:

@@ -12,8 +12,10 @@ Variants (ablation switches):
     full      controller-generated mapping of visual tokens (the method)
     static    same affine mapping, but with ordinary learned parameters
               shared across target languages
-    no_lvpg   visual tokens pass through a fixed learned projection and
-              feed co-attention directly
+    no_lvpg   visual tokens pass through one learned projection shared
+              across target languages, then the same self-fusion and
+              co-attention: at equal seeds the function ``static``
+              computes, under other parameter names
     text_only vision path skipped entirely; the decoder attends to the
               encoder output
 """
@@ -37,6 +39,10 @@ from .text import BOS_ID, PAD_ID, RESERVED_TOKENS
 from .vision import VisualTokens
 
 VARIANTS = ("full", "no_lvpg", "static", "text_only")
+
+# the variants whose prompts are one learned affine map of the visual
+# tokens, shared by every target language, by parameter prefix
+_AFFINE_PROMPTS = {"static": "static", "no_lvpg": "visproj"}
 
 CKPT_MAGIC = b"LVPM"
 CKPT_VERSION = 1
@@ -253,18 +259,13 @@ class MultimodalTranslator:
                 "ctrl.2", cfg.d_ctrl, theta_len, scale=0.01,
                 bias=lambda rng, shape: np.concatenate(
                     [np.eye(d_v, d).reshape(-1), np.zeros(d)]))
-        elif cfg.variant == "static":
-            yield from _affine("static", d_v, d)
-        elif cfg.variant == "no_lvpg":
-            yield from _affine("visproj", d_v, d)
+        elif cfg.variant in _AFFINE_PROMPTS:
+            yield from _affine(_AFFINE_PROMPTS[cfg.variant], d_v, d)
         if cfg.variant in ("full", "static", "no_lvpg"):
             yield from self._layer_params("fuse_text")
             yield from self._layer_params("fuse_vis")
             for j in range(cfg.n_coattn_layers):
                 yield from self._layer_params(f"coattn.{j}")
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self):
         for p in self.params.values():
@@ -353,8 +354,13 @@ class MultimodalTranslator:
         return self._lin(f"{prefix}.2", h)
 
     def _encoder_layer(self, prefix: str, x: Tensor,
-                       key_mask: Optional[np.ndarray]) -> Tensor:
-        a = self._mha(f"{prefix}.self", x, x, key_mask=key_mask)
+                       key_mask: Optional[np.ndarray],
+                       memory: Optional[Tensor] = None) -> Tensor:
+        """Post-norm attention and FFN sublayers over ``x``. The keys and
+        values are ``memory`` (``key_mask`` marking its hidden positions),
+        by default ``x`` itself."""
+        a = self._mha(f"{prefix}.self", x, x if memory is None else memory,
+                      key_mask=key_mask)
         x = self._ln(f"{prefix}.ln1", ad.add(x, self._dropout(a)))
         f = self._ffn(f"{prefix}.ffn", x)
         return self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(f)))
@@ -420,12 +426,6 @@ class MultimodalTranslator:
         ones = self._const(np.ones(v.shape[:-1] + (1,)))
         return ad.matmul(ad.concat([v, ones], axis=-1), theta)
 
-    def static_mapping(self, v: Tensor) -> Tensor:
-        if self.config.variant != "static":
-            raise VariantError("static_mapping requires the 'static' variant, "
-                               f"model is {self.config.variant!r}")
-        return self._lin("static", v)
-
     def visual_prompt(self, visual, tag_ids) -> Tensor:
         """Variant dispatch from raw visual tokens to the prompt sequence:
         one ``VisualTokens`` and a tag id give [M_v, d_model], a sequence of
@@ -434,10 +434,8 @@ class MultimodalTranslator:
         variant = self.config.variant
         if variant == "full":
             return self.apply_mapping(v, self.controller_forward(tag_ids))
-        if variant == "static":
-            return self.static_mapping(v)
-        if variant == "no_lvpg":
-            return self._lin("visproj", v)
+        if variant in _AFFINE_PROMPTS:
+            return self._lin(_AFFINE_PROMPTS[variant], v)
         raise VariantError("text_only variant has no visual prompts")
 
     def self_fuse(self, s0: Tensor, p0: Tensor,
@@ -458,14 +456,9 @@ class MultimodalTranslator:
             raise VariantError("co_attention unavailable under text_only")
         if p.shape[-2] == 0:
             raise ShapeError("co_attention: empty prompt sequence")
-        q = s
         for j in range(self.config.n_coattn_layers):
-            prefix = f"coattn.{j}"
-            a = self._mha(f"{prefix}.self", q, p)
-            q = self._ln(f"{prefix}.ln1", ad.add(q, self._dropout(a)))
-            f = self._ffn(f"{prefix}.ffn", q)
-            q = self._ln(f"{prefix}.ln2", ad.add(q, self._dropout(f)))
-        return q
+            s = self._encoder_layer(f"coattn.{j}", s, None, memory=p)
+        return s
 
     def prepare_source(self, source_ids, visual
                        ) -> tuple[Tensor, np.ndarray]:
@@ -647,14 +640,6 @@ def _stack_visual(visual) -> np.ndarray:
         raise ShapeError(f"visual tokens of one batch differ in shape: "
                          f"{detail}")
     return np.stack([vt.tokens for vt in visual])
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis, in the dtype of ``logits``."""
-    # the ufunc reductions ``.max`` and ``.sum`` wrap, without the wrappers
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1,
-                                          keepdims=True))
 
 
 def check_model_gradients(model: MultimodalTranslator, batch,

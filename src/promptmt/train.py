@@ -88,11 +88,11 @@ class TrainState:
 
     @classmethod
     def from_checkpoint_dict(cls, d: Mapping) -> "TrainState":
-        # adam_step updates the moments in place: own them
+        """The state ``d`` holds. Its moment arrays are taken over, not
+        copied (``load_checkpoint`` returns arrays nothing else holds), and
+        ``adam_step`` updates them in place."""
         return cls(config=TrainConfig.from_dict(d["config"]), step=d["step"],
-                   seed=d["seed"],
-                   m={k: np.array(a) for k, a in d["m"].items()},
-                   v={k: np.array(a) for k, a in d["v"].items()})
+                   seed=d["seed"], m=dict(d["m"]), v=dict(d["v"]))
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:
@@ -216,16 +216,17 @@ def train_loop(model: MultimodalTranslator,
     cfg = state.config
     out_dir = Path(out_dir) if out_dir else None
     log = MetricsLog(out_dir / "metrics.csv" if out_dir else None)
+    # every epoch holds the same batches, only their order changes
+    per_epoch = len(make_batches(examples, cfg.max_tokens))
+    start_epoch, done_in_epoch = (divmod(state.step, per_epoch) if per_epoch
+                                  else (0, 0))
+    recent: deque = deque(maxlen=per_epoch)
     model.train_mode = True
-    start_epoch, done_in_epoch = _position_of(state.step, examples, cfg)
-    recent: deque = deque(maxlen=1)
     stopped = False
     try:
         for epoch in range(start_epoch, cfg.epochs):
             batches = make_batches(examples, cfg.max_tokens,
                                    seed=derive_seed(cfg.seed, "epoch", epoch))
-            if recent.maxlen != len(batches):
-                recent = deque(recent, maxlen=len(batches))
             if epoch == start_epoch:
                 batches = batches[done_in_epoch:]
             for batch in batches:
@@ -270,13 +271,3 @@ def train_loop(model: MultimodalTranslator,
         # the last step's gradients are spent; do not keep them alive
         ad.zero_grad(model.params.values())
     return log.rows
-
-
-def _position_of(step: int, examples: Sequence[ParallelExample],
-                 cfg: TrainConfig) -> tuple[int, int]:
-    """Epoch a resumed run continues in and the batches of it already done
-    (every epoch holds the same batches, only their order changes)."""
-    if step == 0:
-        return 0, 0
-    per_epoch = len(make_batches(examples, cfg.max_tokens))
-    return divmod(step, per_epoch) if per_epoch else (0, 0)

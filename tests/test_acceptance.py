@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
+from promptmt.autodiff import log_softmax
 from promptmt.checks import full_model_reports, primitive_reports
 from promptmt.cli import main as cli_main
 from promptmt.decoding import beam_search
 from promptmt.errors import ConfigError
 from promptmt.evaluate import bleu4, evaluate, mask_sweep, write_sweep_csv
 from promptmt.model import (ModelConfig, MultimodalTranslator,
-                            load_checkpoint, log_softmax, save_checkpoint)
+                            load_checkpoint, save_checkpoint)
 from promptmt.text import (BOS_ID, EOS_ID, RESERVED_TOKENS, Vocabulary,
                            load_manifest, load_parallel_examples, tag_token)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab

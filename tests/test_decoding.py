@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promptmt.autodiff as ad
+from promptmt.autodiff import log_softmax
 from promptmt.decoding import Hypothesis, _best, _search, beam_search
 from promptmt.errors import ConfigError
 from promptmt.evaluate import visual_tokens_for
-from promptmt.model import (ModelConfig, MultimodalTranslator, load_checkpoint,
-                            log_softmax)
+from promptmt.model import ModelConfig, MultimodalTranslator, load_checkpoint
 from promptmt.text import (BOS_ID, EOS_ID, MASK_ID, PAD_ID, RESERVED_TOKENS,
                            Vocabulary, encode, load_manifest, manifest_image_ids,
                            manifest_lines, mask_source, prefix_target_token,

@@ -292,14 +292,13 @@ def test_apply_mapping_shape_mismatch():
                         ad.tensor(np.zeros((9, 16))))
 
 
-def test_static_mapping_identity_and_guard():
+def test_static_visual_prompt_identity():
     m = tiny_model(variant="static", d_v=16)
     m.params["static.w"].data = np.eye(16, dtype=np.float32)
     m.params["static.b"].data[:] = 0
-    v = ad.tensor(np.random.default_rng(1).standard_normal((3, 16)))
-    np.testing.assert_allclose(m.static_mapping(v).data, v.data, atol=1e-6)
-    with pytest.raises(VariantError):
-        tiny_model().static_mapping(v)
+    vt = pseudo_visual_tokens("img0", 3, 16, seed=1)
+    np.testing.assert_allclose(m.visual_prompt(vt, TAG_DE).data, vt.tokens,
+                               atol=1e-6)
 
 
 def test_static_prompts_identical_across_languages_bitwise():

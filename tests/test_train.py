@@ -10,7 +10,7 @@ import promptmt.autodiff as ad
 from promptmt.errors import ConfigError, NumericError
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
-from promptmt.text import BOS_ID, EOS_ID, ParallelExample
+from promptmt.text import BOS_ID, EOS_ID, ParallelExample, make_batches
 from promptmt.train import (TrainConfig, TrainState, adam_step, lr_schedule,
                             train_loop)
 from promptmt.vision import pseudo_visual_tokens
@@ -233,18 +233,19 @@ def test_adam_gradient_check_messages_unchanged():
         adam_step(params, state, lr=1e-3)
 
 
-def test_state_from_checkpoint_dict_owns_its_moments():
-    # adam_step writes the moments in place; the caller's dict must not
-    # change under it
-    params, state = adam_setup(None)
-    ck = state.to_checkpoint_dict()
+def test_state_from_checkpoint_dict_takes_over_loaded_moments(tmp_path):
+    # load_checkpoint returns arrays nothing else holds: resuming copies
+    # none of them again
+    model, _, _, tcfg = toy_setup()
+    save_checkpoint(tmp_path / "ck.lvpm", model,
+                    TrainState.fresh(model, tcfg).to_checkpoint_dict())
+    _, ck = load_checkpoint(tmp_path / "ck.lvpm")
     resumed = TrainState.from_checkpoint_dict(ck)
-    resumed.step = 1
-    for p in params.values():
-        p.grad = np.ones(p.shape, p.data.dtype)
-    adam_step(params, resumed, lr=1e-3)
-    assert all(not a.any() for a in ck["m"].values())
-    assert all(resumed.m[n].any() for n in ADAM_SHAPES)
+    for section in ("m", "v"):
+        moments = getattr(resumed, section)
+        assert moments.keys() == ck[section].keys() == model.params.keys()
+        for name, a in moments.items():
+            assert np.shares_memory(a, ck[section][name]), (section, name)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,36 @@ def test_resume_reproduces_next_step_loss(tmp_path):
     for name in model.params:
         assert np.array_equal(model.params[name].data,
                               resumed.params[name].data), name
+
+
+def test_static_and_no_lvpg_compute_one_function():
+    # both variants draw one affine prompt map at the same point of the
+    # init order and run the same graph; only the parameter names differ
+    static, examples, visual, tcfg = toy_setup(variant="static")
+    no_lvpg, _, _, _ = toy_setup(variant="no_lvpg")
+    renamed = {n.replace("static.", "visproj.", 1): n for n in static.params}
+    assert renamed.keys() == no_lvpg.params.keys()
+
+    vts = [visual[ex.image_id] for ex in examples]
+    tags = [ex.source_ids[0] for ex in examples]
+    assert np.array_equal(static.visual_prompt(vts, tags).data,
+                          no_lvpg.visual_prompt(vts, tags).data)
+    batch = make_batches(examples, tcfg.max_tokens)[0]
+    vts = [visual[ex.image_id] for ex in batch.examples]
+    (s_mem, s_mask), (n_mem, n_mask) = (
+        m.prepare_source(batch.padded("source"), vts)
+        for m in (static, no_lvpg))
+    assert np.array_equal(s_mem.data, n_mem.data)
+    assert np.array_equal(s_mask, n_mask)
+
+    rows = [train_loop(m, examples, visual,
+                       TrainState.fresh(m, replace(tcfg, epochs=16)))
+            for m in (static, no_lvpg)]
+    assert len(rows[0]) == 16
+    assert [r.loss for r in rows[0]] == [r.loss for r in rows[1]]
+    for name, old in renamed.items():
+        assert np.array_equal(no_lvpg.params[name].data,
+                              static.params[old].data), name
 
 
 def test_text_only_trains_without_vtok():
