@@ -11,13 +11,13 @@ Produces, under --out:
 """
 
 import argparse
-import csv
 import time
 from pathlib import Path
 
 import numpy as np
 
 from promptmt.evaluate import evaluate, mask_sweep, write_sweep_csv
+from promptmt.files import csv_text, write_file
 from promptmt.model import ModelConfig, MultimodalTranslator
 from promptmt.text import load_manifest, load_parallel_examples
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
@@ -69,16 +69,15 @@ def main():
               for v in ("full", "static")}
 
     directions = [f"en-{t}" for t in targets]
-    with open(out / "bleu.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["variant", "direction", "bleu"])
-        for variant, model in models.items():
-            scores = []
-            for direction in directions:
-                rep = evaluate(model, vocab, manifest, direction, beam=5)
-                writer.writerow([variant, direction, f"{rep.bleu:.4f}"])
-                scores.append(rep.bleu)
-            print(f"[{variant}] mean train BLEU {np.mean(scores):.2f}")
+    rows = [["variant", "direction", "bleu"]]
+    for variant, model in models.items():
+        scores = []
+        for direction in directions:
+            rep = evaluate(model, vocab, manifest, direction, beam=5)
+            rows.append([variant, direction, f"{rep.bleu:.4f}"])
+            scores.append(rep.bleu)
+        print(f"[{variant}] mean train BLEU {np.mean(scores):.2f}")
+    write_file(out / "bleu.csv", "BLEU table", csv_text(rows))
 
     ratios = [float(r) for r in args.ratios.split(",")]
     seeds = [int(s) for s in args.sweep_seeds.split(",")]

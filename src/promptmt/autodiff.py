@@ -166,10 +166,6 @@ def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def make_node(data: np.ndarray, parents: Sequence[Tensor],
               backward: Optional[Callable[[np.ndarray], None]]) -> Tensor:
     """Record one operation: output data, its parents, its backward rule.
@@ -223,7 +219,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_aligned(a.shape, b.shape, "add")
     out_data = a.data + b.data
 
@@ -237,7 +232,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_aligned(a.shape, b.shape, "mul")
     out_data = a.data * b.data
 
@@ -251,7 +245,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, s: float) -> Tensor:
-    x = _as_tensor(x)
     s = float(s)
     out_data = x.data * x.data.dtype.type(s)
 
@@ -289,7 +282,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def concat(xs: Sequence[Tensor], axis: int = 0) -> Tensor:
-    xs = [_as_tensor(x) for x in xs]
     if not xs:
         raise ShapeError("concat: empty input list")
     out_data = np.concatenate([x.data for x in xs], axis=axis)
@@ -362,7 +354,6 @@ def _grad_right(a: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a.shape, b.shape)
     out_data = np.matmul(a.data, b.data)
 
@@ -406,7 +397,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     All three arguments are ordinary graph nodes, so gradients reach the
     producers of generated parameters exactly like those of leaf weights.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     product_shape, out_data = _affine(x, w, b)
 
     def backward(g):
@@ -425,7 +415,6 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     """``linear(x, w, b)`` split into ``n_heads`` heads as one node:
     lead + (n, d_in) -> lead + (n_heads, n, d / n_heads), a view of the
     lead + (n, d) projection."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     product_shape, y = _affine(x, w, b)
     y_shape = y.shape
     d = y_shape[-1]
@@ -473,7 +462,6 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     a dropout mask already scaled by 1/(1-p) (``dropout_mask``); both are
     constants broadcasting over missing leading dimensions only.
     """
-    qh, kh, vh = _as_tensor(qh), _as_tensor(kh), _as_tensor(vh)
     _check_attention(qh.shape, kh.shape, vh.shape)
     kt = kh.data.swapaxes(-1, -2)
     product = np.matmul(qh.data, kt)
@@ -518,14 +506,14 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
 # neural-net primitives
 # ---------------------------------------------------------------------------
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax of an array over ``axis``, shifted by the maximum; the one
-    computation behind ``softmax`` and ``attention``."""
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax of an array over the last axis, shifted by the maximum; the
+    one computation behind ``softmax`` and ``attention``."""
     if np.isnan(x).any():
         raise NumericError("softmax: NaN in input")
-    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -537,17 +525,17 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
                                           keepdims=True))
 
 
-def _softmax_backward(out: np.ndarray, g: np.ndarray,
-                      axis: int = -1) -> np.ndarray:
-    dot = (g * out).sum(axis=axis, keepdims=True)
+def _softmax_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    dot = (g * out).sum(axis=-1, keepdims=True)
     return out * (g - dot)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    out_data = _softmax(x.data, axis)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    out_data = _softmax(x.data)
 
     def backward(g):
-        x.accumulate_grad(_softmax_backward(out_data, g, axis))
+        x.accumulate_grad(_softmax_backward(out_data, g))
 
     return make_node(out_data, (x,), backward)
 
@@ -561,8 +549,9 @@ def _mean_last(a: np.ndarray, n) -> np.ndarray:
     return np.add.reduce(a, axis=-1, keepdims=True) / n
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last dimension (population variance), then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last dimension (population variance, with 1e-5
+    added before the square root), then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias shape must be ({d},), got "
@@ -570,7 +559,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = x.data.dtype.type(d)
     xc = x.data - _mean_last(x.data, n)
     var = _mean_last(xc * xc, n)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(1e-5))
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
@@ -607,14 +596,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def cross_entropy_label_smoothed(logits: Tensor, targets, eps_ls: float,
-                                 pad_id: int, reduction: str = "mean") -> Tensor:
-    """Label-smoothed cross entropy over ``[n, V]`` logits.
+                                 pad_id: int) -> Tensor:
+    """Label-smoothed cross entropy over ``[n, V]`` logits, summed over the
+    positions.
 
     The smoothed target distribution is (1-eps)*onehot + eps/V uniform.
-    Positions whose target equals ``pad_id`` contribute nothing, to the
-    loss or to the normalizer. ``reduction`` is "mean" over non-pad
-    positions or "sum"; use "sum" to average across a multi-example batch
-    with a shared normalizer.
+    Positions whose target equals ``pad_id`` contribute nothing. The caller
+    normalises the sum (the model divides by the batch's target tokens).
     """
     if not 0.0 <= eps_ls < 1.0:
         raise ValueError(f"eps_ls must be in [0, 1), got {eps_ls}")
@@ -625,8 +613,7 @@ def cross_entropy_label_smoothed(logits: Tensor, targets, eps_ls: float,
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise VocabularyError("cross_entropy: target id outside vocabulary")
     nonpad = targets != pad_id
-    count = int(nonpad.sum())
-    if count == 0:
+    if not nonpad.any():
         raise DegenerateBatchError("cross_entropy: every position is padding")
 
     x = logits.data
@@ -634,16 +621,13 @@ def cross_entropy_label_smoothed(logits: Tensor, targets, eps_ls: float,
     dt = x.dtype.type
     picked = logp[np.arange(n), targets]
     per_pos = -(dt(1.0 - eps_ls) * picked + dt(eps_ls) * logp.mean(axis=-1))
-    total = (per_pos * nonpad).sum()
-    denom = count if reduction == "mean" else 1
-    out_data = np.asarray(total / dt(denom), dtype=x.dtype)
+    out_data = np.asarray((per_pos * nonpad).sum(), dtype=x.dtype)
 
     def backward(g):
         q = np.full_like(x, dt(eps_ls) / dt(v))
         q[np.arange(n), targets] += dt(1.0 - eps_ls)
         p = np.exp(logp)
-        dlogits = (p - q) * nonpad[:, None] / dt(denom)
-        logits.accumulate_grad(dlogits * g)
+        logits.accumulate_grad((p - q) * nonpad[:, None] * g)
 
     return make_node(out_data, (logits,), backward)
 
@@ -655,11 +639,11 @@ def dropout_mask(shape, p: float, rng: np.random.Generator,
     return (rng.random(shape) < keep).astype(dtype) / np.dtype(dtype).type(keep)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator,
-            training: bool) -> Tensor:
-    """Inverted-scaling dropout: at train time, zero with prob p and divide
-    survivors by (1-p); identity in eval mode or at p == 0."""
-    if not training or p <= 0.0:
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted-scaling dropout: zero with prob p and divide survivors by
+    (1-p); identity at p == 0. The caller decides train mode and calls
+    this only when training."""
+    if p <= 0.0:
         return x
     mask = dropout_mask(x.shape, p, rng, x.data.dtype)
     return mul(x, Tensor(mask, dtype=x.data.dtype))

@@ -219,47 +219,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "language-conditioned visual prompts")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the flags translate, evaluate and mask-sweep share, defined once
+    decoding = argparse.ArgumentParser(add_help=False)
+    decoding.add_argument("--ckpt", required=True)
+    decoding.add_argument("--beam", type=int, default=5)
+    decoding.add_argument("--alpha", type=float, default=1.0)
+    decoding.add_argument("--vocab", default=None,
+                          help="vocabulary prefix (default: bpe next to the "
+                               "ckpt)")
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--manifest", required=True)
+    corpus.add_argument("--direction", required=True, help="e.g. en-de")
+    corpus.add_argument("--lowercase", action="store_true")
+
     p = sub.add_parser("train", help="train a model from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
     p.add_argument("--log-every", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("translate", help="decode sentences from a file or -")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("translate", parents=[decoding],
+                       help="decode sentences from a file or -")
     p.add_argument("--tgt-lang", required=True)
     p.add_argument("--input", required=True, help="path or - for stdin")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--vocab", default=None,
-                   help="vocabulary prefix (default: bpe next to the ckpt)")
     p.add_argument("--vtok", default=None,
                    help="VTOK file for vision variants")
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("evaluate", help="corpus BLEU for one direction")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--direction", required=True, help="e.g. en-de")
+    p = sub.add_parser("evaluate", parents=[decoding, corpus],
+                       help="corpus BLEU for one direction")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lowercase", action="store_true")
-    p.add_argument("--vocab", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("mask-sweep",
+    p = sub.add_parser("mask-sweep", parents=[decoding, corpus],
                        help="BLEU under increasing source masking")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--direction", required=True)
     p.add_argument("--ratios", required=True, help="e.g. 0,0.2,0.4")
     p.add_argument("--seeds", required=True, help="e.g. 1,2,3")
     p.add_argument("--out", required=True, help="summary CSV path")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--lowercase", action="store_true")
-    p.add_argument("--vocab", default=None)
     p.set_defaults(func=cmd_mask_sweep)
 
     p = sub.add_parser("gradcheck",

@@ -179,8 +179,8 @@ def _norm(prefix: str, d: int):
 class MultimodalTranslator:
     """Parameter store plus the forward passes of every variant."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0, dtype=None):
-        self._build(config, seed, dtype)
+    def __init__(self, config: ModelConfig, seed: int = 0):
+        self._build(config, seed, None)
         rng = rng_for("init", seed)
         for name, shape, draw in self._init_params():
             self._param(name, draw(rng, shape))
@@ -288,7 +288,7 @@ class MultimodalTranslator:
     def _dropout(self, x: Tensor) -> Tensor:
         if not self.train_mode:
             return x
-        return ad.dropout(x, self.config.dropout, self._rng, True)
+        return ad.dropout(x, self.config.dropout, self._rng)
 
     def _lin(self, prefix: str, x: Tensor) -> Tensor:
         return ad.linear(x, self.params[f"{prefix}.w"], self.params[f"{prefix}.b"])
@@ -573,8 +573,7 @@ class MultimodalTranslator:
         logits = self.decode(memory, target[:, :-1], key_mask)
         loss_sum = ad.cross_entropy_label_smoothed(
             ad.reshape(logits, (-1, logits.shape[-1])),
-            target[:, 1:].reshape(-1), self.config.eps_ls, PAD_ID,
-            reduction="sum")
+            target[:, 1:].reshape(-1), self.config.eps_ls, PAD_ID)
         return ad.scale(loss_sum, 1.0 / batch.n_target_tokens)
 
     def _lookup_visual(self, example, visual_map) -> VisualTokens:

@@ -106,12 +106,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self._token_to_id[token]
-        except KeyError:
-            raise VocabularyError(f"token {token!r} not in vocabulary") from None
-
     def tag_id(self, lang: str) -> int:
         try:
             return self._tag_ids[lang.lower()]
@@ -120,10 +114,6 @@ class Vocabulary:
 
     def is_tag(self, token_id: int) -> bool:
         return token_id in self._tag_ids.values()
-
-    @property
-    def tag_ids(self) -> set[int]:
-        return set(self._tag_ids.values())
 
     def save(self, prefix: str | Path):
         write_file(f"{prefix}.vocab", "vocabulary file",
@@ -521,21 +511,18 @@ def manifest_image_ids(manifest: CorpusManifest, n: int) -> list[str]:
 
 
 def load_parallel_examples(manifest: CorpusManifest, vocab: Vocabulary,
-                           pivot: str = "en",
-                           target_langs: Optional[Sequence[str]] = None
-                           ) -> list[ParallelExample]:
+                           pivot: str = "en") -> list[ParallelExample]:
     """Build (direction, line) examples for every pivot->target direction."""
-    target_langs = ([l for l in manifest.languages if l != pivot]
-                    if target_langs is None else list(target_langs))
+    targets = [l for l in manifest.languages if l != pivot]
     src_lines = manifest_lines(manifest, pivot)
     image_ids = manifest_image_ids(manifest, len(src_lines))
     # one encode_lines call over the pivot side (once, whatever the number
     # of directions) and every target side, then split back per side
-    sides = [src_lines] + [manifest_lines(manifest, t) for t in target_langs]
+    sides = [src_lines] + [manifest_lines(manifest, t) for t in targets]
     flat = iter(encode_lines([l for side in sides for l in side], vocab))
     src_ids, *tgt_ids = [[next(flat) for _ in side] for side in sides]
     examples = []
-    for tgt, refs in zip(target_langs, tgt_ids):
+    for tgt, refs in zip(targets, tgt_ids):
         for n, (src, ref) in enumerate(zip(src_ids, refs)):
             source_ids = prefix_target_token(
                 [BOS_ID] + src + [EOS_ID], tgt, vocab)

@@ -49,10 +49,10 @@ class TrainConfig:
                      "not a finite non-negative number")
         check_fields(self, ("beta1", "beta2"), lambda v: 0 <= v < 1,
                      "outside [0, 1)")
-        check_fields(self, ("epochs", "max_tokens"), lambda v: v >= 1,
-                     "below 1")
-        check_fields(self, ("warmup_steps", "seed"), lambda v: v >= 0,
-                     "negative")
+        # warmup_steps 0 would make every learning rate lr_peak * sqrt(0)
+        check_fields(self, ("epochs", "max_tokens", "warmup_steps"),
+                     lambda v: v >= 1, "below 1")
+        check_fields(self, ("seed",), lambda v: v >= 0, "negative")
         check_fields(self, ("grad_clip",),
                      lambda v: v is None or 0 < v < math.inf,
                      "not None or a finite positive number")

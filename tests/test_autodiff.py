@@ -114,7 +114,7 @@ def test_softmax_gradient():
     rng = np.random.Generator(np.random.PCG64(2))
     w = make64(rng.standard_normal((3, 5)))
     report = ad.grad_check(
-        lambda t: ad.sum_(ad.mul(ad.softmax(t, axis=-1), w)),
+        lambda t: ad.sum_(ad.mul(ad.softmax(t), w)),
         make64(rng.standard_normal((3, 5))), name="softmax")
     assert report.passed, str(report)
 
@@ -492,7 +492,7 @@ def composed_attention(qh, kh, vh, bias, keep):
                       1.0 / np.sqrt(qh.shape[-1]))
     if bias is not None:
         scores = ad.add(scores, ad.Tensor(bias, dtype=bias.dtype))
-    probs = ad.softmax(scores, axis=-1)
+    probs = ad.softmax(scores)
     if keep is not None:
         probs = ad.mul(probs, ad.Tensor(keep, dtype=keep.dtype))
     ctx = ad.matmul(probs, vh)
@@ -604,7 +604,7 @@ def test_cross_entropy_two_class_smoothed_hand_value():
     assert abs(loss.item() - expected) < 1e-6
 
 
-def test_cross_entropy_excludes_pad_from_loss_and_normalizer():
+def test_cross_entropy_excludes_pad_from_loss():
     logits = np.zeros((3, 4), dtype=np.float32)
     logits[0, 1] = 5.0
     full = ad.cross_entropy_label_smoothed(
@@ -971,18 +971,19 @@ def test_contiguous_grad_left_matches_strided_on_toy_corpus(
 # ---------------------------------------------------------------------------
 
 def test_dropout_eval_mode_is_identity():
+    # eval mode is the model's switch: its ``_dropout`` returns the input
+    # untouched, as ``ad.dropout`` does at p == 0
+    m = lean_model("full", np.float32, dropout=0.5)
+    m.train_mode = False
     x = ad.tensor(np.ones((4, 4)))
-    rng = np.random.Generator(np.random.PCG64(8))
-    out = ad.dropout(x, 0.5, rng, training=False)
-    assert out is x
+    assert m._dropout(x) is x
+    assert ad.dropout(x, 0.0, np.random.Generator(np.random.PCG64(8))) is x
 
 
 def test_dropout_inverted_scaling_and_determinism():
     x = ad.tensor(np.ones((1000,)))
-    out1 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)),
-                      training=True)
-    out2 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)),
-                      training=True)
+    out1 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)))
+    out2 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)))
     assert np.array_equal(out1.data, out2.data)
     kept = out1.data[out1.data != 0]
     np.testing.assert_allclose(kept, 1.0 / 0.7, rtol=1e-6)

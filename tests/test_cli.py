@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from promptmt.cli import main
+from promptmt.cli import build_parser, main
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
 from promptmt.text import Vocabulary, load_manifest
@@ -260,6 +260,20 @@ def test_gradcheck_cli(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "gradient checks passed" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["translate", "--tgt-lang", "de", "--input", "-"],
+    ["evaluate", "--manifest", "m", "--direction", "en-de", "--out", "o"],
+    ["mask-sweep", "--manifest", "m", "--direction", "en-de", "--ratios",
+     "0", "--seeds", "1", "--out", "o"],
+])
+def test_decoding_commands_share_flag_defaults(argv):
+    args = build_parser().parse_args(argv + ["--ckpt", "c"])
+    assert (args.ckpt, args.beam, args.alpha, args.vocab) == ("c", 5, 1.0,
+                                                             None)
+    if argv[0] != "translate":
+        assert args.lowercase is False
 
 
 def test_unknown_flag_is_usage_error(workspace):

@@ -572,8 +572,7 @@ def reference_loss(model, batch, visual_map):
         memory, mask = model.prepare_source(ex.source_ids, visual)
         logits = model.decode(memory, ex.target_ids[:-1], mask)
         loss = ad.cross_entropy_label_smoothed(
-            logits, ex.target_ids[1:], model.config.eps_ls, PAD_ID,
-            reduction="sum")
+            logits, ex.target_ids[1:], model.config.eps_ls, PAD_ID)
         total = loss if total is None else ad.add(total, loss)
         count += len(ex.target_ids) - 1
     return ad.scale(total, 1.0 / count)
@@ -652,8 +651,8 @@ def test_every_attention_distribution_sums_to_one(monkeypatch):
     captured = []
     real_softmax = ad._softmax
 
-    def spy(x, axis=-1):
-        out = real_softmax(x, axis=axis)
+    def spy(x):
+        out = real_softmax(x)
         captured.append(out)
         return out
 
@@ -695,7 +694,7 @@ def composed_attend(model, prefix, qh, kh, vh, bias):
                       1.0 / np.sqrt(qh.shape[-1]))
     if bias is not None:
         scores = ad.add(scores, model._const(bias))
-    probs = model._dropout(ad.softmax(scores, axis=-1))
+    probs = model._dropout(ad.softmax(scores))
     ctx = ad.matmul(probs, vh)
     lead = ctx.shape[:-3]
     merged = ad.reshape(ad.transpose(ctx, _swap_head_axes(len(lead))),
@@ -1072,8 +1071,8 @@ def test_sinusoidal_positions_first_row_and_range():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_position_table_slices_equal_direct_encodings(dtype):
-    model = MultimodalTranslator(tiny_config(d_model=33, n_heads=3), seed=0,
-                                 dtype=dtype)
+    model = MultimodalTranslator(tiny_config(d_model=33, n_heads=3),
+                                 seed=0).astype(dtype)
     # (start, n) pairs asked in this order: within the table, past its end
     # (it grows), then back inside the grown table
     for start, n in [(0, 3), (1, 2), (2, 1), (3, 10), (0, 5), (12, 1),

