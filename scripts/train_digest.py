@@ -47,6 +47,11 @@ BLAS picks its thread count from the environment, so set
 OPENBLAS_NUM_THREADS for the 1- and 2-thread runs; the first line printed
 is the count BLAS reports. The script imports `promptmt` from the `src/`
 next to it, not an installed copy.
+
+`train_digest.json` next to this script records the eight digests and the
+numpy/OpenBLAS build they were recorded on (`blas_build`);
+`tests/test_train_digest.py` computes them through `run` and compares. A
+change that moves a digest on purpose records the new value there.
 """
 
 import ctypes
@@ -61,10 +66,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 921
 EPOCHS = 2
+RECORDED = Path(__file__).with_name("train_digest.json")
 
 
-def blas_threads():
-    """The thread count OpenBLAS reports, or None if it cannot be asked."""
+def _openblas(name: str, restype):
+    """Call OpenBLAS's ``openblas_<name>`` (under any of its exported
+    spellings) in the library this process loaded; None if it cannot."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
             libs = set(re.findall(r"(/\S*blas\S*\.so\S*)", maps.read()))
@@ -72,13 +79,30 @@ def blas_threads():
         return None
     for lib in sorted(libs):
         handle = ctypes.CDLL(lib)
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for sym in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
+                    f"openblas_{name}"):
             fn = getattr(handle, sym, None)
             if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
+                fn.restype = restype
+                return fn()
     return None
+
+
+def blas_threads():
+    """The thread count OpenBLAS reports, or None if it cannot be asked."""
+    return _openblas("get_num_threads", ctypes.c_int)
+
+
+def blas_build() -> dict:
+    """The build the digests depend on: numpy's version, the configuration
+    string of the OpenBLAS numpy was built against, and the core whose
+    kernels OpenBLAS picked at run time."""
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas("get_corename", ctypes.c_char_p)
+    return {"numpy": np.__version__,
+            "openblas": blas.get("openblas configuration"),
+            "core": core.decode("ascii") if core else None}
 
 
 def digest(arrays) -> str:
@@ -120,8 +144,13 @@ def hypotheses_digest(hyps) -> str:
     return h.hexdigest()
 
 
-def main():
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def run() -> tuple[int, float, dict[str, str]]:
+    """Train, round-trip, translate and learn as described above; returns
+    the step count, the final loss and the eight digests by name, in the
+    order they print."""
+    for path in (str(ROOT / "perfbench"), str(ROOT / "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
     import numpy as np
     from promptmt import text, toydata
     from promptmt.model import load_checkpoint, save_checkpoint
@@ -153,24 +182,31 @@ def main():
         hyps = [translate.request(req)[1] for req in translate.requests]
 
     losses = np.array([r.loss for r in rows], dtype=np.float64)
-    print(f"blas threads  {blas_threads()}")
-    print(f"steps         {len(rows)}")
-    print(f"final loss    {rows[-1].loss!r}")
-    print(f"examples      {examples_digest(workload.examples)}")
-    print(f"losses        {digest([('loss', losses)])}")
     names = list(model.params)
     moments = ([("m." + n, state.m[n]) for n in names]
                + [("v." + n, state.v[n]) for n in names])
-    print(f"parameters    "
-          f"{digest((n, model.params[n].data) for n in names)}")
-    print(f"moments       {digest(moments)}")
-    print(f"tokenize      "
-          f"{ids_digest(text.encode(line, vocab) for line in tokenize.lines)}")
     reloaded = ([(n, p.data) for n, p in loaded.params.items()]
                 + [(f"{s}.{n}", a) for s in "mv" for n, a in stored[s].items()])
-    print(f"checkpoint    {digest(reloaded)}")
-    print(f"translate     {hypotheses_digest(hyps)}")
-    print(f"bpe           {vocabs_digest(vocabs)}")
+    return len(rows), rows[-1].loss, {
+        "examples": examples_digest(workload.examples),
+        "losses": digest([("loss", losses)]),
+        "parameters": digest((n, model.params[n].data) for n in names),
+        "moments": digest(moments),
+        "tokenize": ids_digest(text.encode(line, vocab)
+                               for line in tokenize.lines),
+        "checkpoint": digest(reloaded),
+        "translate": hypotheses_digest(hyps),
+        "bpe": vocabs_digest(vocabs),
+    }
+
+
+def main():
+    steps, final_loss, digests = run()
+    print(f"blas threads  {blas_threads()}")
+    print(f"steps         {steps}")
+    print(f"final loss    {final_loss!r}")
+    for name, value in digests.items():
+        print(f"{name:<14}{value}")
 
 
 if __name__ == "__main__":

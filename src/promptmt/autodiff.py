@@ -162,10 +162,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def make_node(data: np.ndarray, parents: Sequence[Tensor],
               backward: Optional[Callable[[np.ndarray], None]]) -> Tensor:
     """Record one operation: output data, its parents, its backward rule.
@@ -486,8 +482,6 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
         g_ctx = np.transpose(g.reshape(merged_shape), swap)
         if vh.requires_grad:
             vh.accumulate_grad(_grad_right(kept, g_ctx, vh.shape))
-        if not (qh.requires_grad or kh.requires_grad):
-            return
         g_probs = _grad_left(g_ctx, vh.data, kept.shape)
         if keep is not None:
             g_probs = _unbroadcast(g_probs * keep, probs.shape)
@@ -604,8 +598,6 @@ def cross_entropy_label_smoothed(logits: Tensor, targets, eps_ls: float,
     Positions whose target equals ``pad_id`` contribute nothing. The caller
     normalises the sum (the model divides by the batch's target tokens).
     """
-    if not 0.0 <= eps_ls < 1.0:
-        raise ValueError(f"eps_ls must be in [0, 1), got {eps_ls}")
     targets = np.asarray(targets, dtype=np.int64)
     n, v = logits.shape
     if targets.shape != (n,):

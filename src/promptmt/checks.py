@@ -21,13 +21,12 @@ def _t64(rng, shape):
     return ad.Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
-def primitive_reports(h: float = 1e-3, tol: float = 1e-3
-                      ) -> list[ad.GradCheckReport]:
+def primitive_reports() -> list[ad.GradCheckReport]:
     rng = np.random.Generator(np.random.PCG64(2024))
     reports = []
 
     def check(name, f, x):
-        reports.append(ad.grad_check(f, x, h=h, tol=tol, name=name))
+        reports.append(ad.grad_check(f, x, name=name))
 
     w = _t64(rng, (4, 3))
     check("matmul", lambda x: ad.sum_(ad.matmul(x, w)), _t64(rng, (5, 4)))
@@ -142,12 +141,10 @@ def full_model_batch():
     return Batch(examples=examples), visual
 
 
-def full_model_reports(h: float = 1e-4, tol: float = 1e-3,
-                       max_entries: int = 8) -> list[ad.GradCheckReport]:
+def full_model_reports() -> list[ad.GradCheckReport]:
     config = ModelConfig(vocab_size=24, d_model=16, n_heads=2,
                          n_enc_layers=1, n_dec_layers=1, d_v=8,
                          variant="full", dropout=0.0, eps_ls=0.1)
     model = MultimodalTranslator(config, seed=11)
     batch, visual = full_model_batch()
-    return check_model_gradients(model, batch, visual, h=h, tol=tol,
-                                 max_entries=max_entries)
+    return check_model_gradients(model, batch, visual)

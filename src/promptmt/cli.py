@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,8 @@ from .evaluate import (build_requests, evaluate, mask_sweep,
                        visual_tokens_for, write_report_csv,
                        write_sentences_tsv, write_sweep_csv)
 from .files import about, read_json, read_lines
-from .model import ModelConfig, MultimodalTranslator, load_checkpoint
+from .model import (ModelConfig, MultimodalTranslator, config_from_dict,
+                    load_checkpoint)
 from .text import (Vocabulary, decode, load_manifest, load_parallel_examples,
                    train_bpe)
 from .train import TrainConfig, TrainState, train_loop
@@ -54,7 +56,7 @@ def cmd_train(args) -> int:
 
     def build(name, cls, values):
         with about(cfg_path):
-            return cls.from_dict(values, prefix=f"{name}.")
+            return config_from_dict(cls, values, prefix=f"{name}.")
 
     out_dir = base / raw.get("out_dir", "run")
     vocab_prefix = data_path("vocab")
@@ -74,9 +76,9 @@ def cmd_train(args) -> int:
             state = TrainState.from_checkpoint_dict(ck_state)
         # the run continues under the checkpoint's trainer config, so a
         # train section that says otherwise would be silently ignored
-        stored = state.config.to_dict()
+        stored = asdict(state.config)
         changed = [f"train.{key} {value!r} (checkpoint {stored[key]!r})"
-                   for key, value in tcfg.to_dict().items()
+                   for key, value in asdict(tcfg).items()
                    if value != stored[key]]
         if changed:
             raise ConfigError(f"{cfg_path}: train section differs from the "

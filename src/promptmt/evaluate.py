@@ -98,8 +98,6 @@ def bleu4(hypotheses: Sequence[Sequence[str]],
         log_prec_sum += np.log(clipped / total)
     c = sum(len(h) for h in hypotheses)
     r = sum(len(ref) for ref in references)
-    if c == 0:
-        return 0.0
     bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
     return float(100.0 * bp * np.exp(log_prec_sum / 4.0))
 

@@ -91,13 +91,6 @@ class ModelConfig:
         if self.variant != "text_only" and self.d_v <= 0:
             raise ConfigError(f"variant {self.variant!r} requires d_v > 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping, prefix: str = "") -> "ModelConfig":
-        return config_from_dict(cls, d, prefix)
-
 
 def config_from_dict(cls, d: Mapping, prefix: str = ""):
     """``cls(**d)`` for a config dataclass, refusing a key that names no
@@ -643,15 +636,14 @@ def _stack_visual(visual) -> np.ndarray:
 
 def check_model_gradients(model: MultimodalTranslator, batch,
                           visual_map: Optional[Mapping[str, VisualTokens]],
-                          h: float = 1e-4, tol: float = 1e-3,
-                          max_entries: int = 8, seed: int = 0
-                          ) -> list[ad.GradCheckReport]:
+                          max_entries: int = 8) -> list[ad.GradCheckReport]:
     """Finite-difference check of the composed loss against every parameter.
 
     The model is recast to float64 and run in eval mode; for each parameter
-    a seeded sample of ``max_entries`` coordinates is perturbed. Covers the
-    whole path, including loss -> co-attention -> prompts -> generated
-    parameters -> controller weights under the full variant.
+    a seeded sample of ``max_entries`` coordinates is perturbed by 1e-4
+    (tolerance 1e-3). Covers the whole path, including loss -> co-attention
+    -> prompts -> generated parameters -> controller weights under the full
+    variant.
     """
     model64 = model.astype(np.float64)
     model64.train_mode = False
@@ -666,8 +658,8 @@ def check_model_gradients(model: MultimodalTranslator, batch,
                 model64.params[_name] = saved
 
         reports.append(ad.grad_check(
-            f, model64.params[name], h=h, tol=tol, max_entries=max_entries,
-            seed=derive_seed(seed, name), name=name))
+            f, model64.params[name], h=1e-4, max_entries=max_entries,
+            seed=derive_seed(0, name), name=name))
     return reports
 
 
@@ -688,7 +680,7 @@ def save_checkpoint(path: str | Path, model: MultimodalTranslator,
     names = list(model.params)
     out = BinaryWriter(CKPT_MAGIC, CKPT_VERSION)
     with about(path):   # a name or JSON longer than its length field
-        out.json("<I", model.config.to_dict(), "config")
+        out.json("<I", asdict(model.config), "config")
         out.pack("<I", len(names))
         for i, name in enumerate(names):
             data = model.params[name].data
@@ -718,8 +710,8 @@ def load_checkpoint(path: str | Path
         shape = reader.unpack(f"<{ndim}I", f"shape of {name}")
         arrays[name] = reader.floats(shape, f"data of {name}")
     with about(reader.path):
-        model = MultimodalTranslator.from_arrays(ModelConfig.from_dict(cfg),
-                                                 arrays)
+        model = MultimodalTranslator.from_arrays(
+            config_from_dict(ModelConfig, cfg), arrays)
 
     (has_state,) = reader.unpack("<B", "optimizer flag")
     state = None

@@ -45,9 +45,9 @@ def sentence_indices(line: int, seed: int) -> list[int]:
 def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
                     target_langs=("de", "fr", "cs"), pivot: str = "en",
                     seed: int = 0, m_v: int = 4, d_v: int = 32,
-                    n_images: int = 8, split: str = "train") -> Path:
-    """Write corpus files, pseudo visual tokens and a manifest; returns the
-    manifest path.
+                    n_images: int = 8) -> Path:
+    """Write the ``train`` split's corpus files, pseudo visual tokens and
+    manifest; returns the manifest path.
 
     Images are shared across lines (``n_images`` distinct ones, assigned
     round-robin) so an image alone does not identify its sentence and the
@@ -59,32 +59,32 @@ def make_toy_corpus(out_dir: str | Path, n_lines: int = 32,
     for lang in languages:
         lex = lexicon(lang)
         lines = [" ".join(lex[j] for j in idxs) for idxs in sentences]
-        write_file(out_dir / f"{split}.{lang}", "text file",
+        write_file(out_dir / f"train.{lang}", "text file",
                    "\n".join(lines) + "\n")
     n_images = min(n_images, n_lines)
-    image_ids = [f"{split}-{i % n_images:06d}" for i in range(n_lines)]
-    write_file(out_dir / f"{split}.ids", "image id file",
+    image_ids = [f"train-{i % n_images:06d}" for i in range(n_lines)]
+    write_file(out_dir / "train.ids", "image id file",
                "\n".join(image_ids) + "\n")
-    vtok_path = out_dir / f"{split}.vtok"
+    vtok_path = out_dir / "train.vtok"
     make_pseudo_vtok(sorted(set(image_ids)), m_v, d_v, seed=seed,
                      path=vtok_path)
     manifest = {
-        "split": split,
+        "split": "train",
         "languages": languages,
-        "text_paths": {lang: f"{split}.{lang}" for lang in languages},
-        "vtok_path": f"{split}.vtok",
-        "image_ids_path": f"{split}.ids",
+        "text_paths": {lang: f"train.{lang}" for lang in languages},
+        "vtok_path": "train.vtok",
+        "image_ids_path": "train.ids",
     }
-    manifest_path = out_dir / f"{split}.json"
+    manifest_path = out_dir / "train.json"
     write_file(manifest_path, "manifest", json.dumps(manifest, indent=2))
     return manifest_path
 
 
-def train_toy_vocab(out_dir: str | Path, languages, vocab_size: int = 360,
-                    split: str = "train"):
-    """BPE over the toy corpus files; returns the saved vocabulary."""
+def train_toy_vocab(out_dir: str | Path, languages, vocab_size: int = 360):
+    """BPE over the toy corpus's ``train`` files; returns the saved
+    vocabulary."""
     out_dir = Path(out_dir)
-    corpus = [out_dir / f"{split}.{lang}" for lang in languages]
+    corpus = [out_dir / f"train.{lang}" for lang in languages]
     vocab = train_bpe(corpus, vocab_size, min_freq=2, languages=languages)
     vocab.save(out_dir / "bpe")
     return vocab

@@ -57,42 +57,35 @@ class TrainConfig:
                      lambda v: v is None or 0 < v < math.inf,
                      "not None or a finite positive number")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping, prefix: str = "") -> "TrainConfig":
-        return config_from_dict(cls, d, prefix)
-
 
 @dataclass
 class TrainState:
     config: TrainConfig
     step: int = 0
-    seed: int = 1
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, model: MultimodalTranslator,
               config: TrainConfig) -> "TrainState":
-        state = cls(config=config, step=0, seed=config.seed)
+        state = cls(config=config)
         for name, p in model.params.items():
             state.m[name] = np.zeros(p.shape, dtype=np.float32)
             state.v[name] = np.zeros(p.shape, dtype=np.float32)
         return state
 
     def to_checkpoint_dict(self) -> dict:
-        return {"step": self.step, "seed": self.seed,
-                "config": self.config.to_dict(), "m": self.m, "v": self.v}
+        return {"step": self.step, "seed": self.config.seed,
+                "config": asdict(self.config), "m": self.m, "v": self.v}
 
     @classmethod
     def from_checkpoint_dict(cls, d: Mapping) -> "TrainState":
         """The state ``d`` holds. Its moment arrays are taken over, not
         copied (``load_checkpoint`` returns arrays nothing else holds), and
-        ``adam_step`` updates them in place."""
-        return cls(config=TrainConfig.from_dict(d["config"]), step=d["step"],
-                   seed=d["seed"], m=dict(d["m"]), v=dict(d["v"]))
+        ``adam_step`` updates them in place. The seed slot is not read: it
+        repeats the trainer config's seed."""
+        return cls(config=config_from_dict(TrainConfig, d["config"]),
+                   step=d["step"], m=dict(d["m"]), v=dict(d["v"]))
 
 
 def lr_schedule(step: int, config: TrainConfig) -> float:

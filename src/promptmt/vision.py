@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -43,14 +43,10 @@ class VisualTokens:
             raise FormatError(f"non-finite visual token for {self.image_id!r}")
 
 
-def write_vtok(records: Iterable[VisualTokens] | Mapping[str, VisualTokens],
-               path: str | Path):
+def write_vtok(records: Iterable[VisualTokens], path: str | Path):
     """Serialize records to a VTOK file. All records must share one
     (M_v, d_v) shape and ids must be unique."""
-    if isinstance(records, Mapping):
-        records = list(records.values())
-    else:
-        records = list(records)
+    records = list(records)
     if records:
         m_v, d_v = records[0].tokens.shape
     else:

@@ -280,7 +280,7 @@ def test_criterion_7_schedule_and_optimizer():
                              requires_grad=True)}
     g = -0.2
     params["w"].grad = np.array([g], dtype=np.float32)
-    state = TrainState(config=cfg, step=1, seed=0,
+    state = TrainState(config=cfg, step=1,
                        m={"w": np.zeros(1, np.float32)},
                        v={"w": np.zeros(1, np.float32)})
     adam_step(params, state, lr=1e-3)

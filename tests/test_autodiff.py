@@ -28,20 +28,20 @@ def make64(data, requires_grad=False):
 # ---------------------------------------------------------------------------
 
 def test_matmul_identity():
-    a = ad.tensor(np.eye(2))
-    b = ad.tensor([[1., 2.], [3., 4.]])
+    a = ad.Tensor(np.eye(2))
+    b = ad.Tensor([[1., 2.], [3., 4.]])
     out = ad.matmul(a, b)
     np.testing.assert_allclose(out.data, [[1., 2.], [3., 4.]])
 
 
 def test_matmul_hand_dot_product():
-    out = ad.matmul(ad.tensor([[1., 2.]]), ad.tensor([[3.], [4.]]))
+    out = ad.matmul(ad.Tensor([[1., 2.]]), ad.Tensor([[3.], [4.]]))
     np.testing.assert_allclose(out.data, [[11.]])
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 4\)"):
-        ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 4))))
+        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
 
 
 def test_matmul_gradient_finite_differences():
@@ -71,17 +71,17 @@ def test_matmul_batched_broadcast_and_grad():
 # ---------------------------------------------------------------------------
 
 def test_softmax_symmetry():
-    out = ad.softmax(ad.tensor([0., 0., 0.]))
+    out = ad.softmax(ad.Tensor([0., 0., 0.]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
 
 def test_softmax_closed_form():
-    out = ad.softmax(ad.tensor([0., math.log(2.)]))
+    out = ad.softmax(ad.Tensor([0., math.log(2.)]))
     np.testing.assert_allclose(out.data, [1 / 3, 2 / 3], atol=1e-7)
 
 
 def test_softmax_no_overflow():
-    out = ad.softmax(ad.tensor([1000., 1000.]))
+    out = ad.softmax(ad.Tensor([1000., 1000.]))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
 
 
@@ -105,8 +105,8 @@ def test_softmax_shift_invariance_exact_in_float32(ks, c):
     # sixteenths plus an integer shift stay exactly representable, so the
     # max-subtracted inputs are bitwise equal and so are the outputs
     x = np.asarray(ks, dtype=np.float32) / 16
-    out = ad.softmax(ad.tensor(x)).data
-    shifted = ad.softmax(ad.tensor(x + np.float32(c))).data
+    out = ad.softmax(ad.Tensor(x)).data
+    shifted = ad.softmax(ad.Tensor(x + np.float32(c))).data
     assert np.array_equal(out, shifted)
 
 
@@ -124,15 +124,15 @@ def test_softmax_gradient():
 # ---------------------------------------------------------------------------
 
 def test_layer_norm_constant_row_maps_to_bias():
-    x = ad.tensor([[3., 3., 3., 3.]])
-    out = ad.layer_norm(x, ad.tensor(np.ones(4)), ad.tensor(np.zeros(4)))
+    x = ad.Tensor([[3., 3., 3., 3.]])
+    out = ad.layer_norm(x, ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(4)))
     np.testing.assert_allclose(out.data, np.zeros((1, 4)), atol=1e-2)
 
 
 def test_layer_norm_two_point_closed_form():
     # population variance of [1, 3] is 1, mean 2 -> normalized [-1, 1]
-    out = ad.layer_norm(ad.tensor([[1., 3.]]),
-                        ad.tensor(np.ones(2)), ad.tensor(np.zeros(2)))
+    out = ad.layer_norm(ad.Tensor([[1., 3.]]),
+                        ad.Tensor(np.ones(2)), ad.Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.data, [[-1., 1.]], atol=1e-4)
 
 
@@ -196,24 +196,24 @@ def test_layer_norm_bitwise_equals_np_mean_formula(dtype):
 # ---------------------------------------------------------------------------
 
 def test_relu():
-    out = ad.relu(ad.tensor([-1., 0., 2.]))
+    out = ad.relu(ad.Tensor([-1., 0., 2.]))
     np.testing.assert_allclose(out.data, [0., 0., 2.])
 
 
 def test_embedding_lookup_one_hot_table():
-    out = ad.embedding_lookup(ad.tensor(np.eye(3)), [2])
+    out = ad.embedding_lookup(ad.Tensor(np.eye(3)), [2])
     np.testing.assert_allclose(out.data, [[0., 0., 1.]])
 
 
 def test_embedding_lookup_rejects_out_of_range():
     with pytest.raises(VocabularyError, match="id 3"):
-        ad.embedding_lookup(ad.tensor(np.eye(3)), [3])
+        ad.embedding_lookup(ad.Tensor(np.eye(3)), [3])
 
 
 def test_embedding_lookup_scatter_gradient():
-    table = ad.tensor(np.zeros((4, 3)), requires_grad=True)
+    table = ad.Tensor(np.zeros((4, 3)), requires_grad=True)
     out = ad.embedding_lookup(table, [2])
-    loss = ad.sum_(ad.mul(out, ad.tensor([[1., 2., 3.]])))
+    loss = ad.sum_(ad.mul(out, ad.Tensor([[1., 2., 3.]])))
     ad.backward(loss)
     expected = np.zeros((4, 3))
     expected[2] = [1., 2., 3.]
@@ -221,7 +221,7 @@ def test_embedding_lookup_scatter_gradient():
 
 
 def test_embedding_lookup_repeated_ids_accumulate():
-    table = ad.tensor(np.zeros((4, 2)), requires_grad=True)
+    table = ad.Tensor(np.zeros((4, 2)), requires_grad=True)
     loss = ad.sum_(ad.embedding_lookup(table, [1, 1, 3]))
     ad.backward(loss)
     np.testing.assert_allclose(table.grad,
@@ -229,15 +229,15 @@ def test_embedding_lookup_repeated_ids_accumulate():
 
 
 def test_concat_roundtrip():
-    a = ad.tensor(np.arange(6., dtype=np.float32).reshape(2, 3),
+    a = ad.Tensor(np.arange(6., dtype=np.float32).reshape(2, 3),
                   requires_grad=True)
-    b = ad.tensor(np.ones((2, 2)), requires_grad=True)
+    b = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     cat = ad.concat([a, b], axis=1)
     assert cat.shape == (2, 5)
     np.testing.assert_allclose(cat.data[:, :3], a.data)
     np.testing.assert_allclose(cat.data[:, 3:], b.data)
     # weight only a's columns: the gradient splits back along the axis
-    probe = ad.tensor(np.concatenate([np.ones((2, 3)), np.zeros((2, 2))],
+    probe = ad.Tensor(np.concatenate([np.ones((2, 3)), np.zeros((2, 2))],
                                      axis=1))
     ad.backward(ad.sum_(ad.mul(cat, probe)))
     np.testing.assert_allclose(a.grad, np.ones((2, 3)))
@@ -256,12 +256,12 @@ def test_transpose_permutation_gradient():
 def test_add_rejects_interior_broadcast():
     # only missing leading dims may broadcast; aligned dims must match
     with pytest.raises(ShapeError):
-        ad.add(ad.tensor(np.zeros((3, 1))), ad.tensor(np.zeros((3, 4))))
+        ad.add(ad.Tensor(np.zeros((3, 1))), ad.Tensor(np.zeros((3, 4))))
 
 
 def test_add_leading_broadcast_grad_sums():
-    b = ad.tensor(np.zeros(3), requires_grad=True)
-    out = ad.add(ad.tensor(np.ones((5, 3))), b)
+    b = ad.Tensor(np.zeros(3), requires_grad=True)
+    out = ad.add(ad.Tensor(np.ones((5, 3))), b)
     ad.backward(ad.sum_(out))
     np.testing.assert_allclose(b.grad, [5., 5., 5.])
 
@@ -398,7 +398,7 @@ def test_check_matmul_matches_reference(pair):
 
 
 def _attend_zeros(qs, ks, vs):
-    ad.attention(*(ad.tensor(np.zeros(s)) for s in (qs, ks, vs)))
+    ad.attention(*(ad.Tensor(np.zeros(s)) for s in (qs, ks, vs)))
 
 
 @settings(max_examples=400)
@@ -424,11 +424,11 @@ def test_concat_backward_splits_at_offsets(axis):
     # a constant: each gradient is its own slice of a probe of distinct
     # values
     rng = np.random.Generator(np.random.PCG64(9))
-    parts = [ad.tensor(rng.standard_normal((4, w, 2)), requires_grad=grad)
+    parts = [ad.Tensor(rng.standard_normal((4, w, 2)), requires_grad=grad)
              for w, grad in ((2, True), (1, False), (3, True))]
     cat = ad.concat(parts, axis=axis)
     probe = np.arange(cat.size, dtype=np.float32).reshape(cat.shape)
-    ad.backward(ad.sum_(ad.mul(cat, ad.tensor(probe))))
+    ad.backward(ad.sum_(ad.mul(cat, ad.Tensor(probe))))
     assert np.array_equal(parts[0].grad, probe[:, 0:2])
     assert parts[1].grad is None
     assert np.array_equal(parts[2].grad, probe[:, 3:6])
@@ -439,14 +439,14 @@ def test_concat_backward_splits_at_offsets(axis):
 # ---------------------------------------------------------------------------
 
 def test_linear_identity():
-    x = ad.tensor([[0.5, -2.0], [7.0, 1.0]])
-    out = ad.linear(x, ad.tensor(np.eye(2)), ad.tensor(np.zeros(2)))
+    x = ad.Tensor([[0.5, -2.0], [7.0, 1.0]])
+    out = ad.linear(x, ad.Tensor(np.eye(2)), ad.Tensor(np.zeros(2)))
     np.testing.assert_allclose(out.data, x.data)
 
 
 def test_linear_hand_case():
-    out = ad.linear(ad.tensor([[1., 2.]]),
-                    ad.tensor([[1., 0.], [0., 1.]]), ad.tensor([3., 3.]))
+    out = ad.linear(ad.Tensor([[1., 2.]]),
+                    ad.Tensor([[1., 0.], [0., 1.]]), ad.Tensor([3., 3.]))
     np.testing.assert_allclose(out.data, [[4., 5.]])
 
 
@@ -540,7 +540,7 @@ def test_fused_attention_block_equals_composed_chain_bitwise(dtype, shared_kv,
 
 def test_fused_ops_keep_the_chain_shape_and_nan_checks():
     def z(*shape):
-        return ad.tensor(np.zeros(shape))
+        return ad.Tensor(np.zeros(shape))
 
     with pytest.raises(ShapeError, match=r"inner.*\(2, 3\) @ \(4, 5\)"):
         ad.linear(z(2, 3), z(4, 5), z(5))
@@ -564,7 +564,7 @@ def test_fused_ops_keep_the_chain_shape_and_nan_checks():
         ad.attention(z(2, 3, 4), z(2, 5, 4), z(2, 5, 4),
                      keep=np.ones((2, 3, 4)))
     with pytest.raises(NumericError, match="softmax: NaN in input"):
-        ad.attention(ad.tensor(np.full((1, 2, 4), np.nan)), z(1, 3, 4),
+        ad.attention(ad.Tensor(np.full((1, 2, 4), np.nan)), z(1, 3, 4),
                      z(1, 3, 4))
 
 
@@ -576,12 +576,42 @@ def test_attention_refuses_a_query_without_heads():
         _attend_zeros((3, 4), (5, 4), (5, 4))
 
 
+def _zeros(*shape):
+    return ad.Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ad.transpose(_zeros(3)), ShapeError,
+     "transpose: need at least 2 dims, got shape (3,)"),
+    (lambda: ad.concat([]), ShapeError, "concat: empty input list"),
+    (lambda: ad.layer_norm(_zeros(2, 3), _zeros(2), _zeros(3)), ShapeError,
+     "layer_norm: gain/bias shape must be (3,), got (2,) / (3,)"),
+    (lambda: ad.cross_entropy_label_smoothed(_zeros(2, 4), [1], 0.1, 0),
+     ShapeError, "cross_entropy: targets shape (1,) vs logits (2, 4)"),
+    (lambda: ad.cross_entropy_label_smoothed(_zeros(2, 4), [1, 4], 0.1, 0),
+     VocabularyError, "cross_entropy: target id outside vocabulary"),
+    (lambda: ad.cross_entropy_label_smoothed(_zeros(2, 4), [-1, 1], 0.1, 0),
+     VocabularyError, "cross_entropy: target id outside vocabulary"),
+], ids=["transpose 1-D", "concat nothing", "layer_norm gain shape",
+        "cross entropy target shape", "cross entropy target past vocab",
+        "cross entropy negative target"])
+def test_primitives_refuse_malformed_operands_by_name(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_tensor_repr_shows_shape_not_data():
+    assert repr(ad.Tensor(np.zeros((2, 3)), requires_grad=True)) == \
+        "Tensor(shape=(2, 3), requires_grad=True)"
+
+
 # ---------------------------------------------------------------------------
 # cross entropy with label smoothing
 # ---------------------------------------------------------------------------
 
 def test_cross_entropy_uniform_logits():
-    logits = ad.tensor(np.zeros((1, 7)))
+    logits = ad.Tensor(np.zeros((1, 7)))
     loss = ad.cross_entropy_label_smoothed(logits, [3], eps_ls=0.0, pad_id=0)
     assert abs(loss.item() - math.log(7)) < 1e-6
 
@@ -589,7 +619,7 @@ def test_cross_entropy_uniform_logits():
 def test_cross_entropy_perfect_prediction():
     logits = np.full((1, 5), -100.0, dtype=np.float32)
     logits[0, 2] = 100.0
-    loss = ad.cross_entropy_label_smoothed(ad.tensor(logits), [2],
+    loss = ad.cross_entropy_label_smoothed(ad.Tensor(logits), [2],
                                            eps_ls=0.0, pad_id=0)
     assert loss.item() < 1e-6
 
@@ -599,7 +629,7 @@ def test_cross_entropy_two_class_smoothed_hand_value():
     # log p = [-log(1+e^-2), -2-log(1+e^-2)]
     lse = math.log(1.0 + math.exp(-2.0))
     expected = 0.95 * lse + 0.05 * (2.0 + lse)
-    loss = ad.cross_entropy_label_smoothed(ad.tensor([[2., 0.]]), [0],
+    loss = ad.cross_entropy_label_smoothed(ad.Tensor([[2., 0.]]), [0],
                                            eps_ls=0.1, pad_id=1)
     assert abs(loss.item() - expected) < 1e-6
 
@@ -608,15 +638,15 @@ def test_cross_entropy_excludes_pad_from_loss():
     logits = np.zeros((3, 4), dtype=np.float32)
     logits[0, 1] = 5.0
     full = ad.cross_entropy_label_smoothed(
-        ad.tensor(logits), [1, 0, 0], eps_ls=0.0, pad_id=0)
+        ad.Tensor(logits), [1, 0, 0], eps_ls=0.0, pad_id=0)
     solo = ad.cross_entropy_label_smoothed(
-        ad.tensor(logits[:1]), [1], eps_ls=0.0, pad_id=0)
+        ad.Tensor(logits[:1]), [1], eps_ls=0.0, pad_id=0)
     assert abs(full.item() - solo.item()) < 1e-7
 
 
 def test_cross_entropy_all_pad_is_degenerate():
     with pytest.raises(DegenerateBatchError):
-        ad.cross_entropy_label_smoothed(ad.tensor(np.zeros((2, 4))),
+        ad.cross_entropy_label_smoothed(ad.Tensor(np.zeros((2, 4))),
                                         [0, 0], eps_ls=0.0, pad_id=0)
 
 
@@ -634,25 +664,25 @@ def test_cross_entropy_gradient():
 # ---------------------------------------------------------------------------
 
 def test_backward_sum_gives_ones():
-    x = ad.tensor(np.arange(4.), requires_grad=True)
+    x = ad.Tensor(np.arange(4.), requires_grad=True)
     ad.backward(ad.sum_(x))
     np.testing.assert_allclose(x.grad, np.ones(4))
 
 
 def test_backward_square_gives_two_x():
-    x = ad.tensor([1., -2., 3.], requires_grad=True)
+    x = ad.Tensor([1., -2., 3.], requires_grad=True)
     ad.backward(ad.sum_(ad.mul(x, x)))
     np.testing.assert_allclose(x.grad, [2., -4., 6.])
 
 
 def test_backward_requires_scalar():
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError, match="scalar"):
         ad.backward(ad.mul(x, x))
 
 
 def test_double_backward_without_reset_is_error():
-    x = ad.tensor([1., 2.], requires_grad=True)
+    x = ad.Tensor([1., 2.], requires_grad=True)
     loss = ad.sum_(ad.mul(x, x))
     ad.backward(loss)
     with pytest.raises(GraphError, match="already"):
@@ -661,8 +691,8 @@ def test_double_backward_without_reset_is_error():
 
 def test_backward_reset_is_bitwise_idempotent():
     rng = np.random.Generator(np.random.PCG64(7))
-    x = ad.tensor(rng.standard_normal((3, 3)), requires_grad=True)
-    w = ad.tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
 
     def run():
         ad.zero_grad([x, w])
@@ -676,7 +706,7 @@ def test_backward_reset_is_bitwise_idempotent():
 
 
 def test_grad_accumulates_across_shared_use():
-    x = ad.tensor([2.], requires_grad=True)
+    x = ad.Tensor([2.], requires_grad=True)
     y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1 = 5
     ad.backward(ad.sum_(y))
     np.testing.assert_allclose(x.grad, [5.])
@@ -684,7 +714,7 @@ def test_grad_accumulates_across_shared_use():
 
 def test_second_backward_does_not_double_count_interior_gradients():
     # h's gradient from the first pass must not leak into the second
-    x = ad.tensor([3.], requires_grad=True)
+    x = ad.Tensor([3.], requires_grad=True)
     h = ad.mul(x, x)
     ad.backward(ad.sum_(h))
     ad.backward(ad.sum_(ad.scale(h, 2)))
@@ -832,9 +862,9 @@ def test_attention_backward_keeps_only_the_arrays_it_reads(masked):
     # masked probabilities; the raw product, the scores, the context
     # [2, 2, 3, 4] and its merged copy may not
     rng = np.random.Generator(np.random.PCG64(12))
-    qh = ad.tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
-    kh = ad.tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
-    vh = ad.tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
+    qh = ad.Tensor(rng.standard_normal((2, 2, 3, 4)), requires_grad=True)
+    kh = ad.Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
+    vh = ad.Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True)
     keep = (rng.random((2, 2, 3, 5)) < 0.7) / np.float32(0.7) if masked \
         else None
     out = ad.attention(qh, kh, vh, None, keep)
@@ -895,9 +925,9 @@ def test_copy_free_accumulation_matches_copying_on_toy_corpus(
 def test_shared_first_gradient_is_never_written():
     # add hands one g to both leaves; both keep it, and a second backward
     # into w1 must not reach w2's gradient through it
-    w1 = ad.tensor(np.arange(3.), requires_grad=True)
-    w2 = ad.tensor(np.ones(3), requires_grad=True)
-    ad.backward(ad.sum_(ad.mul(ad.add(w1, w2), ad.tensor([1., 2., 3.]))))
+    w1 = ad.Tensor(np.arange(3.), requires_grad=True)
+    w2 = ad.Tensor(np.ones(3), requires_grad=True)
+    ad.backward(ad.sum_(ad.mul(ad.add(w1, w2), ad.Tensor([1., 2., 3.]))))
     assert w1.grad is w2.grad and np.array_equal(w1.grad, [1., 2., 3.])
     w2_before = w2.grad.copy()
     ad.backward(ad.sum_(ad.scale(w1, 10.0)))
@@ -906,7 +936,7 @@ def test_shared_first_gradient_is_never_written():
 
 
 def test_first_gradient_kept_only_in_own_dtype():
-    t = ad.tensor(np.zeros(3), requires_grad=True)
+    t = ad.Tensor(np.zeros(3), requires_grad=True)
     own = np.array([1., 2., 3.], dtype=np.float32)
     t.accumulate_grad(own)
     assert t.grad is own
@@ -915,7 +945,7 @@ def test_first_gradient_kept_only_in_own_dtype():
              (np.zeros(()), np.float64(0.1), np.float64(3.3)),
              (np.zeros(()), np.float32(0.1), np.array(3.3, np.float32))]
     for data, first, later in cases:
-        t, ref = (ad.tensor(data, requires_grad=True) for _ in range(2))
+        t, ref = (ad.Tensor(data, requires_grad=True) for _ in range(2))
         t.accumulate_grad(first)
         reference_accumulate_grad(ref, first)
         assert t.grad is not first and t.grad.dtype == np.float32
@@ -975,13 +1005,13 @@ def test_dropout_eval_mode_is_identity():
     # untouched, as ``ad.dropout`` does at p == 0
     m = lean_model("full", np.float32, dropout=0.5)
     m.train_mode = False
-    x = ad.tensor(np.ones((4, 4)))
+    x = ad.Tensor(np.ones((4, 4)))
     assert m._dropout(x) is x
     assert ad.dropout(x, 0.0, np.random.Generator(np.random.PCG64(8))) is x
 
 
 def test_dropout_inverted_scaling_and_determinism():
-    x = ad.tensor(np.ones((1000,)))
+    x = ad.Tensor(np.ones((1000,)))
     out1 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)))
     out2 = ad.dropout(x, 0.3, np.random.Generator(np.random.PCG64(9)))
     assert np.array_equal(out1.data, out2.data)

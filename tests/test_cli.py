@@ -3,15 +3,18 @@ workspace; errors exit nonzero with the offending path in the message."""
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from promptmt.cli import build_parser, main
+from promptmt.decoding import beam_search
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
-from promptmt.text import Vocabulary, load_manifest
+from promptmt.text import (BOS_ID, EOS_ID, Vocabulary, decode, encode,
+                           load_manifest, prefix_target_token)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import read_vtok
 
@@ -140,9 +143,6 @@ def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
                "--vtok", str(workspace / "train.vtok")])
     assert rc == 0
     cli_out = capsys.readouterr().out.rstrip("\n")
-
-    from promptmt.decoding import beam_search
-    from promptmt.text import BOS_ID, EOS_ID, decode, encode, prefix_target_token
 
     model, _ = load_checkpoint(ckpt)
     vocab = Vocabulary.load(workspace / "run" / "bpe")
@@ -308,6 +308,29 @@ def test_vtok_width_mismatch_rejected(workspace, tmp_path, capsys):
     assert "width mismatch" in capsys.readouterr().err
 
 
+def test_translate_cli_text_only_reads_plain_lines(workspace, tmp_path,
+                                                  capsys):
+    vocab = Vocabulary.load(workspace / "bpe")
+    model = MultimodalTranslator(ModelConfig(
+        vocab_size=len(vocab), d_model=16, n_heads=2, n_enc_layers=1,
+        n_dec_layers=1, variant="text_only", dropout=0.0,
+        n_langs=len(vocab.languages)), seed=4)
+    ckpt = tmp_path / "text_only.lvpm"
+    save_checkpoint(ckpt, model)
+    lines = (workspace / "train.en").read_text().splitlines()[:2]
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["translate", "--ckpt", str(ckpt), "--vocab",
+               str(workspace / "bpe"), "--tgt-lang", "de", "--input",
+               str(src), "--beam", "2"])
+    assert rc == 0
+    expected = [decode(beam_search(
+        model, vocab, prefix_target_token(
+            [BOS_ID] + encode(line, vocab) + [EOS_ID], "de", vocab),
+        "de", None, beam=2, alpha=1.0).tokens, vocab) for line in lines]
+    assert capsys.readouterr().out.split("\n") == expected + [""]
+
+
 def test_translate_cli_vision_checkpoint_needs_vtok(workspace, tmp_path,
                                                    capsys):
     src = tmp_path / "in.txt"
@@ -363,6 +386,22 @@ def test_train_cli_reads_vtok_once(workspace, tmp_path, monkeypatch):
                             "n_dec_layers": 1})
     assert main(["train", "--config", str(config)]) == 0
     assert reads.count(workspace / "train.vtok") == 1
+
+
+def test_train_cli_log_every_prints_each_step(workspace, tmp_path, capsys):
+    config = _train_config(workspace, tmp_path, workspace / "train.json",
+                           {"d_model": 16, "n_heads": 2, "n_enc_layers": 1,
+                            "n_dec_layers": 1, "variant": "text_only"})
+    assert main(["train", "--config", str(config), "--log-every", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = list(csv.DictReader((tmp_path / "run" / "metrics.csv").open()))
+    assert len(rows) >= 1 and len(out) == len(rows) + 2
+    for line, row in zip(out, rows):
+        step = re.fullmatch(r"step (\d+) epoch (\d+) lr \S+ loss "
+                            r"(\d+\.\d{4}) tok/s \d+", line)
+        assert step, line
+        assert step.group(1, 2) == (row["step"], row["epoch"])
+        assert float(step[3]) == pytest.approx(float(row["loss"]), abs=1e-4)
 
 
 def test_translate_cli_rejects_non_finite_alpha(workspace, tmp_path, capsys):
@@ -457,6 +496,59 @@ def test_mask_sweep_cli_names_malformed_list_item(workspace, tmp_path, capsys,
            if item in ("abc", "x2", "1.5")][0]
     assert out == "" and err.count("\n") == 1 and err.startswith("error:")
     assert named in err and repr(bad) in err
+
+
+def _resume_without_optimizer_state(ws, tmp):
+    model, _ = load_checkpoint(ws / "run" / "checkpoint_last.lvpm")
+    save_checkpoint(tmp / "weights.lvpm", model)
+    return (["train", "--config", str(ws / "config.json"), "--resume",
+             str(tmp / "weights.lvpm")],
+            f"{tmp / 'weights.lvpm'} holds no optimizer state, cannot resume")
+
+
+def _make_vtok(tmp, extra):
+    ids = tmp / "ids.txt"
+    ids.write_text("a\nb\n", encoding="utf-8")
+    return ["make-vtok", "--ids", str(ids), "--dv", "4",
+            "--out", str(tmp / "o.vtok")] + extra
+
+
+def _make_vtok_without_pseudo(ws, tmp):
+    return (_make_vtok(tmp, ["--mv", "2"]),
+            "only --pseudo generation is supported; real backbones are "
+            "external and write VTOK directly")
+
+
+def _make_vtok_no_tokens_per_image(ws, tmp):
+    return (_make_vtok(tmp, ["--pseudo", "--mv", "0"]),
+            "m_v and d_v must be >= 1, got (0, 4)")
+
+
+def _mask_sweep_no_ratio(ws, tmp):
+    return (["mask-sweep", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+             "--manifest", str(ws / "train.json"), "--direction", "en-de",
+             "--ratios", ",", "--seeds", "1", "--out", str(tmp / "s.csv")],
+            "need at least one ratio and one seed")
+
+
+def _evaluate_language_not_in_manifest(ws, tmp):
+    return (["evaluate", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+             "--manifest", str(ws / "train.json"), "--direction", "en-xx",
+             "--out", str(tmp / "r.csv")],
+            "language 'xx' not in manifest (has ['en', 'de', 'fr'])")
+
+
+@pytest.mark.parametrize("case", [
+    _resume_without_optimizer_state, _make_vtok_without_pseudo,
+    _make_vtok_no_tokens_per_image, _mask_sweep_no_ratio,
+    _evaluate_language_not_in_manifest,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_cli_refusal_messages(workspace, tmp_path, capsys, case):
+    argv, message = case(workspace, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) in (
+        [], ["ids.txt"], ["weights.lvpm"])
 
 
 def _corrupt(src: Path, dst: Path, offset: int, value: int = 0xFF) -> Path:

@@ -333,7 +333,7 @@ class StubModel:
         logits = [[self._logits(row[:t + 1])
                    for t in range(first, prefixes.shape[1])]
                   for row in prefixes]
-        return ad.tensor(np.asarray(logits, dtype=np.float32).reshape(
+        return ad.Tensor(np.asarray(logits, dtype=np.float32).reshape(
             ids.shape + (self.vocab_size,)))
 
     def _logits(self, prefix):

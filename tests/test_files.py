@@ -206,6 +206,18 @@ def test_manifest_field_types(frozen, key, value, message):
     assert str(path) in str(exc.value)
 
 
+def test_image_id_file_of_wrong_length(frozen):
+    manifest = load_manifest(frozen / "train.json")
+    ids = manifest.image_ids_path
+    n = len(manifest_lines(manifest, "en"))
+    ids.write_text("".join(ids.read_text(encoding="utf-8")
+                           .splitlines(keepends=True)[1:]), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        manifest_image_ids(manifest, n)
+    assert str(exc.value) == \
+        f"image id file {ids} has {n - 1} lines, corpus has {n}"
+
+
 # ---------------------------------------------------------------------------
 # the write side
 # ---------------------------------------------------------------------------
@@ -308,7 +320,8 @@ def test_library_writers_name_unwritable_path(tmp_path, write, what):
 
 
 def test_writers_reproduce_frozen_bytes(tmp_path):
-    write_vtok(read_vtok(FROZEN / "train.vtok"), tmp_path / "train.vtok")
+    write_vtok(read_vtok(FROZEN / "train.vtok").values(),
+               tmp_path / "train.vtok")
     Vocabulary.load(FROZEN / "bpe").save(tmp_path / "bpe")
     for name in ("train.vtok", "bpe.vocab", "bpe.merges"):
         assert (tmp_path / name).read_bytes() == \

@@ -23,8 +23,9 @@ from promptmt.decoding import beam_search
 from promptmt.errors import ConfigError, ShapeError, VariantError
 from promptmt.evaluate import visual_tokens_for
 from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
-                            check_model_gradients, load_checkpoint,
-                            save_checkpoint, sinusoidal_positions)
+                            check_model_gradients, config_from_dict,
+                            load_checkpoint, save_checkpoint,
+                            sinusoidal_positions)
 from promptmt.seeding import rng_for
 from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
                            Vocabulary, encode, load_manifest,
@@ -98,7 +99,8 @@ def test_config_accepts_rate_in_unit_interval(field, value):
 ])
 def test_config_from_dict_rejects_unknown_keys(extra, named):
     with pytest.raises(ConfigError) as err:
-        ModelConfig.from_dict({"vocab_size": 10, "d_v": 4, **extra})
+        config_from_dict(ModelConfig,
+                         {"vocab_size": 10, "d_v": 4, **extra})
     assert "ModelConfig" in str(err.value) and named in str(err.value)
 
 
@@ -108,14 +110,15 @@ def test_config_from_dict_rejects_unknown_keys(extra, named):
 ])
 def test_config_from_dict_names_field_of_wrong_type(key, value):
     with pytest.raises(ConfigError) as err:
-        ModelConfig.from_dict({"vocab_size": 10, "d_v": 4, key: value},
-                              prefix="model.")
+        config_from_dict(ModelConfig,
+                         {"vocab_size": 10, "d_v": 4, key: value},
+                         prefix="model.")
     assert f"'model.{key}'" in str(err.value)
 
 
 def test_config_from_dict_accepts_int_for_float():
-    assert ModelConfig.from_dict({"vocab_size": 10, "d_v": 4,
-                                  "dropout": 0}).dropout == 0
+    assert config_from_dict(ModelConfig, {"vocab_size": 10, "d_v": 4,
+                                          "dropout": 0}).dropout == 0
 
 
 def test_config_from_dict_reads_type_hints_once_per_class(monkeypatch):
@@ -148,11 +151,13 @@ def test_config_from_dict_reads_type_hints_once_per_class(monkeypatch):
          "TrainConfig key 'seed' must be int, got False"),
     ]
     for _ in range(5):
-        assert ModelConfig.from_dict({**base, "dropout": 0}).dropout == 0
-        assert TrainConfig.from_dict({"grad_clip": None}).grad_clip is None
+        assert config_from_dict(ModelConfig,
+                                {**base, "dropout": 0}).dropout == 0
+        assert config_from_dict(TrainConfig,
+                                {"grad_clip": None}).grad_clip is None
         for cls, d, prefix, message in refused:
             with pytest.raises(ConfigError) as err:
-                cls.from_dict(d, prefix)
+                config_from_dict(cls, d, prefix)
             assert str(err.value) == message
     assert sorted(calls) == ["ModelConfig", "TrainConfig"]
 
@@ -262,25 +267,25 @@ def test_controller_forward_guarded_by_variant():
 
 def test_apply_mapping_identity():
     m = tiny_model(d_v=16)
-    v = ad.tensor(np.random.default_rng(0).standard_normal((4, 16)))
-    theta = ad.tensor(np.vstack([np.eye(16), np.zeros(16)]))
+    v = ad.Tensor(np.random.default_rng(0).standard_normal((4, 16)))
+    theta = ad.Tensor(np.vstack([np.eye(16), np.zeros(16)]))
     out = m.apply_mapping(v, theta)
     np.testing.assert_allclose(out.data, v.data, atol=1e-6)
 
 
 def test_apply_mapping_zero_weight_broadcasts_bias():
     m = tiny_model()
-    v = ad.tensor(np.ones((3, 8)))
+    v = ad.Tensor(np.ones((3, 8)))
     bias = np.arange(16.0, dtype=np.float32)
-    out = m.apply_mapping(v, ad.tensor(np.vstack([np.zeros((8, 16)), bias])))
+    out = m.apply_mapping(v, ad.Tensor(np.vstack([np.zeros((8, 16)), bias])))
     for row in out.data:
         np.testing.assert_array_equal(row, bias)
 
 
 def test_apply_mapping_hand_case():
     m = tiny_model()
-    v = ad.tensor([[1.0, 2.0], [3.0, 4.0]])
-    w_and_b = ad.tensor([[1.0, 0.0], [1.0, 1.0], [0.5, -0.5]])
+    v = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
+    w_and_b = ad.Tensor([[1.0, 0.0], [1.0, 1.0], [0.5, -0.5]])
     out = m.apply_mapping(v, w_and_b)
     np.testing.assert_allclose(out.data, [[3.5, 1.5], [7.5, 3.5]])
 
@@ -288,8 +293,8 @@ def test_apply_mapping_hand_case():
 def test_apply_mapping_shape_mismatch():
     m = tiny_model()
     with pytest.raises(ShapeError):
-        m.apply_mapping(ad.tensor(np.zeros((3, 5))),
-                        ad.tensor(np.zeros((9, 16))))
+        m.apply_mapping(ad.Tensor(np.zeros((3, 5))),
+                        ad.Tensor(np.zeros((9, 16))))
 
 
 def test_static_visual_prompt_identity():
@@ -323,8 +328,8 @@ def test_full_prompts_differ_across_languages():
 
 def test_self_fuse_preserves_shapes():
     m = tiny_model()
-    s0 = ad.tensor(np.random.default_rng(2).standard_normal((5, 16)))
-    p0 = ad.tensor(np.random.default_rng(3).standard_normal((3, 16)))
+    s0 = ad.Tensor(np.random.default_rng(2).standard_normal((5, 16)))
+    p0 = ad.Tensor(np.random.default_rng(3).standard_normal((3, 16)))
     s, p = m.self_fuse(s0, p0)
     assert s.shape == (5, 16) and p.shape == (3, 16)
 
@@ -334,8 +339,8 @@ def test_self_fuse_single_token_degenerate_attention():
     # reduces to the per-position residual/norm/FFN pipeline
     m = tiny_model()
     p0 = np.random.default_rng(4).standard_normal((1, 16)).astype(np.float32)
-    _, p = m.self_fuse(ad.tensor(np.ones((2, 16), dtype=np.float32)),
-                       ad.tensor(p0))
+    _, p = m.self_fuse(ad.Tensor(np.ones((2, 16), dtype=np.float32)),
+                       ad.Tensor(p0))
 
     def lin(prefix, x):
         return x @ m.params[prefix + ".w"].data + m.params[prefix + ".b"].data
@@ -355,14 +360,14 @@ def test_self_fuse_single_token_degenerate_attention():
 def test_co_attention_single_key_broadcasts_value():
     # M_v = 1: every query's distribution is a point mass on the one key
     m = tiny_model(n_heads=1)
-    s = ad.tensor(np.random.default_rng(5).standard_normal((4, 16)))
+    s = ad.Tensor(np.random.default_rng(5).standard_normal((4, 16)))
     p0 = np.random.default_rng(6).standard_normal((1, 16)).astype(np.float32)
 
     def lin(prefix, x):
         return x @ m.params[prefix + ".w"].data + m.params[prefix + ".b"].data
 
     expected_attn = lin("coattn.0.self.o", lin("coattn.0.self.v", p0))
-    q = m.co_attention(s, ad.tensor(p0))
+    q = m.co_attention(s, ad.Tensor(p0))
     # recompute the trailer on top of the broadcast attention output
     def ln(prefix, x):
         mu, var = x.mean(-1, keepdims=True), x.var(-1, keepdims=True)
@@ -401,17 +406,17 @@ def test_co_attention_hand_computation_one_head():
     f = lin("coattn.0.ffn.2", np.maximum(lin("coattn.0.ffn.1", h), 0))
     expected = ln("coattn.0.ln2", h + f)
 
-    got = m.co_attention(ad.tensor(s), ad.tensor(p))
+    got = m.co_attention(ad.Tensor(s), ad.Tensor(p))
     np.testing.assert_allclose(got.data, expected, atol=1e-5)
 
 
 def test_co_attention_guards():
     m = tiny_model(variant="text_only", d_v=0)
     with pytest.raises(VariantError):
-        m.co_attention(ad.tensor(np.zeros((2, 16))), ad.tensor(np.zeros((1, 16))))
+        m.co_attention(ad.Tensor(np.zeros((2, 16))), ad.Tensor(np.zeros((1, 16))))
     with pytest.raises(ShapeError, match="empty"):
-        tiny_model().co_attention(ad.tensor(np.zeros((2, 16))),
-                                  ad.tensor(np.zeros((0, 16))))
+        tiny_model().co_attention(ad.Tensor(np.zeros((2, 16))),
+                                  ad.Tensor(np.zeros((0, 16))))
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +564,25 @@ def test_forward_loss_rejects_mixed_prompt_lengths():
     batch = Batch(examples=[example(), example("e1", image="img1")])
     with pytest.raises(ShapeError, match="img0.*img1"):
         m.forward_loss(batch, vm)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: tiny_model().prepare_source([TAG_DE, BOS_ID, 10, EOS_ID], None),
+     ConfigError, "variant 'full' requires visual tokens, none provided"),
+    (lambda: tiny_model().self_fuse(ad.Tensor(np.zeros((0, 16))),
+                                    ad.Tensor(np.zeros((3, 16)))),
+     ShapeError, "self_fuse: empty stream"),
+    (lambda: tiny_model(variant="text_only", d_v=0).visual_prompt(
+        visual_map()["img0"], TAG_DE),
+     VariantError, "text_only variant has no visual prompts"),
+    (lambda: tiny_model().forward_loss(Batch(examples=[]), visual_map()),
+     ConfigError, "forward_loss: empty batch"),
+], ids=["prepare_source without visual tokens", "self_fuse empty text",
+        "visual_prompt under text_only", "forward_loss empty batch"])
+def test_model_stages_refuse_by_name(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def reference_loss(model, batch, visual_map):

@@ -578,6 +578,21 @@ def test_prefix_unknown_language():
         tx.prefix_target_token([tx.BOS_ID, tx.EOS_ID], "zz", vocab)
 
 
+def test_decode_refuses_id_past_vocabulary():
+    vocab = minimal_vocab(["de"])
+    with pytest.raises(VocabularyError) as exc:
+        tx.decode([tx.BOS_ID, len(vocab), tx.EOS_ID], vocab)
+    assert str(exc.value) == \
+        f"token id {len(vocab)} outside vocabulary of size {len(vocab)}"
+
+
+def test_vocabulary_refuses_language_without_tag_token():
+    tokens = minimal_vocab(["de"]).tokens
+    with pytest.raises(VocabularyError) as exc:
+        tx.Vocabulary(tokens=tokens, languages=["de", "fr"])
+    assert str(exc.value) == "missing tag token for language 'fr'"
+
+
 def test_prefixes_differ_only_in_position_zero():
     langs = ["de", "fr", "cs", "lv", "hi", "tr"]
     vocab = minimal_vocab(langs)

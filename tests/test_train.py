@@ -9,7 +9,8 @@ import pytest
 import promptmt.autodiff as ad
 from promptmt.errors import ConfigError, NumericError
 from promptmt.model import (ModelConfig, MultimodalTranslator,
-                            load_checkpoint, save_checkpoint)
+                            config_from_dict, load_checkpoint,
+                            save_checkpoint)
 from promptmt.text import BOS_ID, EOS_ID, ParallelExample, make_batches
 from promptmt.train import (TrainConfig, TrainState, adam_step, lr_schedule,
                             train_loop)
@@ -48,6 +49,12 @@ def test_lr_monotone_warmup_then_decay():
     assert all(a >= b for a, b in zip(tail, tail[1:]))
 
 
+def test_lr_one_warmup_step_starts_at_peak():
+    cfg = TrainConfig(warmup_steps=1)
+    assert lr_schedule(1, cfg) == cfg.lr_peak
+    assert lr_schedule(4, cfg) == cfg.lr_peak * np.sqrt(1 / 4)
+
+
 def test_lr_requires_positive_step():
     with pytest.raises(ValueError):
         lr_schedule(0, CFG)
@@ -64,7 +71,7 @@ def scalar_param(value=1.0):
 
 def test_train_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
-        TrainConfig.from_dict({"epoch": 3, "max_tokens": 64})
+        config_from_dict(TrainConfig, {"epoch": 3, "max_tokens": 64})
     assert "TrainConfig" in str(err.value) and "'epoch'" in str(err.value)
 
 
@@ -74,12 +81,12 @@ def test_train_config_from_dict_rejects_unknown_keys():
 ])
 def test_train_config_from_dict_names_field_of_wrong_type(key, value):
     with pytest.raises(ConfigError) as err:
-        TrainConfig.from_dict({key: value}, prefix="train.")
+        config_from_dict(TrainConfig, {key: value}, prefix="train.")
     assert f"'train.{key}'" in str(err.value)
 
 
 def test_train_config_from_dict_accepts_int_float_and_none():
-    cfg = TrainConfig.from_dict({"lr_peak": 1, "grad_clip": None})
+    cfg = config_from_dict(TrainConfig, {"lr_peak": 1, "grad_clip": None})
     assert (cfg.lr_peak, cfg.grad_clip) == (1, None)
 
 
@@ -101,7 +108,7 @@ def test_adam_first_step_closed_form():
     params = scalar_param(1.0)
     g = 0.37
     params["w"].grad = np.array([g], dtype=np.float32)
-    state = TrainState(config=CFG, step=1, seed=0,
+    state = TrainState(config=CFG, step=1,
                        m={"w": np.zeros(1, np.float32)},
                        v={"w": np.zeros(1, np.float32)})
     adam_step(params, state, lr=1e-3)
@@ -114,7 +121,7 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_keeps_parameters():
     params = scalar_param(2.5)
     params["w"].grad = np.zeros(1, dtype=np.float32)
-    state = TrainState(config=CFG, step=1, seed=0,
+    state = TrainState(config=CFG, step=1,
                        m={"w": np.zeros(1, np.float32)},
                        v={"w": np.zeros(1, np.float32)})
     adam_step(params, state, lr=1e-3)
@@ -124,7 +131,7 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_rejects_nonfinite_gradient():
     params = scalar_param()
     params["w"].grad = np.array([np.nan], dtype=np.float32)
-    state = TrainState(config=CFG, step=1, seed=0,
+    state = TrainState(config=CFG, step=1,
                        m={"w": np.zeros(1, np.float32)},
                        v={"w": np.zeros(1, np.float32)})
     with pytest.raises(NumericError, match="'w'"):
@@ -174,7 +181,7 @@ def adam_setup(grad_clip):
                                  requires_grad=True)
     cfg = TrainConfig(grad_clip=grad_clip)
     return params, TrainState(
-        config=cfg, step=0, seed=0,
+        config=cfg, step=0,
         m={n: np.zeros(s, np.float32) for n, s in ADAM_SHAPES.items()},
         v={n: np.zeros(s, np.float32) for n, s in ADAM_SHAPES.items()})
 
@@ -350,6 +357,17 @@ def test_text_only_trains_without_vtok():
     state = TrainState.fresh(model, replace(tcfg, epochs=1))
     rows = train_loop(model, examples, None, state)
     assert len(rows) >= 1 and np.isfinite(rows[-1].loss)
+
+
+def test_train_loop_over_no_examples_moves_nothing():
+    model, _, visual, tcfg = toy_setup()
+    before = {name: p.data.copy() for name, p in model.params.items()}
+    state = TrainState.fresh(model, replace(tcfg, epochs=2))
+    assert make_batches([], tcfg.max_tokens) == []
+    assert train_loop(model, [], visual, state) == []
+    assert state.step == 0
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, before[name]), name
 
 
 def test_metrics_csv_written(tmp_path):

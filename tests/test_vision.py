@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from promptmt.errors import FormatError
-from promptmt.vision import (VisualTokens, make_pseudo_vtok,
+from promptmt.files import BinaryWriter
+from promptmt.vision import (MAGIC, VERSION, VisualTokens, make_pseudo_vtok,
                              pseudo_visual_tokens, read_vtok, write_vtok)
 
 
@@ -86,6 +87,36 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="trailing"):
         read_vtok(path)
+
+
+def raw_vtok(path, ids, tokens):
+    """A VTOK file of ``ids`` and the [count, M_v, d_v] ``tokens``, written
+    without ``write_vtok``'s checks."""
+    out = BinaryWriter(MAGIC, VERSION)
+    out.pack("<III", len(ids), *tokens.shape[1:])
+    for i, ident in enumerate(ids):
+        out.text("<H", ident, "id")
+        out.floats(tokens[i])
+    out.write(path, "VTOK file")
+    return path
+
+
+@pytest.mark.parametrize("ids, tokens, message", [
+    # the offset just past the repeated id: a 20-byte header, an 11-byte
+    # record, then the 3 bytes of the second id
+    (["a", "a"], np.zeros((2, 1, 2)),
+     "{path}: duplicate image id 'a' (at byte offset 34)"),
+    (["a"], np.array([[[0.0, np.nan]]]),
+     "{path}: non-finite visual token for 'a'"),
+    (["a"], np.zeros((1, 0, 2)),
+     "{path}: visual tokens for 'a' must be a non-empty matrix, got shape "
+     "(0, 2)"),
+], ids=["duplicate id", "non-finite token", "no tokens per image"])
+def test_reader_refuses_malformed_records(tmp_path, ids, tokens, message):
+    path = raw_vtok(tmp_path / "r.vtok", ids, tokens)
+    with pytest.raises(FormatError) as exc:
+        read_vtok(path)
+    assert str(exc.value) == message.format(path=path)
 
 
 # ---------------------------------------------------------------------------
