@@ -42,6 +42,15 @@ same words whichever way it was reached. Every op still goes through
 ``make_node``, so counting its calls counts the nodes of a pass,
 recorded or not.
 
+Forward kernels: the forward of ``linear``, ``heads``, ``attention``,
+``layer_norm`` and ``embedding_lookup`` is an array function (``_affine``,
+``_heads``, ``_attention``, ``_layer_norm``, ``_lookup``), as the softmax
+and log-softmax are. Each kernel holds its op's checks and raises the
+op's exceptions; the op calls it and records the node, so a training
+forward runs the same code. Incremental decoding calls the kernels on
+plain arrays and records no graph (``MultimodalTranslator.decode`` with a
+``DecoderState``).
+
 Core arithmetic is float32: a ``Tensor`` is float32 unless built with
 an explicit ``dtype``. float64 exists for finite-difference gradient
 checking; see ``grad_check``.
@@ -71,8 +80,10 @@ order. Outputs and every gradient are therefore bit-identical to the
 chain's. The chain's checks
 (``ShapeError`` on a matmul or aligned-dimension mismatch, ``NumericError``
 on a NaN softmax input) are kept. With the fused ops a training step of
-the benchmark's toy config records 116 graph nodes instead of 282, and a
-beam-5 ``translate`` request about 860 instead of about 2000.
+the benchmark's toy config records 116 graph nodes instead of 282. A
+beam-5 ``translate`` request over the frozen benchmark checkpoint's 96
+unmasked sources records 87 nodes on average: ``prepare_source``'s, and
+one (the logits) per incremental decoder step.
 """
 
 from __future__ import annotations
@@ -362,15 +373,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return make_node(out_data, (a, b), backward)
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor):
-    """Forward of ``add(matmul(x, w), b)``: the product's shape (all its
-    backward reads) and the sum."""
-    ws, bs = w.data.shape, b.data.shape
-    _check_matmul(x.data.shape, ws)
-    product = np.matmul(x.data, w.data)
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """Forward of ``add(matmul(x, w), b)`` on arrays: the product's shape
+    (all its backward reads) and the sum."""
+    ws, bs = w.shape, b.shape
+    _check_matmul(x.shape, ws)
+    product = np.matmul(x, w)
     if bs != ws[-1:]:   # else a bias as wide as the product
         _check_aligned(product.shape, bs, "add")
-    return product.shape, product + b.data
+    return product.shape, product + b
 
 
 def _affine_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Tensor,
@@ -393,7 +404,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     All three arguments are ordinary graph nodes, so gradients reach the
     producers of generated parameters exactly like those of leaf weights.
     """
-    product_shape, out_data = _affine(x, w, b)
+    product_shape, out_data = _affine(x.data, w.data, b.data)
 
     def backward(g):
         _affine_backward(g, x, w, b, product_shape)
@@ -407,19 +418,27 @@ _SWAP_HEAD_AXES = tuple(tuple(range(n)) + (n + 1, n, n + 2)
                         for n in range(64 - 2))
 
 
-def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
-    """``linear(x, w, b)`` split into ``n_heads`` heads as one node:
-    lead + (n, d_in) -> lead + (n_heads, n, d / n_heads), a view of the
-    lead + (n, d) projection."""
+def _heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, n_heads: int):
+    """Forward of ``heads`` on arrays: the product's shape and the
+    lead + (n_heads, n, d / n_heads) view of the projection."""
     product_shape, y = _affine(x, w, b)
     y_shape = y.shape
     d = y_shape[-1]
     if d % n_heads != 0:
         raise ShapeError(f"heads: width {d} is not divisible by {n_heads} "
                          "heads")
-    swap = _SWAP_HEAD_AXES[y.ndim - 2]
-    out_data = y.reshape(y_shape[:-1]
-                         + (n_heads, d // n_heads)).transpose(swap)
+    return product_shape, y.reshape(y_shape[:-1] + (n_heads, d // n_heads)
+                                    ).transpose(_SWAP_HEAD_AXES[y.ndim - 2])
+
+
+def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
+    """``linear(x, w, b)`` split into ``n_heads`` heads as one node:
+    lead + (n, d_in) -> lead + (n_heads, n, d / n_heads), a view of the
+    lead + (n, d) projection."""
+    product_shape, out_data = _heads(x.data, w.data, b.data, n_heads)
+    swap = _SWAP_HEAD_AXES[out_data.ndim - 3]
+    y_shape = out_data.shape[:-3] + (out_data.shape[-2],
+                                     n_heads * out_data.shape[-1])
 
     def backward(g):
         _affine_backward(np.transpose(g, swap).reshape(y_shape), x, w, b,
@@ -446,6 +465,31 @@ def _check_attention(qs, ks, vs):
                          f"v {tuple(vs)}")
 
 
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+               bias: Optional[np.ndarray] = None,
+               keep: Optional[np.ndarray] = None):
+    """Forward of ``attention`` on arrays: the shape of ``q @ k^T`` and the
+    scale, the attention distribution before and after the dropout mask
+    (what its backward reads besides the inputs), and the merged
+    context."""
+    _check_attention(q.shape, k.shape, v.shape)
+    product = np.matmul(q, k.swapaxes(-1, -2))
+    inv_sqrt = product.dtype.type(1.0 / math.sqrt(q.shape[-1]))
+    scores = product * inv_sqrt
+    if bias is not None:
+        _check_aligned(product.shape, np.shape(bias), "add")
+        scores = scores + bias
+    probs = _softmax(scores)
+    kept = probs
+    if keep is not None:
+        _check_aligned(probs.shape, keep.shape, "mul")
+        kept = probs * keep
+    ctx = np.matmul(kept, v)
+    merged = ctx.transpose(_SWAP_HEAD_AXES[ctx.ndim - 3])
+    return (product.shape, inv_sqrt, probs, kept,
+            merged.reshape(merged.shape[:-2] + (-1,)))
+
+
 def attention(qh: Tensor, kh: Tensor, vh: Tensor,
               bias: Optional[np.ndarray] = None,
               keep: Optional[np.ndarray] = None) -> Tensor:
@@ -458,27 +502,13 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     a dropout mask already scaled by 1/(1-p) (``dropout_mask``); both are
     constants broadcasting over missing leading dimensions only.
     """
-    _check_attention(qh.shape, kh.shape, vh.shape)
-    kt = kh.data.swapaxes(-1, -2)
-    product = np.matmul(qh.data, kt)
-    product_shape = product.shape
-    inv_sqrt = product.dtype.type(1.0 / math.sqrt(qh.shape[-1]))
-    scores = product * inv_sqrt
-    if bias is not None:
-        _check_aligned(product_shape, np.shape(bias), "add")
-        scores = scores + bias
-    probs = _softmax(scores)
-    kept = probs
-    if keep is not None:
-        _check_aligned(probs.shape, keep.shape, "mul")
-        kept = probs * keep
-    ctx = np.matmul(kept, vh.data)
-    swap = _SWAP_HEAD_AXES[ctx.ndim - 3]
-    merged = ctx.transpose(swap)
-    merged_shape = merged.shape
-    out_data = merged.reshape(merged_shape[:-2] + (-1,))
+    product_shape, inv_sqrt, probs, kept, out_data = _attention(
+        qh.data, kh.data, vh.data, bias, keep)
+    swap = _SWAP_HEAD_AXES[out_data.ndim - 2]
+    merged_shape = out_data.shape[:-1] + (probs.shape[-3], vh.shape[-1])
 
     def backward(g):
+        kt = kh.data.swapaxes(-1, -2)
         g_ctx = np.transpose(g.reshape(merged_shape), swap)
         if vh.requires_grad:
             vh.accumulate_grad(_grad_right(kept, g_ctx, vh.shape))
@@ -503,7 +533,7 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax of an array over the last axis, shifted by the maximum; the
     one computation behind ``softmax`` and ``attention``."""
-    if np.isnan(x).any():
+    if np.logical_or.reduce(np.isnan(x), axis=None):
         raise NumericError("softmax: NaN in input")
     shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -543,19 +573,27 @@ def _mean_last(a: np.ndarray, n) -> np.ndarray:
     return np.add.reduce(a, axis=-1, keepdims=True) / n
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last dimension (population variance, with 1e-5
-    added before the square root), then affine."""
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Forward of ``layer_norm`` on arrays: the inverse deviation and the
+    normalized input (what its backward reads), and the output."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias shape must be ({d},), got "
                          f"{gain.shape} / {bias.shape}")
-    n = x.data.dtype.type(d)
-    xc = x.data - _mean_last(x.data, n)
+    n = x.dtype.type(d)
+    xc = x - _mean_last(x, n)
     var = _mean_last(xc * xc, n)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(1e-5))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(1e-5))
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    return inv, xhat, xhat * gain + bias
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last dimension (population variance, with 1e-5
+    added before the square root), then affine."""
+    inv, xhat, out_data = _layer_norm(x.data, gain.data, bias.data)
+    d = x.shape[-1]
+    n = x.data.dtype.type(d)
 
     def backward(g):
         if gain.requires_grad:
@@ -571,15 +609,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return make_node(out_data, (x, gain, bias), backward)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; backward scatter-adds into the gathered rows."""
-    ids = np.asarray(ids, dtype=np.int64)
+def _lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Forward of ``embedding_lookup`` on arrays: the rows ``ids`` (int64)
+    of ``table``."""
     v = table.shape[0]
     if ids.size and (np.minimum.reduce(ids, axis=None) < 0
                      or np.maximum.reduce(ids, axis=None) >= v):
         bad = int(ids[(ids < 0) | (ids >= v)][0])
         raise VocabularyError(f"embedding_lookup: id {bad} outside table of size {v}")
-    out_data = table.data[ids]
+    return table[ids]
+
+
+def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Gather rows of ``table``; backward scatter-adds into the gathered rows."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out_data = _lookup(table.data, ids)
 
     def backward(g):
         full = np.zeros_like(table.data)

@@ -13,6 +13,7 @@ exhaustive search.
 Decoding is incremental: the model keeps each layer's keys and values in
 a decoder state, so a step feeds only the newest token of every live
 hypothesis and the state's rows follow the surviving hypotheses' parents.
+A step runs on plain arrays and records one graph node, its logits.
 Continuations are scored as one [live, V] array and only those that can
 reach the beam are sorted.
 

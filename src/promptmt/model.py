@@ -482,16 +482,20 @@ class MultimodalTranslator:
     def decoder_state(self, memory: Tensor) -> "DecoderState":
         """An empty state for incremental decoding over ``memory``; the
         cross-attention keys and values of the memory are projected here,
-        once for every decoder layer. Only valid under ``no_grad`` with
-        ``train_mode`` off."""
+        once for every decoder layer, as plain arrays. Only valid under
+        ``no_grad`` with ``train_mode`` off."""
         self._require_inference()
-        return self._new_state(memory)
-
-    def _new_state(self, memory: Tensor) -> "DecoderState":
         return DecoderState(cross=[
-            (self._heads(f"dec.{i}.cross.k", memory),
-             self._heads(f"dec.{i}.cross.v", memory))
+            tuple(self._array_heads(f"dec.{i}.cross.{p}", memory.data)
+                  for p in "kv")
             for i in range(self.config.n_dec_layers)])
+
+    def _array_heads(self, prefix: str, x: np.ndarray) -> np.ndarray:
+        """``_heads`` on arrays, for incremental decoding: the forward
+        kernel of ``ad.heads``, recording no node."""
+        return ad._heads(x, self.params[f"{prefix}.w"].data,
+                         self.params[f"{prefix}.b"].data,
+                         self.config.n_heads)[1]
 
     def _require_inference(self):
         if ad.grad_enabled() or self.train_mode:
@@ -514,35 +518,70 @@ class MultimodalTranslator:
         next positions, ``state.length`` onwards: their self-attention keys
         and values join the state's cache, the memory's come from the
         state, and the [B, n, vocab] logits are those the teacher-forcing
-        pass gives at these positions.
+        pass gives at these positions. This incremental step records no
+        graph: it runs the forward kernels of the ``autodiff`` ops the
+        teacher-forcing pass records (``_affine``, ``_heads``,
+        ``_attention``, ``_layer_norm``, ``_lookup``) on the parameter
+        arrays, checks included, and wraps only the logits in a node.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
-        if state is None:
-            state = self._new_state(memory)
-        else:
-            self._require_inference()
-            if ids.ndim != 2:
-                raise ShapeError(f"decode: a decoder state takes [B, n] ids, "
-                                 f"got shape {ids.shape}")
-        start, n = state.length, ids.shape[-1]
-        causal_bias = self._causal_bias(n, start)
-        key_bias = self._key_bias(src_key_mask, n)
-        x = self._embed(ids, start)
+        if state is not None:
+            return self._step(ids, src_key_mask, state)
+        causal_bias = self._causal_bias(ids.shape[-1], 0)
+        x = self._embed(ids)
         for i in range(self.config.n_dec_layers):
             prefix = f"dec.{i}"
-            q, k, v = (self._heads(f"{prefix}.self.{p}", x) for p in "qkv")
-            k, v = state.append(i, k, v)
-            a = self._attend(f"{prefix}.self", q, k, v, causal_bias)
+            a = self._attend(f"{prefix}.self",
+                             *(self._heads(f"{prefix}.self.{p}", x)
+                               for p in "qkv"), causal_bias)
             x = self._ln(f"{prefix}.ln1", ad.add(x, self._dropout(a)))
-            k, v = state.cross[i]
-            a = self._attend(f"{prefix}.cross",
-                             self._heads(f"{prefix}.cross.q", x), k, v,
-                             key_bias)
+            a = self._mha(f"{prefix}.cross", x, memory, src_key_mask)
             x = self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(a)))
             f = self._ffn(f"{prefix}.ffn", x)
             x = self._ln(f"{prefix}.ln3", ad.add(x, self._dropout(f)))
-        state.length += n
         return ad.matmul(x, ad.transpose(self.params["embedding"]))
+
+    def _step(self, ids: np.ndarray, src_key_mask: Optional[np.ndarray],
+              state: "DecoderState") -> Tensor:
+        """``decode`` with a state: the eval-mode teacher-forcing pass's
+        forward arithmetic at the new positions, on plain arrays."""
+        self._require_inference()
+        if ids.ndim != 2:
+            raise ShapeError(f"decode: a decoder state takes [B, n] ids, "
+                             f"got shape {ids.shape}")
+        P, heads = self.params, self._array_heads
+
+        def lin(prefix, x):
+            return ad._affine(x, P[prefix + ".w"].data,
+                              P[prefix + ".b"].data)[1]
+
+        def add_norm(prefix, x, y):
+            return ad._layer_norm(x + y, P[prefix + ".gain"].data,
+                                  P[prefix + ".bias"].data)[2]
+
+        def attend(prefix, q, k, v, bias):
+            return lin(prefix + ".o", ad._attention(q, k, v, bias)[-1])
+
+        start, n = state.length, ids.shape[-1]
+        causal_bias = self._causal_bias(n, start)
+        key_bias = self._key_bias(src_key_mask, n)
+        table = P["embedding"].data
+        x = ad._lookup(table, ids)
+        x = x * x.dtype.type(np.sqrt(self.config.d_model))
+        x = x + self._position_rows(start, n)
+        for i in range(self.config.n_dec_layers):
+            pre = f"dec.{i}."
+            k, v = state.append(i, heads(pre + "self.k", x),
+                                heads(pre + "self.v", x))
+            x = add_norm(pre + "ln1", x, attend(
+                pre + "self", heads(pre + "self.q", x), k, v, causal_bias))
+            x = add_norm(pre + "ln2", x, attend(
+                pre + "cross", heads(pre + "cross.q", x), *state.cross[i],
+                key_bias))
+            x = add_norm(pre + "ln3", x, lin(
+                pre + "ffn.2", np.maximum(lin(pre + "ffn.1", x), 0)))
+        state.length += n
+        return ad.make_node(np.matmul(x, table.T), (), None)
 
     def forward_loss(self, batch,
                      visual_map: Optional[Mapping[str, VisualTokens]] = None
@@ -578,35 +617,34 @@ class MultimodalTranslator:
 
 @dataclass
 class DecoderState:
-    """Incremental decoding over one memory (``MultimodalTranslator.decode``).
+    """Incremental decoding over one memory (``MultimodalTranslator.decode``),
+    all of it plain arrays.
 
     ``length`` positions have been decoded. ``cache[i]`` holds decoder layer
-    i's self-attention keys and values of them as plain arrays, [B, heads,
-    length, head_dim] for B rows. ``cross[i]`` holds its keys and values of
-    the memory: [heads, m, head_dim] for a [m, d_model] memory shared by
-    every row, [B, heads, m, head_dim] for a [B, m, d_model] memory with
-    one source per row, whose rows ``reorder`` moves with the cache's (the
+    i's self-attention keys and values of them, [B, heads, length,
+    head_dim] for B rows. ``cross[i]`` holds its keys and values of the
+    memory: [heads, m, head_dim] for a [m, d_model] memory shared by every
+    row, [B, heads, m, head_dim] for a [B, m, d_model] memory with one
+    source per row, whose rows ``reorder`` moves with the cache's (the
     caller moves a per-row source key mask itself).
     """
-    cross: list[tuple[Tensor, Tensor]]
+    cross: list[tuple[np.ndarray, np.ndarray]]
     cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = field(init=False)
     length: int = 0
 
     def __post_init__(self):
         self.cache = [None] * len(self.cross)
 
-    def append(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def append(self, layer: int, k: np.ndarray, v: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
         """Add new positions' keys and values to a layer's cache; returns
-        the whole cache of that layer: ``k`` and ``v`` themselves when the
-        cache was empty, else one node (no parents) wrapping each array."""
+        the whole cache of that layer."""
         cached = self.cache[layer]
-        if cached is None:
-            self.cache[layer] = (k.data, v.data)
-            return k, v
-        ks = np.concatenate((cached[0], k.data), axis=-2)
-        vs = np.concatenate((cached[1], v.data), axis=-2)
-        self.cache[layer] = (ks, vs)
-        return ad.make_node(ks, (), None), ad.make_node(vs, (), None)
+        if cached is not None:
+            k = np.concatenate((cached[0], k), axis=-2)
+            v = np.concatenate((cached[1], v), axis=-2)
+        self.cache[layer] = (k, v)
+        return k, v
 
     def reorder(self, rows) -> None:
         """Keep the cached rows ``rows``, in that order (repeats allowed):
@@ -615,9 +653,8 @@ class DecoderState:
         rows = np.asarray(rows, dtype=np.int64)
         self.cache = [None if kv is None else (kv[0][rows], kv[1][rows])
                       for kv in self.cache]
-        self.cross = [kv if kv[0].ndim < 4 else
-                      tuple(Tensor(t.data[rows], dtype=t.data.dtype)
-                            for t in kv) for kv in self.cross]
+        self.cross = [kv if kv[0].ndim < 4 else (kv[0][rows], kv[1][rows])
+                      for kv in self.cross]
 
 
 def _stack_visual(visual) -> np.ndarray:

@@ -20,7 +20,8 @@ import promptmt.autodiff as ad
 import promptmt.model as model_mod
 from promptmt.checks import full_model_batch
 from promptmt.decoding import beam_search
-from promptmt.errors import ConfigError, ShapeError, VariantError
+from promptmt.errors import (ConfigError, NumericError, ShapeError,
+                             VariantError, VocabularyError)
 from promptmt.evaluate import visual_tokens_for
 from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
                             check_model_gradients, config_from_dict,
@@ -801,36 +802,6 @@ def test_fused_ops_match_composed_graph_one_head_one_position(n_heads):
                                   visual_map())
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_fused_incremental_decode_matches_composed_graph(variant):
-    text_only = variant == "text_only"
-    m = tiny_model(variant=variant, d_v=0 if text_only else 8,
-                   n_dec_layers=2)
-    visual = None if text_only else visual_map()["img0"]
-    source = [TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID]
-    ids = np.random.default_rng(0).integers(5, 24, (3, 8))
-    ids[:, 0] = BOS_ID
-
-    def run(model):
-        logits = []
-        with ad.no_grad():
-            memory, mask = model.prepare_source(source, visual)
-            state = model.decoder_state(memory)
-            rows = np.arange(3)
-            for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 8)):
-                if lo == 4:
-                    rows = rows[[2, 0, 0]]   # a beam reorder
-                    state.reorder([2, 0, 0])
-                logits.append(model.decode(memory, ids[rows, lo:hi], mask,
-                                           state).data)
-            logits.append(model.decode(memory, ids, mask).data)
-        return logits
-
-    fused, composed = fused_and_composed(m, run)
-    for got, want in zip(fused, composed):
-        assert np.array_equal(got, want)
-
-
 FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
 
 
@@ -860,10 +831,11 @@ def test_fused_beam_search_matches_composed_graph_frozen_checkpoint():
     assert fused == composed
 
 
-# raw-numpy oracle of one incremental decoder step: the arithmetic
-# ``decode`` does with a state, in order, as plain numpy with no Tensor and
-# no autodiff (``.max``, ``.sum`` and ``.mean`` where the model calls the
-# ufunc reductions), so the Tensor layer is checked to change no bit
+# raw-numpy oracle of incremental decoding: the arithmetic ``decode`` does
+# with a state, in order, written out as plain numpy from the parameter
+# arrays alone (``.max``, ``.sum`` and ``.mean`` where ``autodiff``'s
+# kernels call the ufunc reductions), so the state step is checked to
+# change no bit against an independent statement of the maths
 
 
 def raw_linear(x, p, prefix):
@@ -878,9 +850,11 @@ def raw_heads(x, p, prefix, n_heads):
                            + (len(lead) + 1, len(lead), len(lead) + 2))
 
 
-def raw_attend(q, k, v, p, prefix):
+def raw_attend(q, k, v, p, prefix, bias):
     scores = np.matmul(q, k.swapaxes(-1, -2))
     scores = scores * scores.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    if bias is not None:
+        scores = scores + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     ctx = np.matmul(e / e.sum(axis=-1, keepdims=True), v)
     merged = ctx.transpose(0, 2, 1, 3)
@@ -896,10 +870,12 @@ def raw_layer_norm(x, p, prefix):
 
 
 class RawDecoder:
-    """Incremental decoding of [B, 1] ids over an unpadded [S, d] memory,
-    eval mode, from the parameter arrays alone."""
+    """Incremental decoding of [B, n] ids, eval mode, from the parameter
+    arrays alone, over a [S, d] memory shared by every row or a [B, S, d]
+    memory with one source per row, whose rows and PAD mask (True: hidden)
+    ``reorder`` moves with the cache."""
 
-    def __init__(self, model, memory):
+    def __init__(self, model, memory, key_mask=None):
         self.p = {name: t.data for name, t in model.params.items()}
         self.cfg = model.config
         h = self.cfg.n_heads
@@ -907,15 +883,25 @@ class RawDecoder:
             (raw_heads(memory, self.p, f"dec.{i}.cross.k", h),
              raw_heads(memory, self.p, f"dec.{i}.cross.v", h))
             for i in range(self.cfg.n_dec_layers)]
+        self.key_mask = key_mask
         self.cache = [None] * self.cfg.n_dec_layers
         self.length = 0
 
     def step(self, ids):
         p, h, d = self.p, self.cfg.n_heads, self.cfg.d_model
         table = p["embedding"]
-        x = table[np.asarray(ids, dtype=np.int64)]
-        x = x * x.dtype.type(float(np.sqrt(d)))
-        x = x + sinusoidal_positions(1, d, x.dtype, self.length)
+        ids = np.asarray(ids, dtype=np.int64)
+        n, dt = ids.shape[1], table.dtype.type
+        x = table[ids]
+        x = x * dt(float(np.sqrt(d)))
+        x = x + sinusoidal_positions(n, d, x.dtype, self.length)
+        # query i at position length + i sees keys 0 .. length + i
+        later = (np.arange(self.length + n)[None, :]
+                 > self.length + np.arange(n)[:, None])
+        causal = np.where(later, dt(-1e9), dt(0)) if later.any() else None
+        pad = None
+        if self.key_mask is not None and self.key_mask.any():
+            pad = np.where(self.key_mask, dt(-1e9), dt(0))[..., None, None, :]
         for i in range(self.cfg.n_dec_layers):
             pre = f"dec.{i}"
             q, k, v = (raw_heads(x, p, f"{pre}.self.{w}", h) for w in "qkv")
@@ -923,20 +909,69 @@ class RawDecoder:
                 k = np.concatenate([self.cache[i][0], k], axis=-2)
                 v = np.concatenate([self.cache[i][1], v], axis=-2)
             self.cache[i] = (k, v)
-            x = raw_layer_norm(x + raw_attend(q, k, v, p, f"{pre}.self"), p,
-                               f"{pre}.ln1")
+            x = raw_layer_norm(x + raw_attend(q, k, v, p, f"{pre}.self",
+                                              causal), p, f"{pre}.ln1")
             q = raw_heads(x, p, f"{pre}.cross.q", h)
             x = raw_layer_norm(x + raw_attend(q, *self.cross[i], p,
-                                              f"{pre}.cross"), p,
+                                              f"{pre}.cross", pad), p,
                                f"{pre}.ln2")
             f = raw_linear(np.maximum(raw_linear(x, p, f"{pre}.ffn.1"), 0),
                            p, f"{pre}.ffn.2")
             x = raw_layer_norm(x + f, p, f"{pre}.ln3")
-        self.length += 1
+        self.length += n
         return np.matmul(x, table.T)
 
     def reorder(self, rows):
         self.cache = [(k[rows], v[rows]) for k, v in self.cache]
+        if self.cross[0][0].ndim == 4:
+            self.cross = [(k[rows], v[rows]) for k, v in self.cross]
+            if self.key_mask is not None:
+                self.key_mask = self.key_mask[rows]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_row", [False, True],
+                         ids=["shared_memory", "per_row_memory"])
+def test_incremental_decode_matches_raw_numpy(variant, dtype, per_row):
+    """State steps of one position and of several (causal bias) over a
+    PAD-masked source (key bias), across beam reorders that drop and
+    repeat rows: the logits are ``==`` to the raw-numpy decoder's, over one
+    memory shared by every row and over a memory with one source per row
+    (its rows and mask moving with the reorders)."""
+    text_only = variant == "text_only"
+    m = tiny_model(variant=variant, d_v=0 if text_only else 8,
+                   n_dec_layers=2).astype(dtype)
+    sources = [[TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID],
+               [TAG_FR, BOS_ID, 13, 14, PAD_ID, 15, 16, EOS_ID, PAD_ID]]
+    vm = visual_map(("img0", "img1"))
+    visual = None if text_only else [vm["img0"], vm["img1"]]
+    if not per_row:
+        sources, visual = sources[0], None if text_only else visual[0]
+    rng = np.random.default_rng(0)
+    # the source row each state row decodes, and the reorders before steps
+    rows = np.arange(2 if per_row else 1)
+    reorders = {1: [1, 0, 0] if per_row else [0, 0, 0], 2: [2, 0, 0],
+                4: [1, 2, 2, 0]}
+    with ad.no_grad():
+        memory, mask = m.prepare_source(sources, visual)
+        assert memory.data.ndim == (3 if per_row else 2)
+        assert mask.any()
+        raw = RawDecoder(m, memory.data, mask)
+        state = m.decoder_state(memory)
+        for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 5), (5, 8)):
+            if lo in reorders:
+                state.reorder(reorders[lo])
+                raw.reorder(reorders[lo])
+                rows = rows[reorders[lo]]
+            ids = rng.integers(5, 24, (len(rows), hi - lo))
+            if lo == 0:
+                ids[:, 0] = BOS_ID
+            got = m.decode(memory, ids, mask[rows] if per_row else mask,
+                           state)
+            assert got.data.dtype == dtype
+            assert np.array_equal(got.data, raw.step(ids)), (lo, hi)
+    assert state.length == 8
 
 
 def frozen_memory(model, k=0, lang="de"):
@@ -953,8 +988,9 @@ def frozen_memory(model, k=0, lang="de"):
 
 def test_incremental_decode_matches_raw_numpy_frozen_checkpoint(monkeypatch):
     """One row, then five across two reorders (repeats included): every
-    step's logits are those of the raw-numpy decoder bit for bit, and no
-    node a no-grad step makes carries a parent or a backward rule."""
+    step's logits are those of the raw-numpy decoder bit for bit, and each
+    step records exactly one node, the logits, with no parent and no
+    backward rule."""
     model, _ = load_checkpoint(FROZEN / "model.lvpm")
     memory, mask = frozen_memory(model)
     assert not mask.any()
@@ -973,15 +1009,41 @@ def test_incremental_decode_matches_raw_numpy_frozen_checkpoint(monkeypatch):
     reorders = {0: [0, 0, 0, 0, 0], 2: [4, 2, 2, 0, 1], 4: [1, 1, 3, 0, 4]}
     with ad.no_grad():
         state = model.decoder_state(memory)
+        assert made == []
         for t, ids in enumerate(steps):
-            got = model.decode(memory, ids, mask, state).data
+            got = model.decode(memory, ids, mask, state)
+            assert made == [got], f"step {t}"
+            assert got._parents == () and got._backward is None
+            made.clear()
             assert got.shape == ids.shape + (model.config.vocab_size,)
-            assert np.array_equal(got, raw.step(ids)), f"step {t}"
+            assert np.array_equal(got.data, raw.step(ids)), f"step {t}"
             if t in reorders:
                 state.reorder(reorders[t])
                 raw.reorder(reorders[t])
-    assert made
-    assert all(n._parents == () and n._backward is None for n in made)
+
+
+def test_decode_with_state_names_an_id_outside_the_table():
+    m = tiny_model()
+    with ad.no_grad():
+        memory, mask = m.prepare_source(example().source_ids,
+                                        visual_map()["img0"])
+        state = m.decoder_state(memory)
+        for bad in (24, -1):
+            with pytest.raises(VocabularyError,
+                               match=rf"id {bad} outside table of size 24"):
+                m.decode(memory, [[BOS_ID], [bad]], mask, state)
+    assert state.length == 0
+
+
+def test_decode_with_state_refuses_nan_in_memory():
+    m = tiny_model()
+    with ad.no_grad():
+        memory, mask = m.prepare_source(example().source_ids,
+                                        visual_map()["img0"])
+        memory.data[2, 5] = np.nan
+        state = m.decoder_state(memory)
+        with pytest.raises(NumericError, match="NaN"):
+            m.decode(memory, [[BOS_ID]], mask, state)
 
 
 def test_reorder_moves_per_row_memory_frozen_checkpoint():
