@@ -73,6 +73,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{args.resume} holds no optimizer state, "
                               "cannot resume")
         with about(args.resume):
+            model.check_vocabulary(vocab)
             state = TrainState.from_checkpoint_dict(ck_state)
         # the run continues under the checkpoint's trainer config, so a
         # train section that says otherwise would be silently ignored

@@ -79,6 +79,7 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
         raise ConfigError(f"beam must be >= 1, got {beam}")
     if not math.isfinite(alpha):
         raise ConfigError(f"alpha must be a finite number, got {alpha}")
+    model.check_vocabulary(vocab)
     if len(source_ids) == 0 or source_ids[0] != vocab.tag_id(target_lang):
         raise ConfigError(f"source must be prefixed with the {target_lang!r} "
                           "tag before decoding")
@@ -87,8 +88,7 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
     _check_length_penalty(max_len, alpha)
     with ad.no_grad():
         memory, src_mask = model.prepare_source(source_ids, visual)
-        return _search(model, memory, src_mask, len(vocab), beam, max_len,
-                       alpha)
+        return _search(model, memory, src_mask, beam, max_len, alpha)
 
 
 def _check_length_penalty(max_len: int, alpha: float):
@@ -106,14 +106,12 @@ def _check_length_penalty(max_len: int, alpha: float):
                           "finite positive number")
 
 
-def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
-            ) -> Hypothesis:
+def _search(model, memory, src_mask, beam, max_len, alpha) -> Hypothesis:
     state = model.decoder_state(memory)
     alive: list[list[int]] = [[BOS_ID]]    # live prefixes, all one length
     alive_lp = np.zeros(1)                 # their cumulative logprobs
     newest = np.array([[BOS_ID]], dtype=np.int64)   # their last tokens
     best: Optional[Hypothesis] = None      # first under (-score, tokens)
-    every_token = np.arange(vocab_size)
     only_eos = np.array([EOS_ID])
     for step in range(1, max_len + 1):
         if not alive or (best is not None and best.score > alive_lp.max()
@@ -122,7 +120,7 @@ def _search(model, memory, src_mask, vocab_size, beam, max_len, alpha
         logits = model.decode(memory, newest, src_mask, state).data[:, -1]
         logp = ad.log_softmax(logits)
         at_cap = step == max_len
-        tokens = only_eos if at_cap else every_token
+        tokens = only_eos if at_cap else np.arange(logp.shape[1])
         if at_cap:
             logp = logp[:, tokens]
         scores = np.add(alive_lp[:, None], logp, dtype=np.float64).ravel()

@@ -453,6 +453,13 @@ class MultimodalTranslator:
             s = self._encoder_layer(f"coattn.{j}", s, None, memory=p)
         return s
 
+    def check_vocabulary(self, vocab) -> None:
+        """Refuse a vocabulary of another size than the embedding table."""
+        if len(vocab) != self.config.vocab_size:
+            raise ConfigError(f"vocabulary of {len(vocab)} tokens does not "
+                              f"match the model's {self.config.vocab_size}-"
+                              "token embedding table")
+
     def prepare_source(self, source_ids, visual
                        ) -> tuple[Tensor, np.ndarray]:
         """Everything up to the decoder, per the configured variant: the

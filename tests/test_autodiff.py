@@ -266,6 +266,36 @@ def test_add_leading_broadcast_grad_sums():
     np.testing.assert_allclose(b.grad, [5., 5., 5.])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_make_node_keeps_an_array_and_its_dtype(dtype):
+    data = np.arange(6, dtype=dtype).reshape(2, 3)
+    assert ad.make_node(data, (), None).data is data
+    node = ad.make_node(data.sum(), (), None)
+    assert type(node.data) is np.ndarray
+    assert node.data.shape == () and node.data.dtype == dtype
+    assert node.data == 15
+
+
+def test_make_node_records_only_with_grad_and_a_grad_parent():
+    def rule(g):
+        pass
+
+    grad_parent = ad.Tensor([1.0], requires_grad=True)
+    const = ad.Tensor([2.0])
+    data = np.ones(1, dtype=np.float32)
+    node = ad.make_node(data, (const, grad_parent), rule)
+    assert node.requires_grad
+    assert node._parents == (const, grad_parent) and node._backward is rule
+    with ad.no_grad():
+        unrecorded = [ad.make_node(data, (grad_parent,), rule)]
+    unrecorded.append(ad.make_node(data, (const,), rule))
+    unrecorded.append(ad.make_node(data, (), None))
+    for node in unrecorded:
+        assert not node.requires_grad
+        assert node._parents == () and node._backward is None
+        assert node.grad is None and not node._backward_ran
+
+
 def reference_check_aligned(sa, sb, opname):
     """The aligned-dimension check as one loop over right-aligned pairs."""
     for da, db in zip(reversed(sa), reversed(sb)):

@@ -133,6 +133,49 @@ def test_train_cli_resume_refuses_changed_train_section(workspace,
     assert not (tmp_path / "run").exists()
 
 
+def _resized_vocab(ws, tmp, delta) -> int:
+    """Save the workspace vocabulary as ``tmp / "bpe"``, ``-delta`` merges
+    shorter or with ``delta`` unmerged tokens added; return the model's
+    size."""
+    vocab = Vocabulary.load(ws / "bpe")
+    if delta < 0:
+        tokens, merges = vocab.tokens[:delta], vocab.merges[:delta]
+    else:
+        tokens = vocab.tokens + [f"extra{i}" for i in range(delta)]
+        merges = vocab.merges
+    Vocabulary(tokens, vocab.languages, merges).save(tmp / "bpe")
+    return len(vocab)
+
+
+@pytest.mark.parametrize("delta", [-20, 20], ids=["smaller", "larger"])
+@pytest.mark.parametrize("command", ["translate", "resume"])
+def test_cli_refuses_vocabulary_of_another_size(workspace, tmp_path, capsys,
+                                                command, delta):
+    # unchecked, a smaller vocabulary ends translate in an IndexError and
+    # trains on under resume, and a larger one is blamed on the model
+    size = _resized_vocab(workspace, tmp_path, delta)
+    ckpt = workspace / "run" / "checkpoint_last.lvpm"
+    if command == "translate":
+        argv = _translate(workspace, tmp_path,
+                          ["--vtok", str(workspace / "train.vtok"),
+                           "--vocab", str(tmp_path / "bpe")])
+        where = ""
+    else:
+        config = json.loads((workspace / "config.json").read_text())
+        config["out_dir"] = str(tmp_path / "run")
+        config["data"].update(train_manifest=str(workspace / "train.json"),
+                              vocab=str(tmp_path / "bpe"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = ["train", "--config", str(path), "--resume", str(ckpt)]
+        where = f"{ckpt}: "
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {where}vocabulary of {size + delta} tokens does not "
+            f"match the model's {size}-token embedding table\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
     ckpt = workspace / "run" / "checkpoint_last.lvpm"
     src = tmp_path / "input.txt"

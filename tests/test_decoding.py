@@ -33,10 +33,10 @@ def tiny_vocab():
     return Vocabulary(tokens=tokens, languages=["de"])
 
 
-def tiny_text_model(seed):
-    cfg = ModelConfig(vocab_size=8, d_model=8, n_heads=2, n_enc_layers=1,
-                      n_dec_layers=1, d_v=0, variant="text_only",
-                      dropout=0.0, eps_ls=0.1)
+def tiny_text_model(seed, vocab_size=8):
+    cfg = ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2,
+                      n_enc_layers=1, n_dec_layers=1, d_v=0,
+                      variant="text_only", dropout=0.0, eps_ls=0.1)
     return MultimodalTranslator(cfg, seed=seed)
 
 
@@ -153,6 +153,17 @@ def test_rejects_untagged_source():
     vocab = tiny_vocab()
     with pytest.raises(ConfigError, match="prefixed"):
         beam_search(model, vocab, [BOS_ID, 6, EOS_ID], "de", beam=2)
+
+
+@pytest.mark.parametrize("model_size", [7, 9])
+def test_rejects_vocabulary_of_another_size(model_size):
+    # unchecked, a 9-row model scores 9 tokens where the vocabulary names
+    # 8, and a 7-row one meets vocabulary id 7 outside its table
+    with pytest.raises(ConfigError) as err:
+        beam_search(tiny_text_model(0, model_size), tiny_vocab(), SOURCE,
+                    "de", beam=2)
+    assert str(err.value) == (f"vocabulary of 8 tokens does not match the "
+                              f"model's {model_size}-token embedding table")
 
 
 def test_rejects_zero_beam():
@@ -345,13 +356,13 @@ def test_all_tied_candidates_pick_smallest_continuations():
     model = StubModel(vocab_size=8, levels=1)
     # beam 2: every step keeps [..., 0] and [..., 1]; EOS (id 2) never
     # makes the beam, so both survivors are forced at the cap
-    hyp = _search(model, None, None, 8, beam=2, max_len=3, alpha=1.0)
+    hyp = _search(model, None, None, beam=2, max_len=3, alpha=1.0)
     assert hyp.tokens == [BOS_ID, PAD_ID, PAD_ID, EOS_ID]
     assert hyp.forced
     assert hyp.logprob == pytest.approx(-3 * np.log(8), abs=1e-5)
     for beam in (1, 2, 3, 5, 8, 30):
         for max_len in (1, 2, 4):
-            got = _search(model, None, None, 8, beam, max_len, 1.0)
+            got = _search(model, None, None, beam, max_len, 1.0)
             want = reference_search(model, None, None, 8, beam, max_len, 1.0)
             assert got.tokens == want.tokens
             assert got.forced == want.forced
@@ -363,7 +374,7 @@ def test_partial_ties_break_like_full_sort(seed):
     model = StubModel(vocab_size=12, levels=3, seed=seed)
     for beam in (1, 2, 4, 7, 40):
         for alpha in (0.0, 1.0):
-            got = _search(model, None, None, 12, beam, 6, alpha)
+            got = _search(model, None, None, beam, 6, alpha)
             want = reference_search(model, None, None, 12, beam, 6, alpha)
             assert got.tokens == want.tokens
             assert got.forced == want.forced
@@ -446,7 +457,7 @@ ALPHAS = (-0.5, 0.0, 0.5, 1.0, 2.0)
 def test_early_stop_matches_search_to_cap_stub(vocab_size, levels, bias, seed,
                                                beam, max_len, alpha):
     model = CountingModel(EosLeaningStub(vocab_size, levels, seed, bias))
-    got = _search(model, None, None, vocab_size, beam, max_len, alpha)
+    got = _search(model, None, None, beam, max_len, alpha)
     stopped_after = model.calls
     want = search_to_cap(model, None, None, vocab_size, beam, max_len, alpha)
     assert got == want
@@ -462,7 +473,7 @@ def test_early_stop_matches_search_to_cap_seed_sweep(alpha):
         for bias in (-1, 0, 2, 4):
             for beam in (2, 3):
                 model = EosLeaningStub(8, 4, seed, bias)
-                got = _search(model, None, None, 8, beam, 8, alpha)
+                got = _search(model, None, None, beam, 8, alpha)
                 assert got == search_to_cap(model, None, None, 8, beam, 8,
                                             alpha)
 
@@ -480,7 +491,7 @@ def test_early_stop_matches_search_to_cap_tiny_model(seed, beam, max_len,
     model = shared_tiny_model(seed)
     with ad.no_grad():
         memory, mask = model.prepare_source(SOURCE, None)
-        got = _search(model, memory, mask, 8, beam, max_len, alpha)
+        got = _search(model, memory, mask, beam, max_len, alpha)
         want = search_to_cap(model, memory, mask, 8, beam, max_len, alpha)
     assert got == want
 
@@ -509,7 +520,7 @@ def test_early_stop_matches_search_to_cap_frozen_checkpoint():
         with ad.no_grad():
             memory, mask = model.prepare_source(ids, visual[images[2 * k + 1]])
             counted.calls = 0
-            got = _search(counted, memory, mask, len(vocab), 5, max_len, 1.0)
+            got = _search(counted, memory, mask, 5, max_len, 1.0)
             early_calls += counted.calls
             counted.calls = 0
             want = search_to_cap(counted, memory, mask, len(vocab), 5,
@@ -524,7 +535,7 @@ def test_early_stop_fires_on_eos_leaning_model():
     # logprob near 0, far above what any live row can still reach
     model = CountingModel(EosLeaningStub(vocab_size=8, levels=2, bias=6))
     max_len = 10
-    got = _search(model, None, None, 8, beam=5, max_len=max_len, alpha=1.0)
+    got = _search(model, None, None, beam=5, max_len=max_len, alpha=1.0)
     assert model.calls < max_len
     assert got == search_to_cap(model, None, None, 8, 5, max_len, 1.0)
 
@@ -552,7 +563,7 @@ def test_early_stop_does_not_stop_on_a_tie():
     # [BOS, PAD, EOS] scores the same and sorts first, so stopping on the
     # tie would return the wrong hypothesis
     model = CountingModel(TieStub())
-    got = _search(model, None, None, 4, beam=2, max_len=6, alpha=0.0)
+    got = _search(model, None, None, beam=2, max_len=6, alpha=0.0)
     assert got.tokens == [BOS_ID, PAD_ID, EOS_ID]
     assert got == search_to_cap(TieStub(), None, None, 4, 2, 6, 0.0)
     assert 2 <= model.calls < 6
