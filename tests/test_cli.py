@@ -14,7 +14,7 @@ from promptmt.decoding import beam_search
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
 from promptmt.text import (BOS_ID, EOS_ID, Vocabulary, decode, encode,
-                           load_manifest, prefix_target_token)
+                           load_manifest, prefix_target_token, train_bpe)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import read_vtok
 
@@ -65,6 +65,18 @@ def test_bpe_train_cli_literal_reserved_text(tmp_path):
     vocab = Vocabulary.load(tmp_path / "bpe")
     assert vocab.tokens.count("<unk>") == 1
     assert len(vocab.merges) > 0
+
+
+def test_bpe_train_cli_refuses_duplicate_language(tmp_path, capsys):
+    # "de" and "DE" share the tag token "<2de>"
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("the cat sat\n", encoding="utf-8")
+    rc = main(["bpe-train", "--corpus", str(corpus), "--vocab-size", "300",
+               "--out", str(tmp_path / "bpe"), "--langs", "de,DE"])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: language 'DE' given twice (as 'de' and 'DE')\n")
+    assert not (tmp_path / "bpe.vocab").exists()
 
 
 def test_make_vtok_cli(tmp_path):
@@ -134,16 +146,19 @@ def test_train_cli_resume_refuses_changed_train_section(workspace,
 
 
 def _resized_vocab(ws, tmp, delta) -> int:
-    """Save the workspace vocabulary as ``tmp / "bpe"``, ``-delta`` merges
-    shorter or with ``delta`` unmerged tokens added; return the model's
-    size."""
+    """Save as ``tmp / "bpe"`` the workspace vocabulary ``-delta`` merges
+    shorter, or one learned over its corpus with ``delta`` merges more;
+    return the model's size."""
     vocab = Vocabulary.load(ws / "bpe")
     if delta < 0:
-        tokens, merges = vocab.tokens[:delta], vocab.merges[:delta]
+        resized = Vocabulary(vocab.tokens[:delta], vocab.languages,
+                             vocab.merges[:delta])
     else:
-        tokens = vocab.tokens + [f"extra{i}" for i in range(delta)]
-        merges = vocab.merges
-    Vocabulary(tokens, vocab.languages, merges).save(tmp / "bpe")
+        resized = train_bpe([ws / f"train.{lang}" for lang in vocab.languages],
+                            len(vocab) + delta, min_freq=1,
+                            languages=vocab.languages)
+    assert len(resized) == len(vocab) + delta
+    resized.save(tmp / "bpe")
     return len(vocab)
 
 

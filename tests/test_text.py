@@ -156,21 +156,26 @@ def assert_matches_reference(paths, vocab_size, min_freq, languages=()):
     return vocab
 
 
-# "é" is two bytes; "<2de>" and "<unk>" spell a tag and a reserved token
-LETTERS = ["a", "b", "c", "é", "<2de>", "<unk>"]
+# "é" is two bytes and "€" three, whose stand-in characters sort in
+# another order than the bytes do; "<2de>" and "<unk>" spell a tag and a
+# reserved token
+LETTERS = ["a", "b", "c", "é", "€", "<2de>", "<unk>"]
 
 
 @st.composite
 def bpe_corpora(draw):
     """Lines over a 2-4 letter alphabet, so pair counts tie often, with
-    runs such as "aaaa" whose pairs overlap."""
+    runs such as "aaaa" whose pairs overlap. Words are split by a space, a
+    tab or a no-break space, all of which separate words."""
     alphabet = draw(st.lists(st.sampled_from(LETTERS), min_size=2,
                              max_size=4, unique=True))
     letter = st.sampled_from(alphabet)
     word = st.one_of(
         st.lists(letter, min_size=1, max_size=5).map("".join),
         st.tuples(letter, st.integers(2, 6)).map(lambda t: t[0] * t[1]))
-    return draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+    line = st.tuples(st.sampled_from([" ", "\t", "\xa0"]),
+                     st.lists(word, min_size=1, max_size=6))
+    return draw(st.lists(line.map(lambda t: t[0].join(t[1])),
                          min_size=1, max_size=8))
 
 
@@ -181,6 +186,9 @@ def bpe_corpora(draw):
 @example(["abab abab"], 1, (), 40)
 @example(["aaaa aaaa"], 1, (), 40)
 @example(["aab aab baa"], 1, (), 40)
+# every pair ties at count 1 after the merges "cd" and "ab"; by text
+# ("ab", "ab") comes first, by symbol id the space byte's ("Ġ", "cd")
+@example(["cdcd abab cd"], 1, (), 4)
 def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
                                               min_freq, languages, extra):
     p = tmp_path_factory.mktemp("bpe") / "corpus.txt"
@@ -188,7 +196,8 @@ def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
     base = len(tx.RESERVED_TOKENS) + len(languages) + 256
     vocab = assert_matches_reference([p], base + extra, min_freq, languages)
     for line in lines:
-        assert tx.decode(tx.encode(line, vocab), vocab) == line
+        assert tx.decode(tx.encode(line, vocab), vocab) == \
+            tx.normalize_whitespace(line)
 
 
 def toy_corpus(root):
@@ -543,6 +552,46 @@ def test_vocab_load_rejects_merge_result_produced_twice(tmp_path, merges,
         tx.Vocabulary.load(tmp_path / "bpe")
     assert f"{path} line {line_no}" in str(err.value)
     assert f"already produced by line {first}" in str(err.value)
+
+
+@pytest.mark.parametrize("extra, merges", [
+    (["extra"], ""),
+    (["ab", "abc"], "a b\n"),
+    (["<2fr>"], ""),
+])
+def test_vocab_load_rejects_token_no_merge_produces(tmp_path, extra, merges):
+    # encode can never emit such a token, so its row would be dead weight
+    base = minimal_vocab(("de",))
+    path = tmp_path / "bpe.vocab"
+    path.write_text("\n".join(base.tokens + extra) + "\n", encoding="utf-8")
+    (tmp_path / "bpe.merges").write_text(merges, encoding="utf-8")
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert str(err.value) == (
+        f"{path} line {len(base) + len(extra)}: {extra[-1]!r} is neither a "
+        "reserved token, a language tag, a byte symbol nor the result of a "
+        f"merge in {tmp_path / 'bpe.merges'}")
+
+
+def test_vocabulary_names_duplicate_token(tmp_path):
+    tokens = minimal_vocab(("de",)).tokens + ["a", "<2de>"]
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary(tokens=tokens, languages=["de"])
+    assert str(err.value) == "duplicate token '<2de>' in vocabulary"
+    path = tmp_path / "bpe.vocab"
+    path.write_text("\n".join(tokens[:-1]) + "\n", encoding="utf-8")
+    (tmp_path / "bpe.merges").write_text("", encoding="utf-8")
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert str(err.value) == f"{path}: duplicate token 'a' in vocabulary"
+
+
+def test_bpe_refuses_duplicate_language(tmp_path):
+    # refused before the corpus is read: the path does not exist
+    with pytest.raises(ConfigError) as err:
+        tx.train_bpe([tmp_path / "absent.txt"], 400,
+                     languages=["de", "fr", "DE"])
+    assert str(err.value) == "language 'DE' given twice (as 'de' and 'DE')"
 
 
 def test_vocab_load_frozen_benchmark_vocabulary():
