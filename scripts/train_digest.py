@@ -114,25 +114,11 @@ def digest(arrays) -> str:
     return h.hexdigest()
 
 
-def examples_digest(examples) -> str:
+def json_digest(items) -> str:
+    """SHA-256 of the JSON text of each item, one after another."""
     h = hashlib.sha256()
-    for e in examples:
-        h.update(json.dumps([e.example_id, e.source_ids, e.target_ids,
-                             e.image_id]).encode("utf-8"))
-    return h.hexdigest()
-
-
-def ids_digest(lines_ids) -> str:
-    h = hashlib.sha256()
-    for ids in lines_ids:
-        h.update(json.dumps(ids).encode("utf-8"))
-    return h.hexdigest()
-
-
-def vocabs_digest(vocabs) -> str:
-    h = hashlib.sha256()
-    for vocab in vocabs:
-        h.update(json.dumps([vocab.tokens, vocab.merges]).encode("utf-8"))
+    for item in items:
+        h.update(json.dumps(item).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -188,15 +174,16 @@ def run() -> tuple[int, float, dict[str, str]]:
     reloaded = ([(n, p.data) for n, p in loaded.params.items()]
                 + [(f"{s}.{n}", a) for s in "mv" for n, a in stored[s].items()])
     return len(rows), rows[-1].loss, {
-        "examples": examples_digest(workload.examples),
+        "examples": json_digest([e.example_id, e.source_ids, e.target_ids,
+                                 e.image_id] for e in workload.examples),
         "losses": digest([("loss", losses)]),
         "parameters": digest((n, model.params[n].data) for n in names),
         "moments": digest(moments),
-        "tokenize": ids_digest(text.encode(line, vocab)
-                               for line in tokenize.lines),
+        "tokenize": json_digest(text.encode(line, vocab)
+                                for line in tokenize.lines),
         "checkpoint": digest(reloaded),
         "translate": hypotheses_digest(hyps),
-        "bpe": vocabs_digest(vocabs),
+        "bpe": json_digest([v.tokens, v.merges] for v in vocabs),
     }
 
 

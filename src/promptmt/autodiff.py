@@ -401,12 +401,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return make_node(out_data, (x, w, b), backward)
 
 
-# _SWAP_HEAD_AXES[n_lead]: the permutation exchanging the head and position
-# axes after n_lead leading axes (its own inverse), for every rank numpy has
-_SWAP_HEAD_AXES = tuple(tuple(range(n)) + (n + 1, n, n + 2)
-                        for n in range(64 - 2))
-
-
 def _heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, n_heads: int):
     """Forward of ``heads`` on arrays: the product's shape and the
     lead + (n_heads, n, d / n_heads) view of the projection."""
@@ -417,7 +411,7 @@ def _heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, n_heads: int):
         raise ShapeError(f"heads: width {d} is not divisible by {n_heads} "
                          "heads")
     return product_shape, y.reshape(y_shape[:-1] + (n_heads, d // n_heads)
-                                    ).transpose(_SWAP_HEAD_AXES[y.ndim - 2])
+                                    ).swapaxes(-3, -2)
 
 
 def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
@@ -425,12 +419,11 @@ def heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     lead + (n, d_in) -> lead + (n_heads, n, d / n_heads), a view of the
     lead + (n, d) projection."""
     product_shape, out_data = _heads(x.data, w.data, b.data, n_heads)
-    swap = _SWAP_HEAD_AXES[out_data.ndim - 3]
     y_shape = out_data.shape[:-3] + (out_data.shape[-2],
                                      n_heads * out_data.shape[-1])
 
     def backward(g):
-        _affine_backward(np.transpose(g, swap).reshape(y_shape), x, w, b,
+        _affine_backward(g.swapaxes(-3, -2).reshape(y_shape), x, w, b,
                          product_shape)
 
     return make_node(out_data, (x, w, b), backward)
@@ -474,7 +467,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         _check_aligned(probs.shape, keep.shape, "mul")
         kept = probs * keep
     ctx = np.matmul(kept, v)
-    merged = ctx.transpose(_SWAP_HEAD_AXES[ctx.ndim - 3])
+    merged = ctx.swapaxes(-3, -2)
     return (product.shape, inv_sqrt, probs, kept,
             merged.reshape(merged.shape[:-2] + (-1,)))
 
@@ -493,12 +486,11 @@ def attention(qh: Tensor, kh: Tensor, vh: Tensor,
     """
     product_shape, inv_sqrt, probs, kept, out_data = _attention(
         qh.data, kh.data, vh.data, bias, keep)
-    swap = _SWAP_HEAD_AXES[out_data.ndim - 2]
     merged_shape = out_data.shape[:-1] + (probs.shape[-3], vh.shape[-1])
 
     def backward(g):
         kt = kh.data.swapaxes(-1, -2)
-        g_ctx = np.transpose(g.reshape(merged_shape), swap)
+        g_ctx = g.reshape(merged_shape).swapaxes(-3, -2)
         if vh.requires_grad:
             vh.accumulate_grad(_grad_right(kept, g_ctx, vh.shape))
         g_probs = _grad_left(g_ctx, vh.data, kept.shape)

@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .checks import full_model_reports, primitive_reports
-from .decoding import beam_search
+from .decoding import beam_search, check_search_args
 from .errors import ConfigError, PromptMtError
 from .evaluate import (build_requests, evaluate, mask_sweep,
                        visual_tokens_for, write_report_csv,
@@ -112,6 +112,8 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     model, vocab = _load_model(args)
+    # checked here too, so that an input with no line to decode fails alike
+    check_search_args(model, vocab, args.tgt_lang, args.beam, args.alpha)
     visual_map = visual_tokens_for(model, args.vtok)
 
     lines = (sys.stdin.read().splitlines() if args.input == "-"

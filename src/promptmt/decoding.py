@@ -75,11 +75,7 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
                 max_len: Optional[int] = None,
                 alpha: float = 1.0) -> Hypothesis:
     """Decode one tag-prefixed source sequence into the target language."""
-    if beam < 1:
-        raise ConfigError(f"beam must be >= 1, got {beam}")
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha must be a finite number, got {alpha}")
-    model.check_vocabulary(vocab)
+    check_search_args(model, vocab, target_lang, beam, alpha)
     if len(source_ids) == 0 or source_ids[0] != vocab.tag_id(target_lang):
         raise ConfigError(f"source must be prefixed with the {target_lang!r} "
                           "tag before decoding")
@@ -89,6 +85,18 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
     with ad.no_grad():
         memory, src_mask = model.prepare_source(source_ids, visual)
         return _search(model, memory, src_mask, beam, max_len, alpha)
+
+
+def check_search_args(model, vocab, target_lang, beam, alpha):
+    """The checks of ``beam_search``'s arguments that hold for any source:
+    the beam width, a finite alpha, the vocabulary's size against the
+    model's and the target language's tag."""
+    if beam < 1:
+        raise ConfigError(f"beam must be >= 1, got {beam}")
+    if not math.isfinite(alpha):
+        raise ConfigError(f"alpha must be a finite number, got {alpha}")
+    model.check_vocabulary(vocab)
+    vocab.tag_id(target_lang)
 
 
 def _check_length_penalty(max_len: int, alpha: float):

@@ -73,13 +73,36 @@ def tag_token(lang: str) -> str:
     return f"<2{lang.lower()}>"
 
 
+def _tags(languages: Sequence[str]) -> list[str]:
+    """One tag token per language, in order; a language given twice, also
+    in another case, is refused naming both spellings."""
+    tags: dict[str, str] = {}   # tag token -> the language naming it
+    for lang in languages:
+        tag = tag_token(lang)
+        if tag in tags:
+            raise ConfigError(f"language {lang!r} given twice (as "
+                              f"{tags[tag]!r} and {lang!r})")
+        tags[tag] = lang
+    return list(tags)
+
+
+def _layout(specials: list[str], merges: list) -> list[str]:
+    """A vocabulary's tokens in id order: the reserved and tag tokens, the
+    256 byte symbols in byte order, then each merge's result in merge
+    order. ``train_bpe`` builds its vocabulary from this list, and
+    ``Vocabulary.load`` requires its ``.vocab`` to be this list."""
+    return [*specials, *_BYTE_TO_CHAR.values(), *(a + b for a, b in merges)]
+
+
 @dataclass
 class Vocabulary:
     """Shared multilingual subword vocabulary plus its merge table.
 
-    ids: 0..4 reserved (PAD, BOS, EOS, UNK, MASK), then one tag token per
-    language, then the 256 byte symbols, then merged symbols in creation
-    order. Merges are stored in application order.
+    ``train_bpe`` and ``load`` give the tokens of ``_layout``: ids 0..4
+    reserved (PAD, BOS, EOS, UNK, MASK), then one tag token per language,
+    then the 256 byte symbols, then each merge's result in merge order.
+    Merges are stored in application order. The constructor checks only
+    the reserved ids, the tag tokens and that no token repeats.
     """
 
     tokens: list[str]
@@ -127,6 +150,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, prefix: str | Path) -> "Vocabulary":
+        """The vocabulary saved under ``prefix``. Its tokens are checked
+        as the constructor checks them, then its merges line by line; then
+        the ``.vocab`` must list the tokens of ``_layout`` for its tag block
+        and those merges."""
         prefix = Path(prefix)
         vocab_path = Path(f"{prefix}.vocab")
         tokens = read_lines(vocab_path, "vocabulary file")
@@ -137,13 +164,11 @@ class Vocabulary:
             if not (t.startswith("<2") and t.endswith(">")):
                 break
             languages.append(t[2:-1])
-        merges = []
         merges_path = Path(f"{prefix}.merges")
         lines = read_lines(merges_path, "merges file")
-        in_vocab = set(tokens)
-        n_special = len(RESERVED_TOKENS) + len(languages)
-        specials = set(tokens[:n_special])
-        symbols = set(_BYTE_TO_CHAR.values())
+        with about(vocab_path):
+            vocab = cls(tokens=tokens, languages=languages)
+        specials = tokens[:len(RESERVED_TOKENS) + len(languages)]
         produced: dict[str, int] = {}   # merge result -> its line
         for n, line in enumerate(lines, 1):
             where = f"{merges_path} line {n}"
@@ -153,7 +178,7 @@ class Vocabulary:
                     f"{where}: expected two space-separated tokens, "
                     f"got {line!r}")
             for part in parts:
-                if part not in symbols:
+                if part not in _CHAR_TO_BYTE and part not in produced:
                     raise VocabularyError(
                         f"{where}: {part!r} is neither a byte symbol nor "
                         "the result of an earlier merge")
@@ -164,27 +189,25 @@ class Vocabulary:
                 raise VocabularyError(
                     f"{where}: merge result {merged!r} was already "
                     f"produced by line {produced[merged]}")
-            if merged not in in_vocab:
-                raise VocabularyError(
-                    f"{where}: merge result {merged!r} is not in "
-                    f"{vocab_path}")
             if merged in specials:
                 # encode would emit the special id for literal text
                 raise VocabularyError(
                     f"{where}: merge result {merged!r} is a reserved "
                     "or language tag token")
-            symbols.add(merged)
             produced[merged] = n
-            merges.append((parts[0], parts[1]))
-        with about(vocab_path):
-            vocab = cls(tokens=tokens, languages=languages, merges=merges)
-        # every later token is one encode can emit, so no row is dead
-        for n, token in enumerate(tokens[n_special:], n_special + 1):
-            if token not in symbols:
-                raise VocabularyError(
-                    f"{vocab_path} line {n}: {token!r} is neither a reserved "
-                    "token, a language tag, a byte symbol nor the result of "
-                    f"a merge in {merges_path}")
+            vocab.merges.append((parts[0], parts[1]))
+        if tokens != (layout := _layout(specials, vocab.merges)):
+            # a line dropped, added, edited or moved: name the first one
+            # that differs, past the end of the shorter list if all of it
+            # matches
+            n = next((n for n, (found, want) in enumerate(zip(tokens, layout))
+                      if found != want), min(len(tokens), len(layout)))
+            found, want = ([*map(repr, side), "the end of the file"][n]
+                           for side in (tokens, layout))
+            raise VocabularyError(
+                f"{vocab_path} line {n + 1}: expected {want}, found {found} "
+                "(the reserved and tag tokens, the 256 byte symbols, then the "
+                f"result of each merge in {merges_path})")
         return vocab
 
 
@@ -194,7 +217,9 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
 
     Merges are chosen by descending pair frequency, ties broken by
     lexicographically smallest pair, so retraining on identical input
-    reproduces an identical merge table. Merging stops at ``vocab_size``
+    reproduces an identical merge table. The vocabulary's tokens are the
+    ``_layout`` of the reserved tokens, one tag per language and the
+    merges, so merging stops when that list reaches ``vocab_size`` tokens,
     or when no pair reaches ``min_freq``. A pair whose merge would spell a
     token the vocabulary already has (a reserved token such as ``<unk>``
     or a language tag such as ``<2de>``) is never chosen: its parts stay
@@ -228,15 +253,8 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     500 merges) a call takes a median 28-29 ms on a 2-vCPU host, against
     35 ms for the same learner over string symbols and string-pair keys.
     """
-    tags: dict[str, str] = {}   # tag token -> the language naming it
-    for lang in languages:
-        tag = tag_token(lang)
-        if tag in tags:
-            raise ConfigError(f"language {lang!r} given twice (as "
-                              f"{tags[tag]!r} and {lang!r})")
-        tags[tag] = lang
-    base = RESERVED_TOKENS + list(tags) \
-        + [_BYTE_TO_CHAR[b] for b in range(256)]
+    specials = RESERVED_TOKENS + _tags(languages)
+    base = _layout(specials, [])
     if vocab_size < len(base):
         raise ConfigError(f"vocab_size {vocab_size} below minimum {len(base)} "
                           "(reserved + tags + byte alphabet)")
@@ -281,10 +299,9 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
     heap = [(-f, text[p // vocab_size], text[p % vocab_size], p)
             for p, f in pair_freqs.items() if f >= floor]
     heapq.heapify(heap)
-    tokens = list(base)
     known = set(base)
     merges: list[tuple[str, str]] = []
-    while heap and len(tokens) < vocab_size:
+    while heap and len(base) + len(merges) < vocab_size:
         neg_count, text_a, text_b, pair = heapq.heappop(heap)
         count = pair_freqs.get(pair, 0)
         if count != -neg_count:
@@ -295,7 +312,6 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
         if merged_text in known:
             continue
         merges.append((text_a, text_b))
-        tokens.append(merged_text)
         known.add(merged_text)
         a, b = divmod(pair, vocab_size)
         merged = len(text)
@@ -339,7 +355,7 @@ def train_bpe(corpus_paths: Sequence[str | Path], vocab_size: int,
                 heapq.heappush(heap, (-pair_freqs[p], text[p // vocab_size],
                                       text[p % vocab_size], p))
 
-    return Vocabulary(tokens=tokens, languages=list(languages), merges=merges)
+    return Vocabulary(_layout(specials, merges), list(languages), merges)
 
 
 def _apply_merge(symbols: tuple, pair: tuple[str, str]) -> tuple:
@@ -508,6 +524,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raw.get("image_ids_path") or "")):
         raise ConfigError(f"manifest {path}: languages, text paths, "
                           "vtok_path and image_ids_path must be strings")
+    with about(f"manifest {path}"):
+        _tags(languages)   # each direction once
     base = path.parent   # "/abs" joined to it stays "/abs"
     text_paths = {}
     for lang in languages:

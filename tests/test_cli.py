@@ -240,6 +240,25 @@ def test_translate_cli_malformed_line_fails_before_output(workspace, capsys,
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--beam", "0"], "beam must be >= 1, got 0"),
+    (["--alpha", "nan"], "alpha must be a finite number, got nan"),
+    (["--tgt-lang", "xx"], "no tag token for language 'xx'"),
+], ids=["beam 0", "alpha nan", "unknown tgt-lang"])
+def test_translate_cli_refuses_bad_argument_without_input(workspace, capsys,
+                                                          tmp_path, args,
+                                                          message):
+    # with no line to decode these once printed the blank lines and exited 0
+    src = tmp_path / "input.txt"
+    src.write_text("\n   \n", encoding="utf-8")
+    rc = main(["translate", "--ckpt",
+               str(workspace / "run" / "checkpoint_last.lvpm"),
+               "--tgt-lang", "de", "--input", str(src),
+               "--vtok", str(workspace / "train.vtok")] + args)
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_translate_cli_keeps_line_order_and_blank_lines(workspace, capsys,
                                                         tmp_path):
     lines = (workspace / "train.en").read_text().splitlines()[:2]

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from promptmt.errors import ConfigError, FormatError, PromptMtError
+from promptmt.errors import (ConfigError, FormatError, PromptMtError,
+                             VocabularyError)
 from promptmt.files import (BinaryReader, BinaryWriter, append_text, csv_text,
                             read_json, read_lines, write_file)
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
-from promptmt.text import (Vocabulary, load_manifest, manifest_image_ids,
-                           manifest_lines)
+from promptmt.text import (RESERVED_TOKENS, Vocabulary, load_manifest,
+                           manifest_image_ids, manifest_lines)
 from promptmt.train import MetricsLog, StepMetrics, TrainConfig, TrainState
 from promptmt.vision import pseudo_visual_tokens, read_vtok, write_vtok
 
@@ -420,6 +421,54 @@ def test_vtok_mutations(frozen):
 def test_vocabulary_mutations(frozen, suffix):
     check_reader(frozen / f"bpe{suffix}",
                  lambda: Vocabulary.load(frozen / "bpe"))
+
+
+def test_vocabulary_line_edits(frozen):
+    # Dropping, duplicating or appending a line, or swapping two lines, is
+    # refused naming the .vocab file. Dropping a tag line or swapping two
+    # is not: nothing but the tag block records which languages a
+    # vocabulary has or their order, so that gives another valid one.
+    path = frozen / "bpe.vocab"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    first = len(RESERVED_TOKENS)
+    n_langs = len(Vocabulary.load(frozen / "bpe").languages)
+    tags = range(first, first + n_langs)
+    line = st.integers(0, len(lines) - 1)
+    one_line = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl",
+                                                           "Zp")))
+
+    def swapped(ij):
+        out = list(lines)
+        out[ij[0]], out[ij[1]] = out[ij[1]], out[ij[0]]
+        return out
+
+    edits = st.one_of(
+        line.filter(lambda i: i not in tags).map(
+            lambda i: lines[:i] + lines[i + 1:]),
+        st.tuples(line, st.integers(0, len(lines))).map(
+            lambda ij: lines[:ij[1]] + [lines[ij[0]]] + lines[ij[1]:]),
+        st.one_of(st.sampled_from(lines), one_line).map(
+            lambda t: lines + [t]),
+        st.tuples(line, line).filter(
+            lambda ij: ij[0] != ij[1] and not set(ij) <= set(tags)
+        ).map(swapped))
+
+    def write(tokens):
+        path.write_text("".join(f"{t}\n" for t in tokens), encoding="utf-8")
+
+    @seed(len(lines))
+    @EXAMPLES
+    @given(edits)
+    def prop(edited):
+        write(edited)
+        with pytest.raises(VocabularyError) as exc:
+            Vocabulary.load(frozen / "bpe")
+        assert str(path) in str(exc.value)
+
+    prop()
+    # the tag block's exception, shown once: one language fewer
+    write(lines[:first] + lines[first + 1:])
+    assert len(Vocabulary.load(frozen / "bpe").languages) == n_langs - 1
 
 
 def test_manifest_mutations(frozen):

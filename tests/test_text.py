@@ -506,7 +506,6 @@ def save_vocab_with_merges(tmp_path, merges_text):
     ("a b\n\n", 2, "two space-separated tokens"),
     ("a b\nxy c\n", 2, "'xy' is neither a byte symbol nor"),
     ("abc d\n", 1, "'abc' is neither a byte symbol nor"),
-    ("a b\nab x\n", 2, "'abx' is not in"),
 ])
 def test_vocab_load_rejects_bad_merges(tmp_path, bad, line_no, message):
     save_vocab_with_merges(tmp_path, bad)
@@ -554,6 +553,15 @@ def test_vocab_load_rejects_merge_result_produced_twice(tmp_path, merges,
     assert f"already produced by line {first}" in str(err.value)
 
 
+def layout_error(tmp_path, line_no, expected, found):
+    """Vocabulary.load's message for a ``bpe.vocab`` under ``tmp_path``
+    whose line ``line_no`` is not the token its layout puts there."""
+    return (f"{tmp_path / 'bpe.vocab'} line {line_no}: expected {expected}, "
+            f"found {found} (the reserved and tag tokens, the 256 byte "
+            f"symbols, then the result of each merge in "
+            f"{tmp_path / 'bpe.merges'})")
+
+
 @pytest.mark.parametrize("extra, merges", [
     (["extra"], ""),
     (["ab", "abc"], "a b\n"),
@@ -567,10 +575,43 @@ def test_vocab_load_rejects_token_no_merge_produces(tmp_path, extra, merges):
     (tmp_path / "bpe.merges").write_text(merges, encoding="utf-8")
     with pytest.raises(VocabularyError) as err:
         tx.Vocabulary.load(tmp_path / "bpe")
-    assert str(err.value) == (
-        f"{path} line {len(base) + len(extra)}: {extra[-1]!r} is neither a "
-        "reserved token, a language tag, a byte symbol nor the result of a "
-        f"merge in {tmp_path / 'bpe.merges'}")
+    assert str(err.value) == layout_error(
+        tmp_path, len(base) + len(extra), "the end of the file",
+        repr(extra[-1]))
+
+
+def _swap(tokens, a, b):
+    i, j = tokens.index(a), tokens.index(b)
+    tokens[i], tokens[j] = b, a
+    return tokens
+
+
+# the vocabulary of save_vocab_with_merges holds the reserved tokens, the
+# byte symbols ("a" on line 5 + 97 + 1 = 103, "b" on line 104), then "ab",
+# "abc" and "abd" on lines 262-264
+@pytest.mark.parametrize("edit, merges, line_no, expected, found", [
+    # this .vocab used to load, and encode("banana") gave b<unk>n<unk>n<unk>
+    pytest.param(lambda t: [x for x in t[:-3] if x != "a"], "", 103,
+                 "'a'", "'b'", id="byte a dropped"),
+    # this one too, and encode("ab") gave the ids of "ba"
+    pytest.param(lambda t: _swap(t[:-3], "a", "b"), "", 103, "'a'", "'b'",
+                 id="bytes a and b swapped"),
+    pytest.param(lambda t: _swap(t, "abc", "abd"), "a b\nab c\nab d\n", 263,
+                 "'abc'", "'abd'", id="merge result moved"),
+    pytest.param(lambda t: t[:-1], "a b\nab c\nab d\n", 264, "'abd'",
+                 "the end of the file", id="last line missing"),
+    pytest.param(lambda t: t, "a b\nab x\n", 263, "'abx'", "'abc'",
+                 id="merge result not in .vocab"),
+])
+def test_vocab_load_refuses_tokens_off_the_layout(tmp_path, edit, merges,
+                                                  line_no, expected, found):
+    save_vocab_with_merges(tmp_path, merges)
+    path = tmp_path / "bpe.vocab"
+    tokens = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(tokens)) + "\n", encoding="utf-8")
+    with pytest.raises(VocabularyError) as err:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert str(err.value) == layout_error(tmp_path, line_no, expected, found)
 
 
 def test_vocabulary_names_duplicate_token(tmp_path):
@@ -817,3 +858,19 @@ def test_manifest_missing_file(tmp_path):
     (tmp_path / "train.de").unlink()
     with pytest.raises(ConfigError, match="train.de"):
         tx.load_manifest(mpath)
+
+
+@pytest.mark.parametrize("languages, twice", [
+    (["en", "de", "de", "fr"], "'de' given twice (as 'de' and 'de')"),
+    (["en", "de", "fr", "DE"], "'DE' given twice (as 'de' and 'DE')"),
+], ids=["same case", "other case"])
+def test_manifest_refuses_language_given_twice(tmp_path, languages, twice):
+    # loaded, en->de would make each of its examples twice; refused before
+    # any text path is looked up
+    mpath = write_manifest(tmp_path, {"en": ["x"], "de": ["y"], "fr": ["z"]})
+    raw = json.loads(mpath.read_text(encoding="utf-8"))
+    raw["languages"] = languages
+    mpath.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        tx.load_manifest(mpath)
+    assert str(err.value) == f"manifest {mpath}: language {twice}"
