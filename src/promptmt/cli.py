@@ -14,7 +14,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from .checks import full_model_reports, primitive_reports
-from .decoding import beam_search, check_search_args
+from .decoding import (beam_search, check_length_penalty,
+                       check_search_args, default_max_len)
 from .errors import ConfigError, PromptMtError
 from .evaluate import (build_requests, evaluate, mask_sweep,
                        visual_tokens_for, write_report_csv,
@@ -66,6 +67,9 @@ def cmd_train(args) -> int:
     manifest = load_manifest(manifest_path)
     pivot = data.get("pivot", "en")
     examples = load_parallel_examples(manifest, vocab, pivot=pivot)
+    if not examples:
+        raise ConfigError(f"manifest {manifest_path}: no examples to train "
+                          f"on (no lines, or no language but {pivot!r})")
 
     if args.resume:
         model, ck_state = load_checkpoint(args.resume)
@@ -112,8 +116,11 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     model, vocab = _load_model(args)
-    # checked here too, so that an input with no line to decode fails alike
+    # checked here too, so that an input with no line to decode fails alike;
+    # a source is at least a tag, BOS and EOS, so its cap is at least this
+    # one, and an alpha refused at a cap is refused at every larger one
     check_search_args(model, vocab, args.tgt_lang, args.beam, args.alpha)
+    check_length_penalty(default_max_len(3), args.alpha)
     visual_map = visual_tokens_for(model, args.vtok)
 
     lines = (sys.stdin.read().splitlines() if args.input == "-"

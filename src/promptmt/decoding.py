@@ -81,7 +81,7 @@ def beam_search(model: MultimodalTranslator, vocab: Vocabulary,
                           "tag before decoding")
     if max_len is None:
         max_len = default_max_len(len(source_ids))
-    _check_length_penalty(max_len, alpha)
+    check_length_penalty(max_len, alpha)
     with ad.no_grad():
         memory, src_mask = model.prepare_source(source_ids, visual)
         return _search(model, memory, src_mask, beam, max_len, alpha)
@@ -99,7 +99,7 @@ def check_search_args(model, vocab, target_lang, beam, alpha):
     vocab.tag_id(target_lang)
 
 
-def _check_length_penalty(max_len: int, alpha: float):
+def check_length_penalty(max_len: int, alpha: float):
     """Scores divide by n ** alpha for lengths n in 1..max_len, all of which
     are finite and positive when max_len ** alpha is."""
     if max_len < 1:

@@ -101,8 +101,10 @@ class Vocabulary:
     ``train_bpe`` and ``load`` give the tokens of ``_layout``: ids 0..4
     reserved (PAD, BOS, EOS, UNK, MASK), then one tag token per language,
     then the 256 byte symbols, then each merge's result in merge order.
-    Merges are stored in application order. The constructor checks only
-    the reserved ids, the tag tokens and that no token repeats.
+    Merges are stored in application order. The constructor requires the
+    head of that layout, the reserved tokens and then the languages' tags
+    in order, so the tags are the ids from 5 on, one per language; it
+    takes any tail in which no token repeats.
     """
 
     tokens: list[str]
@@ -118,17 +120,16 @@ class Vocabulary:
             twice = next(t for i, t in enumerate(self.tokens)
                          if self._token_to_id[t] != i)
             raise VocabularyError(f"duplicate token {twice!r} in vocabulary")
-        for i, t in enumerate(RESERVED_TOKENS):
+        head = RESERVED_TOKENS + _tags(self.languages)
+        for i, t in enumerate(head):
             found = self.tokens[i] if i < len(self.tokens) else None
             if found != t:
+                kind = "reserved" if i < len(RESERVED_TOKENS) else "tag"
                 raise VocabularyError(
-                    f"reserved id {i} must be {t!r}, found {found!r}")
-        self._tag_ids = {}
-        for lang in self.languages:
-            tok = tag_token(lang)
-            if tok not in self._token_to_id:
-                raise VocabularyError(f"missing tag token for language {lang!r}")
-            self._tag_ids[lang.lower()] = self._token_to_id[tok]
+                    f"{kind} id {i} must be {t!r}, found {found!r}")
+        self._tag_range = range(len(RESERVED_TOKENS), len(head))
+        self._tag_ids = dict(zip(map(str.lower, self.languages),
+                                 self._tag_range))
 
     def __len__(self):
         return len(self.tokens)
@@ -140,7 +141,7 @@ class Vocabulary:
             raise LanguageError(f"no tag token for language {lang!r}") from None
 
     def is_tag(self, token_id: int) -> bool:
-        return token_id in self._tag_ids.values()
+        return token_id in self._tag_range
 
     def save(self, prefix: str | Path):
         write_file(f"{prefix}.vocab", "vocabulary file",
@@ -150,10 +151,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, prefix: str | Path) -> "Vocabulary":
-        """The vocabulary saved under ``prefix``. Its tokens are checked
-        as the constructor checks them, then its merges line by line; then
-        the ``.vocab`` must list the tokens of ``_layout`` for its tag block
-        and those merges."""
+        """The vocabulary saved under ``prefix``. Its languages are read
+        from the tag block after the reserved ids; its tokens are checked
+        as the constructor checks them (so a language tagged twice, in any
+        case, is refused), then its merges line by line; then the
+        ``.vocab`` must list the tokens of ``_layout`` for those languages
+        and merges."""
         prefix = Path(prefix)
         vocab_path = Path(f"{prefix}.vocab")
         tokens = read_lines(vocab_path, "vocabulary file")
@@ -418,30 +421,20 @@ def encode(text: str, vocab: Vocabulary) -> list[int]:
 
 
 def decode(ids: Sequence[int], vocab: Vocabulary) -> str:
-    """Reverse ``encode``. PAD/BOS/EOS and language tags are dropped; UNK
-    and MASK render as their literal token strings."""
-    pieces: list[str] = []
-    buf: list[str] = []
-
-    def flush():
-        if buf:
-            data = bytes(_CHAR_TO_BYTE[c] for c in "".join(buf))
-            pieces.append(data.decode("utf-8", errors="replace"))
-            buf.clear()
-
-    for i in ids:
-        i = int(i)
+    """Reverse ``encode``: PAD/BOS/EOS and language tags are dropped, and
+    the characters of every other token (UNK and MASK spell ``<unk>`` and
+    ``<mask>``, printable ASCII that stands for itself) map back to one
+    byte string. It is decoded as UTF-8, a malformed byte sequence as
+    U+FFFD, and returned whitespace-normalized, as ``encode`` reads text."""
+    chars = []
+    for i in map(int, ids):
         if i in (PAD_ID, BOS_ID, EOS_ID) or vocab.is_tag(i):
-            continue
-        if i in (UNK_ID, MASK_ID):
-            flush()
-            pieces.append(vocab.tokens[i])
             continue
         if i < 0 or i >= len(vocab):
             raise VocabularyError(f"token id {i} outside vocabulary of size {len(vocab)}")
-        buf.append(vocab.tokens[i])
-    flush()
-    return "".join(pieces)
+        chars.append(vocab.tokens[i])
+    data = bytes(map(_CHAR_TO_BYTE.__getitem__, "".join(chars)))
+    return normalize_whitespace(data.decode("utf-8", errors="replace"))
 
 
 def prefix_target_token(source_ids: Sequence[int], target_lang: str,

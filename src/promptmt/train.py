@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .files import append_text, csv_text, write_file
 from .model import (MultimodalTranslator, check_fields, config_from_dict,
                     save_checkpoint)
@@ -195,7 +195,8 @@ def train_loop(model: MultimodalTranslator,
                max_steps: Optional[int] = None,
                log_every: int = 0) -> list[StepMetrics]:
     """Run the optimization loop for ``state.config.epochs`` epochs;
-    returns per-step metrics.
+    returns per-step metrics. An empty ``examples`` is refused, before
+    anything is written.
 
     Checkpoints (parameters + moments) are written per epoch when
     ``out_dir`` is set, and ``checkpoint_last.lvpm`` also on an early stop,
@@ -206,13 +207,14 @@ def train_loop(model: MultimodalTranslator,
     exact continuation. The model is left in eval mode, holding no
     gradients.
     """
+    if not examples:
+        raise ConfigError("no examples to train on")
     cfg = state.config
     out_dir = Path(out_dir) if out_dir else None
     log = MetricsLog(out_dir / "metrics.csv" if out_dir else None)
     # every epoch holds the same batches, only their order changes
     per_epoch = len(make_batches(examples, cfg.max_tokens))
-    start_epoch, done_in_epoch = (divmod(state.step, per_epoch) if per_epoch
-                                  else (0, 0))
+    start_epoch, done_in_epoch = divmod(state.step, per_epoch)
     recent: deque = deque(maxlen=per_epoch)
     model.train_mode = True
     stopped = False

@@ -13,8 +13,9 @@ from promptmt.cli import build_parser, main
 from promptmt.decoding import beam_search
 from promptmt.model import (ModelConfig, MultimodalTranslator,
                             load_checkpoint, save_checkpoint)
-from promptmt.text import (BOS_ID, EOS_ID, Vocabulary, decode, encode,
-                           load_manifest, prefix_target_token, train_bpe)
+from promptmt.text import (BOS_ID, EOS_ID, Vocabulary, _BYTE_TO_CHAR, decode,
+                           encode, load_manifest, prefix_target_token,
+                           train_bpe)
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import read_vtok
 
@@ -244,7 +245,13 @@ def test_translate_cli_malformed_line_fails_before_output(workspace, capsys,
     (["--beam", "0"], "beam must be >= 1, got 0"),
     (["--alpha", "nan"], "alpha must be a finite number, got nan"),
     (["--tgt-lang", "xx"], "no tag token for language 'xx'"),
-], ids=["beam 0", "alpha nan", "unknown tgt-lang"])
+    # refused for any source: every cap is at least default_max_len(3) = 14
+    (["--alpha", "400"], "alpha=400.0 is out of range for max_len 14: "
+     "max_len ** alpha = inf is not a finite positive number"),
+    (["--alpha=-400"], "alpha=-400.0 is out of range for max_len 14: "
+     "max_len ** alpha = 0.0 is not a finite positive number"),
+], ids=["beam 0", "alpha nan", "unknown tgt-lang", "alpha 400",
+        "alpha -400"])
 def test_translate_cli_refuses_bad_argument_without_input(workspace, capsys,
                                                           tmp_path, args,
                                                           message):
@@ -408,6 +415,37 @@ def test_translate_cli_text_only_reads_plain_lines(workspace, tmp_path,
     assert capsys.readouterr().out.split("\n") == expected + [""]
 
 
+def test_cli_prints_one_line_per_sentence_when_output_favours_newlines(
+        workspace, tmp_path, capsys):
+    # an untrained text-only model whose "\n" byte symbol dominates every
+    # step: its decoded text once kept the newlines, so translate printed
+    # 85 lines for these 3 and evaluate split rows of its sentence report
+    vocab = Vocabulary.load(workspace / "bpe")
+    model = MultimodalTranslator(ModelConfig(
+        vocab_size=len(vocab), d_model=16, n_heads=2, n_enc_layers=1,
+        n_dec_layers=1, variant="text_only", dropout=0.0,
+        n_langs=len(vocab.languages)), seed=0)
+    model.params["embedding"].data[vocab.tokens.index(_BYTE_TO_CHAR[10])] *= 8
+    ckpt = tmp_path / "newlines.lvpm"
+    save_checkpoint(ckpt, model)
+    lines = (workspace / "train.en").read_text().splitlines()
+    src = tmp_path / "in.txt"
+    src.write_text(f"{lines[0]}\n\n{lines[1]}\n", encoding="utf-8")
+    assert main(["translate", "--ckpt", str(ckpt), "--vocab",
+                 str(workspace / "bpe"), "--tgt-lang", "de", "--input",
+                 str(src)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 3 and out.split("\n")[1] == ""
+    report = tmp_path / "report.csv"
+    assert main(["evaluate", "--ckpt", str(ckpt), "--vocab",
+                 str(workspace / "bpe"), "--manifest",
+                 str(workspace / "train.json"), "--direction", "en-de",
+                 "--out", str(report)]) == 0
+    rows = report.with_suffix(".sentences.tsv").read_text().splitlines()
+    assert len(rows) == 1 + len(lines)
+    assert all(row.count("\t") == 3 for row in rows)
+
+
 def test_translate_cli_vision_checkpoint_needs_vtok(workspace, tmp_path,
                                                    capsys):
     src = tmp_path / "in.txt"
@@ -448,6 +486,30 @@ def test_train_cli_full_variant_needs_vtok(workspace, tmp_path, capsys, d_v):
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "VTOK table" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("languages, text", [(["en", "de"], ""),
+                                             (["en"], "a man\n")],
+                         ids=["empty text files", "pivot only"])
+def test_train_cli_refuses_manifest_without_examples(workspace, tmp_path,
+                                                     capsys, languages, text):
+    # once trained on nothing, exited 0 and saved the untrained model as
+    # every epoch's checkpoint
+    for lang in languages:
+        (tmp_path / f"train.{lang}").write_text(text, encoding="utf-8")
+    manifest = tmp_path / "train.json"
+    manifest.write_text(json.dumps({
+        "split": "train", "languages": languages,
+        "text_paths": {lang: f"train.{lang}" for lang in languages}}),
+        encoding="utf-8")
+    config = _train_config(workspace, tmp_path, manifest,
+                           {"d_model": 16, "n_heads": 2,
+                            "variant": "text_only"})
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: manifest {manifest}: no "
+                                   "examples to train on (no lines, or no "
+                                   "language but 'en')\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -25,6 +25,9 @@ SAMPLE_SENTENCES = {
 }
 
 
+FROZEN_BPE = Path(__file__).resolve().parents[1] / "perfbench/frozen/bpe"
+
+
 def minimal_vocab(languages=("de", "fr")):
     base = tx.RESERVED_TOKENS + [tx.tag_token(l) for l in languages] \
         + [tx._BYTE_TO_CHAR[b] for b in range(256)]
@@ -391,6 +394,61 @@ def test_encode_lines_matches_per_line_reference(encoding_vocabs, name,
         assert tx.encode(line, vocab) == ids
 
 
+# ---------------------------------------------------------------------------
+# decode against the run-buffer decoder it replaced
+# ---------------------------------------------------------------------------
+
+def reference_decode(ids, vocab):
+    """The decoder ``decode`` replaced: runs of content tokens decoded as
+    UTF-8 one run at a time, UNK and MASK spelled between runs, and the
+    result returned as it came out, newlines and doubled spaces included."""
+    pieces = []
+    buf = []
+
+    def flush():
+        if buf:
+            data = bytes(tx._CHAR_TO_BYTE[c] for c in "".join(buf))
+            pieces.append(data.decode("utf-8", errors="replace"))
+            buf.clear()
+
+    for i in ids:
+        i = int(i)
+        if i in (tx.PAD_ID, tx.BOS_ID, tx.EOS_ID) or vocab.is_tag(i):
+            continue
+        if i in (tx.UNK_ID, tx.MASK_ID):
+            flush()
+            pieces.append(vocab.tokens[i])
+            continue
+        buf.append(vocab.tokens[i])
+    flush()
+    return "".join(pieces)
+
+
+@pytest.mark.parametrize("name", ["frozen", "toy360"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_decode_matches_normalized_reference(encoding_vocabs, name, data):
+    vocab = (tx.Vocabulary.load(FROZEN_BPE) if name == "frozen"
+             else encoding_vocabs[name][0])
+    assert vocab.merges
+    ids = data.draw(st.lists(st.integers(0, len(vocab) - 1), max_size=24))
+    want = reference_decode(ids, vocab)
+    assert tx.decode(ids, vocab) == tx.normalize_whitespace(want)
+
+
+@pytest.mark.parametrize("ids, raw, text", [
+    # the byte symbols of "\n", " " and "\t" around content
+    ([1, 10 + 5, 103, 10 + 5, 10 + 5, 104, 32 + 5, 2], "\nb\n\nc ", "b c"),
+    ([32 + 5, 3, 9 + 5, 4, 32 + 5], " <unk>\t<mask> ", "<unk> <mask>"),
+    # a partial UTF-8 sequence either side of UNK
+    ([0xC3 + 5, 3, 0xA9 + 5], "\ufffd<unk>\ufffd", "\ufffd<unk>\ufffd"),
+], ids=["newlines", "tab beside UNK and MASK", "partial UTF-8"])
+def test_decode_normalizes_whitespace(ids, raw, text):
+    vocab = minimal_vocab(())
+    assert reference_decode(ids, vocab) == raw
+    assert tx.decode(ids, vocab) == text
+
+
 def hand_vocab(merges):
     """The byte alphabet plus one token per merge, in merge order."""
     base = minimal_vocab(())
@@ -636,9 +694,8 @@ def test_bpe_refuses_duplicate_language(tmp_path):
 
 
 def test_vocab_load_frozen_benchmark_vocabulary():
-    prefix = Path(__file__).resolve().parents[1] / "perfbench/frozen/bpe"
-    vocab = tx.Vocabulary.load(prefix)
-    lines = Path(f"{prefix}.merges").read_text(encoding="utf-8").splitlines()
+    vocab = tx.Vocabulary.load(FROZEN_BPE)
+    lines = Path(f"{FROZEN_BPE}.merges").read_text(encoding="utf-8").splitlines()
     assert vocab.merges == [tuple(line.split(" ")) for line in lines]
     assert len(vocab) == 360
 
@@ -680,7 +737,42 @@ def test_vocabulary_refuses_language_without_tag_token():
     tokens = minimal_vocab(["de"]).tokens
     with pytest.raises(VocabularyError) as exc:
         tx.Vocabulary(tokens=tokens, languages=["de", "fr"])
-    assert str(exc.value) == "missing tag token for language 'fr'"
+    assert str(exc.value) == "tag id 6 must be '<2fr>', found 'Ā'"
+
+
+def test_vocabulary_refuses_tag_after_the_byte_symbols():
+    # the tag ids are the ids after the reserved ones; a tag found later
+    # would make is_tag, prefix_target_token and the model disagree
+    bytes_ = minimal_vocab(()).tokens[len(tx.RESERVED_TOKENS):]
+    with pytest.raises(VocabularyError) as exc:
+        tx.Vocabulary(tokens=tx.RESERVED_TOKENS + bytes_ + ["<2de>"],
+                      languages=["de"])
+    assert str(exc.value) == "tag id 5 must be '<2de>', found 'Ā'"
+
+
+def test_vocabulary_refuses_tags_out_of_language_order():
+    tokens = minimal_vocab(["fr", "de"]).tokens
+    with pytest.raises(VocabularyError) as exc:
+        tx.Vocabulary(tokens=tokens, languages=["de", "fr"])
+    assert str(exc.value) == "tag id 5 must be '<2de>', found '<2fr>'"
+    vocab = tx.Vocabulary(tokens=tokens, languages=["fr", "de"])
+    assert [vocab.tag_id(l) for l in ("fr", "de", "DE")] == [5, 6, 6]
+    assert [vocab.is_tag(i) for i in range(4, 8)] == [False, True, True,
+                                                      False]
+
+
+def test_vocab_load_refuses_a_language_tagged_twice_in_two_cases(tmp_path):
+    # once loaded with "de" and "DE" both on id 5, and "<2DE>" (id 6)
+    # read as content: decode([BOS, 6, EOS]) gave "<2DE>"
+    tokens = minimal_vocab(["de"]).tokens
+    path = tmp_path / "bpe.vocab"
+    path.write_text("\n".join(tokens[:6] + ["<2DE>"] + tokens[6:]) + "\n",
+                    encoding="utf-8")
+    (tmp_path / "bpe.merges").write_text("", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        tx.Vocabulary.load(tmp_path / "bpe")
+    assert str(exc.value) == \
+        f"{path}: language 'DE' given twice (as 'de' and 'DE')"
 
 
 def test_prefixes_differ_only_in_position_zero():

@@ -359,13 +359,17 @@ def test_text_only_trains_without_vtok():
     assert len(rows) >= 1 and np.isfinite(rows[-1].loss)
 
 
-def test_train_loop_over_no_examples_moves_nothing():
+def test_train_loop_over_no_examples_moves_nothing(tmp_path):
+    # refused: this once returned no rows and saved the untrained model as
+    # every epoch's checkpoint
     model, _, visual, tcfg = toy_setup()
     before = {name: p.data.copy() for name, p in model.params.items()}
     state = TrainState.fresh(model, replace(tcfg, epochs=2))
     assert make_batches([], tcfg.max_tokens) == []
-    assert train_loop(model, [], visual, state) == []
-    assert state.step == 0
+    with pytest.raises(ConfigError) as err:
+        train_loop(model, [], visual, state, out_dir=tmp_path / "run")
+    assert str(err.value) == "no examples to train on"
+    assert state.step == 0 and not (tmp_path / "run").exists()
     for name, p in model.params.items():
         assert np.array_equal(p.data, before[name]), name
 
