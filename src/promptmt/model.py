@@ -358,14 +358,14 @@ class MultimodalTranslator:
         f = self._ffn(f"{prefix}.ffn", x)
         return self._ln(f"{prefix}.ln2", ad.add(x, self._dropout(f)))
 
-    def _embed(self, ids, start: int = 0) -> Tensor:
-        """Scaled embeddings of ``ids`` at positions ``start`` onwards."""
+    def _embed(self, ids) -> Tensor:
+        """Scaled embeddings of ``ids`` at positions 0 onwards."""
         ids = np.asarray(ids, dtype=np.int64)
         d = self.config.d_model
         x = ad.scale(ad.embedding_lookup(self.params["embedding"], ids),
                      np.sqrt(d))
         return self._dropout(ad.add(x, self._const(
-            self._position_rows(start, ids.shape[-1]))))
+            self._position_rows(0, ids.shape[-1]))))
 
     def _position_rows(self, start: int, n: int) -> np.ndarray:
         """``sinusoidal_positions(n, d_model, dtype, start)``, sliced from a
@@ -487,22 +487,23 @@ class MultimodalTranslator:
         return self.co_attention(s, p), key_mask
 
     def decoder_state(self, memory: Tensor) -> "DecoderState":
-        """An empty state for incremental decoding over ``memory``; the
-        cross-attention keys and values of the memory are projected here,
-        once for every decoder layer, as plain arrays. Only valid under
-        ``no_grad`` with ``train_mode`` off."""
+        """An empty state for incremental decoding over ``memory``. The
+        arrays every step reads are gathered here, once: the embedding
+        table and each decoder layer's parameter arrays, paired in
+        ``_layer_params`` order as (weight, bias) or (gain, bias); and the
+        memory's cross-attention keys and values, projected once for every
+        decoder layer. Only valid under ``no_grad`` with ``train_mode``
+        off."""
         self._require_inference()
-        return DecoderState(cross=[
-            tuple(self._array_heads(f"dec.{i}.cross.{p}", memory.data)
-                  for p in "kv")
-            for i in range(self.config.n_dec_layers)])
-
-    def _array_heads(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        """``_heads`` on arrays, for incremental decoding: the forward
-        kernel of ``ad.heads``, recording no node."""
-        return ad._heads(x, self.params[f"{prefix}.w"].data,
-                         self.params[f"{prefix}.b"].data,
-                         self.config.n_heads)[1]
+        layers = []
+        for i in range(self.config.n_dec_layers):
+            arrays = [self.params[name].data for name, _, _ in
+                      self._layer_params(f"dec.{i}", cross=True)]
+            layers.append(tuple(zip(arrays[::2], arrays[1::2])))
+        return DecoderState(self.params["embedding"].data, layers, [
+            tuple(ad._heads(memory.data, *pair, self.config.n_heads)[1]
+                  for pair in layer[6:8])   # cross.k, cross.v
+            for layer in layers])
 
     def _require_inference(self):
         if ad.grad_enabled() or self.train_mode:
@@ -528,8 +529,10 @@ class MultimodalTranslator:
         pass gives at these positions. This incremental step records no
         graph: it runs the forward kernels of the ``autodiff`` ops the
         teacher-forcing pass records (``_affine``, ``_heads``,
-        ``_attention``, ``_layer_norm``, ``_lookup``) on the parameter
-        arrays, checks included, and wraps only the logits in a node.
+        ``_attention``, ``_layer_norm``, ``_lookup``), checks included, on
+        the parameter arrays the state gathered, and wraps only the logits
+        in a node. It builds no parameter name and reads nothing from
+        ``params``.
         """
         ids = np.asarray(input_ids, dtype=np.int64)
         if state is not None:
@@ -556,39 +559,25 @@ class MultimodalTranslator:
         if ids.ndim != 2:
             raise ShapeError(f"decode: a decoder state takes [B, n] ids, "
                              f"got shape {ids.shape}")
-        P, heads = self.params, self._array_heads
-
-        def lin(prefix, x):
-            return ad._affine(x, P[prefix + ".w"].data,
-                              P[prefix + ".b"].data)[1]
-
-        def add_norm(prefix, x, y):
-            return ad._layer_norm(x + y, P[prefix + ".gain"].data,
-                                  P[prefix + ".bias"].data)[2]
-
-        def attend(prefix, q, k, v, bias):
-            return lin(prefix + ".o", ad._attention(q, k, v, bias)[-1])
-
-        start, n = state.length, ids.shape[-1]
+        h, start, n = self.config.n_heads, state.length, ids.shape[-1]
         causal_bias = self._causal_bias(n, start)
         key_bias = self._key_bias(src_key_mask, n)
-        table = P["embedding"].data
-        x = ad._lookup(table, ids)
+        x = ad._lookup(state.embedding, ids)
         x = x * x.dtype.type(np.sqrt(self.config.d_model))
         x = x + self._position_rows(start, n)
-        for i in range(self.config.n_dec_layers):
-            pre = f"dec.{i}."
-            k, v = state.append(i, heads(pre + "self.k", x),
-                                heads(pre + "self.v", x))
-            x = add_norm(pre + "ln1", x, attend(
-                pre + "self", heads(pre + "self.q", x), k, v, causal_bias))
-            x = add_norm(pre + "ln2", x, attend(
-                pre + "cross", heads(pre + "cross.q", x), *state.cross[i],
-                key_bias))
-            x = add_norm(pre + "ln3", x, lin(
-                pre + "ffn.2", np.maximum(lin(pre + "ffn.1", x), 0)))
+        for i, (sq, sk, sv, so, ln1, cq, _, _, co, ln2, f1, f2, ln3) in \
+                enumerate(state.layers):
+            k, v = state.append(i, ad._heads(x, *sk, h)[1],
+                                ad._heads(x, *sv, h)[1])
+            a = ad._attention(ad._heads(x, *sq, h)[1], k, v, causal_bias)[-1]
+            x = ad._layer_norm(x + ad._affine(a, *so)[1], *ln1)[2]
+            a = ad._attention(ad._heads(x, *cq, h)[1], *state.cross[i],
+                              key_bias)[-1]
+            x = ad._layer_norm(x + ad._affine(a, *co)[1], *ln2)[2]
+            f = ad._affine(np.maximum(ad._affine(x, *f1)[1], 0), *f2)[1]
+            x = ad._layer_norm(x + f, *ln3)[2]
         state.length += n
-        return ad.make_node(np.matmul(x, table.T), (), None)
+        return ad.make_node(np.matmul(x, state.embedding.T), (), None)
 
     def forward_loss(self, batch,
                      visual_map: Optional[Mapping[str, VisualTokens]] = None
@@ -627,6 +616,15 @@ class DecoderState:
     """Incremental decoding over one memory (``MultimodalTranslator.decode``),
     all of it plain arrays.
 
+    ``embedding`` is the embedding table, and ``layers[i]`` holds decoder
+    layer i's 13 parameter pairs, (weight, bias) or (gain, bias), in
+    ``_layer_params`` order: self q/k/v/o, ln1, cross q/k/v/o, ln2, ffn.1,
+    ffn.2, ln3. A step reads these and not the model's parameter store, so
+    a state reads the arrays it was made with: an in-place update of them,
+    such as Adam's, is seen by its later steps (the cross keys and values
+    stay as projected), and a parameter whose ``Tensor`` is replaced is
+    not.
+
     ``length`` positions have been decoded. ``cache[i]`` holds decoder layer
     i's self-attention keys and values of them, [B, heads, length,
     head_dim] for B rows. ``cross[i]`` holds its keys and values of the
@@ -635,6 +633,8 @@ class DecoderState:
     source per row, whose rows ``reorder`` moves with the cache's (the
     caller moves a per-row source key mask itself).
     """
+    embedding: np.ndarray
+    layers: list[tuple[tuple[np.ndarray, np.ndarray], ...]]
     cross: list[tuple[np.ndarray, np.ndarray]]
     cache: list[Optional[tuple[np.ndarray, np.ndarray]]] = field(init=False)
     length: int = 0

@@ -459,12 +459,21 @@ def test_prepare_source_checks_recorded_tag_block():
             m.prepare_source([bad, BOS_ID, 10, EOS_ID], visual_map()["img0"])
 
 
-@pytest.mark.parametrize("variant", ["full", "static", "no_lvpg", "text_only"])
+# every variant with a 2-layer decoder, and the full one with 1 and 3
+# layers, so the state step's per-layer loop is checked at more than one
+# depth
+VARIANT_DEPTHS = ([pytest.param(v, 2, id=v) for v in VARIANTS]
+                  + [pytest.param("full", n, id=f"full-{n}_dec_layers")
+                     for n in (1, 3)])
+
+
+@pytest.mark.parametrize("variant,n_dec_layers", VARIANT_DEPTHS)
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-5), (np.float32, 1e-4)])
-def test_incremental_decode_matches_teacher_forcing(variant, dtype, tol):
+def test_incremental_decode_matches_teacher_forcing(variant, n_dec_layers,
+                                                    dtype, tol):
     text_only = variant == "text_only"
     m = tiny_model(variant=variant, d_v=0 if text_only else 8,
-                   n_dec_layers=2).astype(dtype)
+                   n_dec_layers=n_dec_layers).astype(dtype)
     visual = None if text_only else visual_map()["img0"]
     source = [TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID]
     rng = np.random.default_rng(0)
@@ -929,11 +938,12 @@ class RawDecoder:
                 self.key_mask = self.key_mask[rows]
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant,n_dec_layers", VARIANT_DEPTHS)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("per_row", [False, True],
                          ids=["shared_memory", "per_row_memory"])
-def test_incremental_decode_matches_raw_numpy(variant, dtype, per_row):
+def test_incremental_decode_matches_raw_numpy(variant, n_dec_layers, dtype,
+                                              per_row):
     """State steps of one position and of several (causal bias) over a
     PAD-masked source (key bias), across beam reorders that drop and
     repeat rows: the logits are ``==`` to the raw-numpy decoder's, over one
@@ -941,7 +951,7 @@ def test_incremental_decode_matches_raw_numpy(variant, dtype, per_row):
     (its rows and mask moving with the reorders)."""
     text_only = variant == "text_only"
     m = tiny_model(variant=variant, d_v=0 if text_only else 8,
-                   n_dec_layers=2).astype(dtype)
+                   n_dec_layers=n_dec_layers).astype(dtype)
     sources = [[TAG_DE, BOS_ID, 10, PAD_ID, 11, 12, PAD_ID, EOS_ID, PAD_ID],
                [TAG_FR, BOS_ID, 13, 14, PAD_ID, 15, 16, EOS_ID, PAD_ID]]
     vm = visual_map(("img0", "img1"))
@@ -1020,6 +1030,56 @@ def test_incremental_decode_matches_raw_numpy_frozen_checkpoint(monkeypatch):
             if t in reorders:
                 state.reorder(reorders[t])
                 raw.reorder(reorders[t])
+
+
+class NoLookups(dict):
+    """A parameter store that refuses every lookup."""
+
+    def __getitem__(self, name):
+        raise AssertionError(f"parameter {name!r} looked up")
+
+    get = __getitem__
+
+
+def test_state_steps_read_no_parameter_store_frozen_checkpoint(monkeypatch):
+    """Once the state is made, its steps across reorders look up no
+    parameter and still give the raw-numpy decoder's logits bit for bit."""
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    memory, mask = frozen_memory(model)
+    raw = RawDecoder(model, memory.data)
+    rng = np.random.default_rng(11)
+    with ad.no_grad():
+        state = model.decoder_state(memory)
+        monkeypatch.setattr(model, "params", NoLookups())
+        for t in range(5):
+            ids = (np.array([[BOS_ID]]) if t == 0 else
+                   rng.integers(10, model.config.vocab_size, (4, 1)))
+            got = model.decode(memory, ids, mask, state).data
+            assert np.array_equal(got, raw.step(ids)), f"step {t}"
+            rows = [0, 0, 0, 0] if t == 0 else [3, 1, 1, 0]
+            state.reorder(rows)
+            raw.reorder(rows)
+
+
+def test_state_sees_in_place_updates_not_replaced_tensors():
+    m = tiny_model()
+    name, ids = "dec.0.ffn.1.w", np.array([[BOS_ID]])
+    with ad.no_grad():
+        memory, mask = m.prepare_source(example().source_ids,
+                                        visual_map()["img0"])
+
+        def first_step(state):
+            return m.decode(memory, ids, mask, state).data
+
+        old = first_step(m.decoder_state(memory))
+        made_before = m.decoder_state(memory)
+        m.params[name] = ad.Tensor(m.params[name].data * 2)
+        assert np.array_equal(first_step(made_before), old)
+        made_before = m.decoder_state(memory)
+        m.params[name].data *= 2   # in place, as Adam updates
+        updated = first_step(m.decoder_state(memory))
+        assert not np.array_equal(updated, old)
+        assert np.array_equal(first_step(made_before), updated)
 
 
 def test_decode_with_state_names_an_id_outside_the_table():
