@@ -94,6 +94,8 @@ def cmd_train(args) -> int:
         mcfg = section("model")
         mcfg.setdefault("vocab_size", len(vocab))
         mcfg.setdefault("n_langs", len(vocab.languages))
+        mcfg.setdefault("vocab_languages", list(vocab.languages))
+        mcfg.setdefault("vocab_sha256", vocab.sha256)
         # read before the model exists: a config without d_v takes the table's
         unbuilt = SimpleNamespace(config=SimpleNamespace(
             variant=mcfg.get("variant", "full"), d_v=mcfg.get("d_v", 0)))
@@ -102,6 +104,8 @@ def cmd_train(args) -> int:
             mcfg["d_v"] = next(iter(visual.values())).tokens.shape[1]
         model = MultimodalTranslator(build("model", ModelConfig, mcfg),
                                      seed=tcfg.seed)
+        with about(cfg_path):   # a model section at odds with the vocabulary
+            model.check_vocabulary(vocab)
         state = TrainState.fresh(model, tcfg)
 
     vocab.save(out_dir / "bpe")

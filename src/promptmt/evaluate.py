@@ -192,12 +192,20 @@ def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
     """Evaluate under each masking ratio, averaged over seeds.
 
     The direction is loaded once for every run. Ratio 0 is a no-op mask,
-    so it is decoded once and reused for every seed. Returns the individual
-    reports plus {ratio, mean_bleu, std} summary rows for plotting.
+    so it is decoded once and reused for every seed. A ratio or a seed
+    given twice is refused: its runs would count twice in a row's mean and
+    std, or write the row twice. Returns the individual reports plus
+    {ratio, mean_bleu, std} summary rows for plotting.
     """
     if len(seeds) == 0:
         raise ConfigError("mask_sweep: seeds is empty; a mean over no mask "
                           "seeds is undefined")
+    for name, values in (("ratio", ratios), ("seed", seeds)):
+        twice = next((v for i, v in enumerate(values) if v in values[:i]),
+                     None)
+        if twice is not None:
+            raise ConfigError(f"mask_sweep: {name} {twice!r} given twice; "
+                              "its second run would repeat the first")
     score = _scorer(model, vocab, manifest, direction, beam, alpha, lowercase)
     reports, summary = [], []
     for ratio in ratios:

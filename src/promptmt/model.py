@@ -66,6 +66,10 @@ class ModelConfig:
     eps_ls: float = 0.1
     n_langs: int = 0        # language tags, the ids after the reserved ones;
                             # 0: not recorded, any non-reserved id may be one
+    # the vocabulary trained with: its languages in tag order and its
+    # Vocabulary.sha256; None: not recorded, only its size is checked
+    vocab_languages: Optional[list] = None
+    vocab_sha256: Optional[str] = None
 
     def __post_init__(self):
         check_fields(self, ("d_model", "n_heads"), lambda v: v >= 1,
@@ -454,11 +458,24 @@ class MultimodalTranslator:
         return s
 
     def check_vocabulary(self, vocab) -> None:
-        """Refuse a vocabulary of another size than the embedding table."""
-        if len(vocab) != self.config.vocab_size:
+        """Refuse a vocabulary of another size than the embedding table,
+        and, where the config records the vocabulary the model was trained
+        with, one whose tags name other languages or another order, or
+        whose merges differ."""
+        cfg = self.config
+        if len(vocab) != cfg.vocab_size:
             raise ConfigError(f"vocabulary of {len(vocab)} tokens does not "
-                              f"match the model's {self.config.vocab_size}-"
-                              "token embedding table")
+                              f"match the model's {cfg.vocab_size}-token "
+                              "embedding table")
+        if (cfg.vocab_languages is not None
+                and cfg.vocab_languages != vocab.languages):
+            raise ConfigError(f"vocabulary tags the languages "
+                              f"{vocab.languages}, the model was trained "
+                              f"with {cfg.vocab_languages} in that order")
+        # an unrecorded checkpoint's vocabulary is never hashed
+        if cfg.vocab_sha256 is not None and cfg.vocab_sha256 != vocab.sha256:
+            raise ConfigError("vocabulary's merges differ from those of the "
+                              "vocabulary the model was trained with")
 
     def prepare_source(self, source_ids, visual
                        ) -> tuple[Tensor, np.ndarray]:

@@ -19,6 +19,8 @@ from promptmt.text import (BOS_ID, EOS_ID, Vocabulary, _BYTE_TO_CHAR, decode,
 from promptmt.toydata import make_toy_corpus, train_toy_vocab
 from promptmt.vision import read_vtok
 
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "frozen"
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -163,6 +165,28 @@ def _resized_vocab(ws, tmp, delta) -> int:
     return len(vocab)
 
 
+def _with_vocab(ws, tmp, command) -> tuple[list[str], str]:
+    """``command`` ("translate", "evaluate" or "resume") run with the
+    workspace checkpoint and the vocabulary saved as ``tmp / "bpe"``; and
+    what its error message starts with."""
+    ckpt = ws / "run" / "checkpoint_last.lvpm"
+    if command == "translate":
+        return _translate(ws, tmp, ["--vtok", str(ws / "train.vtok"),
+                                    "--vocab", str(tmp / "bpe")]), ""
+    if command == "evaluate":
+        return ["evaluate", "--ckpt", str(ckpt), "--manifest",
+                str(ws / "train.json"), "--direction", "en-de", "--out",
+                str(tmp / "r.csv"), "--vocab", str(tmp / "bpe")], ""
+    config = json.loads((ws / "config.json").read_text())
+    config["out_dir"] = str(tmp / "run")
+    config["data"].update(train_manifest=str(ws / "train.json"),
+                          vocab=str(tmp / "bpe"))
+    path = tmp / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["train", "--config", str(path), "--resume", str(ckpt)], \
+        f"{ckpt}: "
+
+
 @pytest.mark.parametrize("delta", [-20, 20], ids=["smaller", "larger"])
 @pytest.mark.parametrize("command", ["translate", "resume"])
 def test_cli_refuses_vocabulary_of_another_size(workspace, tmp_path, capsys,
@@ -170,26 +194,71 @@ def test_cli_refuses_vocabulary_of_another_size(workspace, tmp_path, capsys,
     # unchecked, a smaller vocabulary ends translate in an IndexError and
     # trains on under resume, and a larger one is blamed on the model
     size = _resized_vocab(workspace, tmp_path, delta)
-    ckpt = workspace / "run" / "checkpoint_last.lvpm"
-    if command == "translate":
-        argv = _translate(workspace, tmp_path,
-                          ["--vtok", str(workspace / "train.vtok"),
-                           "--vocab", str(tmp_path / "bpe")])
-        where = ""
-    else:
-        config = json.loads((workspace / "config.json").read_text())
-        config["out_dir"] = str(tmp_path / "run")
-        config["data"].update(train_manifest=str(workspace / "train.json"),
-                              vocab=str(tmp_path / "bpe"))
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        argv = ["train", "--config", str(path), "--resume", str(ckpt)]
-        where = f"{ckpt}: "
+    argv, where = _with_vocab(workspace, tmp_path, command)
     assert main(argv) == 1
     assert capsys.readouterr() == (
         "", f"error: {where}vocabulary of {size + delta} tokens does not "
             f"match the model's {size}-token embedding table\n")
     assert not (tmp_path / "run").exists()
+
+
+def _swapped_tags(ws, tmp) -> str:
+    """Save as ``tmp / "bpe"`` the workspace vocabulary with its "<2de>"
+    and "<2fr>" lines swapped; return the refusal."""
+    lines = (ws / "bpe.vocab").read_text(encoding="utf-8").split("\n")
+    de, fr = lines.index("<2de>"), lines.index("<2fr>")
+    lines[de], lines[fr] = lines[fr], lines[de]
+    (tmp / "bpe.vocab").write_text("\n".join(lines), encoding="utf-8")
+    (tmp / "bpe.merges").write_bytes((ws / "bpe.merges").read_bytes())
+    assert Vocabulary.load(tmp / "bpe").languages == ["en", "fr", "de"]
+    return ("vocabulary tags the languages ['en', 'fr', 'de'], the model "
+            "was trained with ['en', 'de', 'fr'] in that order")
+
+
+def _other_merges(ws, tmp) -> str:
+    """Save as ``tmp / "bpe"`` a vocabulary of the workspace's size and
+    languages learned over its target sides only; return the refusal."""
+    vocab = Vocabulary.load(ws / "bpe")
+    other = train_bpe([ws / "train.de", ws / "train.fr"], len(vocab),
+                      min_freq=1, languages=vocab.languages)
+    assert len(other) == len(vocab) and other.merges != vocab.merges
+    other.save(tmp / "bpe")
+    return ("vocabulary's merges differ from those of the vocabulary the "
+            "model was trained with")
+
+
+@pytest.mark.parametrize("vocab_case", [_swapped_tags, _other_merges],
+                         ids=lambda case: case.__name__.lstrip("_"))
+@pytest.mark.parametrize("command", ["translate", "evaluate", "resume"])
+def test_cli_refuses_vocabulary_the_model_was_not_trained_with(
+        workspace, tmp_path, capsys, command, vocab_case):
+    # unrecorded, a checkpoint paired with any vocabulary of its size: with
+    # the tags swapped, translate --tgt-lang de decoded under the fr tag
+    # and exited 0
+    message = vocab_case(workspace, tmp_path)
+    argv, where = _with_vocab(workspace, tmp_path, command)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {where}{message}\n")
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_train_cli_records_the_vocabulary(workspace):
+    model, _ = load_checkpoint(workspace / "run" / "checkpoint_last.lvpm")
+    vocab = Vocabulary.load(workspace / "bpe")
+    assert model.config.vocab_languages == ["en", "de", "fr"]
+    assert model.config.vocab_sha256 == vocab.sha256
+    assert Vocabulary.load(workspace / "run" / "bpe").sha256 == vocab.sha256
+
+
+def test_unrecorded_checkpoint_checks_only_the_size():
+    # the frozen benchmark checkpoint predates the record; its vocabulary
+    # is not hashed, since beam_search checks it on every request
+    model, _ = load_checkpoint(FROZEN / "model.lvpm")
+    assert model.config.vocab_languages is model.config.vocab_sha256 is None
+    vocab = Vocabulary.load(FROZEN / "bpe")
+    model.check_vocabulary(vocab)
+    assert "sha256" not in vocab.__dict__
 
 
 def test_translate_cli_beam1_equals_greedy(workspace, capsys, tmp_path):
@@ -604,6 +673,27 @@ def test_train_cli_names_unknown_config_key(workspace, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("model, message", [
+    # a larger table used to train on, its extra rows never read
+    ({"vocab_size": 400}, "vocabulary of 330 tokens does not match the "
+                          "model's 400-token embedding table"),
+    ({"vocab_languages": ["en", "fr", "de"]},
+     "vocabulary tags the languages ['en', 'de', 'fr'], the model was "
+     "trained with ['en', 'fr', 'de'] in that order"),
+], ids=["size", "languages"])
+def test_train_cli_refuses_model_section_at_odds_with_vocabulary(
+        workspace, tmp_path, capsys, model, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "out_dir": str(tmp_path / "run"),
+        "data": {"train_manifest": str(workspace / "train.json"),
+                 "vocab": str(workspace / "bpe")},
+        "model": {"d_model": 16, "n_heads": 2, **model}}), encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: {config}: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("section, value", [("model", 5), ("train", [1])])
 def test_train_cli_rejects_non_object_section(workspace, tmp_path, capsys,
                                               section, value):
@@ -663,11 +753,36 @@ def _make_vtok_no_tokens_per_image(ws, tmp):
             "m_v and d_v must be >= 1, got (0, 4)")
 
 
+def _mask_sweep(ws, tmp, ratios, seeds):
+    return ["mask-sweep", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
+            "--manifest", str(ws / "train.json"), "--direction", "en-de",
+            "--ratios", ratios, "--seeds", seeds, "--out", str(tmp / "s.csv")]
+
+
 def _mask_sweep_no_ratio(ws, tmp):
-    return (["mask-sweep", "--ckpt", str(ws / "run" / "checkpoint_last.lvpm"),
-             "--manifest", str(ws / "train.json"), "--direction", "en-de",
-             "--ratios", ",", "--seeds", "1", "--out", str(tmp / "s.csv")],
+    return (_mask_sweep(ws, tmp, ",", "1"),
             "need at least one ratio and one seed")
+
+
+# --seeds 1,1 reported std 0.00 over two copies of one run, and --ratios
+# 0.2,0.2 wrote its row twice
+def _mask_sweep_repeated_seed(ws, tmp):
+    return (_mask_sweep(ws, tmp, "0.2", "1,2,1"),
+            "mask_sweep: seed 1 given twice; its second run would repeat "
+            "the first")
+
+
+def _mask_sweep_repeated_ratio(ws, tmp):
+    return (_mask_sweep(ws, tmp, "0.2,0,0.2", "1"),
+            "mask_sweep: ratio 0.2 given twice; its second run would repeat "
+            "the first")
+
+
+def _bpe_train_negative_min_freq(ws, tmp):
+    # -3 used to learn as min_freq 1
+    return (["bpe-train", "--corpus", str(ws / "train.en"), "--vocab-size",
+             "300", "--out", str(tmp / "bpe"), "--min-freq", "-3"],
+            "min_freq must be >= 0, got -3")
 
 
 def _evaluate_language_not_in_manifest(ws, tmp):
@@ -680,7 +795,8 @@ def _evaluate_language_not_in_manifest(ws, tmp):
 @pytest.mark.parametrize("case", [
     _resume_without_optimizer_state, _make_vtok_without_pseudo,
     _make_vtok_no_tokens_per_image, _mask_sweep_no_ratio,
-    _evaluate_language_not_in_manifest,
+    _mask_sweep_repeated_seed, _mask_sweep_repeated_ratio,
+    _bpe_train_negative_min_freq, _evaluate_language_not_in_manifest,
 ], ids=lambda case: case.__name__.lstrip("_"))
 def test_cli_refusal_messages(workspace, tmp_path, capsys, case):
     argv, message = case(workspace, tmp_path)

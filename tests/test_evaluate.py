@@ -137,6 +137,23 @@ def test_mask_sweep_rejects_empty_seeds(workspace, ratios):
                    ratios=ratios, seeds=[], beam=2)
 
 
+@pytest.mark.parametrize("ratios, seeds, twice", [
+    ([0.2, 0.2], [1], "ratio 0.2"),
+    ([0, 0.0], [1, 2], "ratio 0.0"),
+    ([0.5], [3, 1, 3], "seed 3"),
+])
+def test_mask_sweep_refuses_repeated_ratio_or_seed(workspace, ratios, seeds,
+                                                   twice):
+    # a repeated seed counted one run twice in the mean and std, and a
+    # repeated ratio wrote its row twice
+    manifest, vocab = workspace
+    with pytest.raises(ConfigError, match=f"^mask_sweep: {twice} given "
+                                          "twice; its second run would "
+                                          "repeat the first$"):
+        mask_sweep(small_model(vocab), vocab, manifest, "en-de",
+                   ratios=ratios, seeds=seeds, beam=1)
+
+
 def test_mask_sweep_deterministic_csv(workspace, tmp_path):
     manifest, vocab = workspace
     model = small_model(vocab)

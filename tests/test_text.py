@@ -75,6 +75,12 @@ def test_bpe_retraining_is_deterministic(tmp_path):
     assert v1.tokens == v2.tokens
 
 
+def test_bpe_negative_min_freq_rejected(tiny_corpus):
+    # -3 used to learn as min_freq 1
+    with pytest.raises(ConfigError, match="^min_freq must be >= 0, got -3$"):
+        tx.train_bpe([tiny_corpus], vocab_size=400, min_freq=-3)
+
+
 def test_bpe_empty_corpus_rejected(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("\n\n", encoding="utf-8")
@@ -165,21 +171,35 @@ def assert_matches_reference(paths, vocab_size, min_freq, languages=()):
 LETTERS = ["a", "b", "c", "é", "€", "<2de>", "<unk>"]
 
 
+# every boundary str.splitlines splits a file's text at
+LINE_BOUNDARIES = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                   "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @st.composite
 def bpe_corpora(draw):
-    """Lines over a 2-4 letter alphabet, so pair counts tie often, with
-    runs such as "aaaa" whose pairs overlap. Words are split by a space, a
-    tab or a no-break space, all of which separate words."""
+    """The texts of 1-3 corpus files. Lines are over a 2-4 letter alphabet,
+    so pair counts tie often, with runs such as "aaaa" whose pairs overlap.
+    Words are split by a space, a tab or a no-break space, all of which
+    separate words. A line may be blank or whitespace only, lines end at
+    any line boundary, a file may have no boundary after its last line,
+    and a file may be empty or blank; at least one line has a word."""
     alphabet = draw(st.lists(st.sampled_from(LETTERS), min_size=2,
                              max_size=4, unique=True))
     letter = st.sampled_from(alphabet)
     word = st.one_of(
         st.lists(letter, min_size=1, max_size=5).map("".join),
         st.tuples(letter, st.integers(2, 6)).map(lambda t: t[0] * t[1]))
-    line = st.tuples(st.sampled_from([" ", "\t", "\xa0"]),
-                     st.lists(word, min_size=1, max_size=6))
-    return draw(st.lists(line.map(lambda t: t[0].join(t[1])),
-                         min_size=1, max_size=8))
+    line = st.one_of(
+        st.tuples(st.sampled_from([" ", "\t", "\xa0"]),
+                  st.lists(word, min_size=1, max_size=6))
+        .map(lambda t: t[0].join(t[1])),
+        st.sampled_from(["", " ", "\t\xa0 "]))
+    ended = st.tuples(line, st.sampled_from(LINE_BOUNDARIES)).map("".join)
+    text = st.tuples(st.lists(ended, max_size=8), st.one_of(st.just(""), line)
+                     ).map(lambda t: "".join(t[0]) + t[1])
+    return draw(st.lists(text, min_size=1, max_size=3).filter(
+        lambda texts: any(t.split() for t in texts)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -192,13 +212,22 @@ def bpe_corpora(draw):
 # every pair ties at count 1 after the merges "cd" and "ab"; by text
 # ("ab", "ab") comes first, by symbol id the space byte's ("Ġ", "cd")
 @example(["cdcd abab cd"], 1, (), 4)
-def test_incremental_bpe_matches_full_recount(tmp_path_factory, lines,
+# no adjacent pair at all
+@example(["a"], 1, (), 40)
+# one-byte words only, in a blank file and across every line boundary
+@example(["a b\r\nb", " \n\t\n",
+          "".join(f"c{boundary}" for boundary in LINE_BOUNDARIES)],
+         0, ("de",), 40)
+def test_incremental_bpe_matches_full_recount(tmp_path_factory, texts,
                                               min_freq, languages, extra):
-    p = tmp_path_factory.mktemp("bpe") / "corpus.txt"
-    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    root = tmp_path_factory.mktemp("bpe")
+    paths = [root / f"corpus{i}.txt" for i in range(len(texts))]
+    for p, text in zip(paths, texts):
+        p.write_bytes(text.encode("utf-8"))
     base = len(tx.RESERVED_TOKENS) + len(languages) + 256
-    vocab = assert_matches_reference([p], base + extra, min_freq, languages)
-    for line in lines:
+    vocab = assert_matches_reference(paths, base + extra, min_freq,
+                                     languages)
+    for line in (line for text in texts for line in text.splitlines()):
         assert tx.decode(tx.encode(line, vocab), vocab) == \
             tx.normalize_whitespace(line)
 
