@@ -37,16 +37,7 @@ def _load_model(args) -> tuple[MultimodalTranslator, Vocabulary]:
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
     raw = read_json(cfg_path, "config file")
-    data = raw.get("data", {})
-    if not isinstance(data, dict):
-        raise ConfigError(f"{cfg_path}: expected a JSON object with a "
-                          "\"data\" object")
     base = cfg_path.parent   # "/abs" joined to it stays "/abs"
-
-    def data_path(key):
-        if key not in data:
-            raise ConfigError(f"{cfg_path}: missing key data.{key}")
-        return base / data[key]
 
     def section(name):
         values = raw.get(name, {})
@@ -54,6 +45,13 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{cfg_path}: expected \"{name}\" to be a "
                               "JSON object")
         return dict(values)
+
+    data = section("data")
+
+    def data_path(key):
+        if key not in data:
+            raise ConfigError(f"{cfg_path}: missing key data.{key}")
+        return base / data[key]
 
     def build(name, cls, values):
         with about(cfg_path):
@@ -107,6 +105,8 @@ def cmd_train(args) -> int:
         with about(cfg_path):   # a model section at odds with the vocabulary
             model.check_vocabulary(vocab)
         state = TrainState.fresh(model, tcfg)
+    if visual is not None:   # every example's image, before run/ is written
+        visual = {ex.image_id: visual[ex.image_id] for ex in examples}
 
     vocab.save(out_dir / "bpe")
 
@@ -142,7 +142,7 @@ def cmd_translate(args) -> int:
                               f"for a vision variant, got {line!r}")
     requests = build_requests([text for _, text in sources],
                               [image for image, _ in sources], args.tgt_lang,
-                              vocab, visual_map, args.vtok)
+                              vocab, visual_map)
     outputs = iter([decode(beam_search(model, vocab, ids, args.tgt_lang,
                                        visual, beam=args.beam,
                                        alpha=args.alpha).tokens, vocab)
@@ -181,8 +181,6 @@ def cmd_mask_sweep(args) -> int:
     manifest = load_manifest(args.manifest)
     ratios = _numbers(args.ratios, float, "--ratios")
     seeds = _numbers(args.seeds, int, "--seeds")
-    if not ratios or not seeds:
-        raise ConfigError("need at least one ratio and one seed")
     reports, summary = mask_sweep(model, vocab, manifest, args.direction,
                                   ratios, seeds, beam=args.beam,
                                   alpha=args.alpha, lowercase=args.lowercase)

@@ -38,7 +38,8 @@ def visual_tokens_for(model: MultimodalTranslator,
     """The image id -> VisualTokens table ``model`` decodes with: None for
     ``text_only`` (no file is read); any other variant needs a VTOK file
     whose width is ``model.config.d_v``, or any width while it is 0 (a train
-    config that leaves d_v out)."""
+    config that leaves d_v out). The table is ``read_vtok``'s, so looking
+    up an image id it lacks raises ConfigError naming the file."""
     config = model.config
     if config.variant == "text_only":
         return None
@@ -57,20 +58,15 @@ def visual_tokens_for(model: MultimodalTranslator,
 
 
 def build_requests(lines: Sequence[str], image_ids: Sequence, tgt_lang: str,
-                   vocab: Vocabulary, visual_map: Optional[dict],
-                   vtok_path) -> list[tuple]:
+                   vocab: Vocabulary, visual_map: Optional[dict]
+                   ) -> list[tuple]:
     """(``[tag, BOS, ..., EOS]`` ids, VisualTokens or None) per source line,
     all lines encoded in one ``encode_lines`` call; ``visual_map`` is what
-    ``visual_tokens_for`` gave the model."""
-    requests = []
-    for src, image_id in zip(encode_lines(lines, vocab), image_ids):
-        if visual_map is not None and image_id not in visual_map:
-            raise ConfigError(f"no visual tokens for image id {image_id!r} "
-                              f"in {vtok_path}")
-        requests.append((
-            prefix_target_token([BOS_ID] + src + [EOS_ID], tgt_lang, vocab),
-            None if visual_map is None else visual_map[image_id]))
-    return requests
+    ``visual_tokens_for`` gave the model, and it refuses an image id it
+    lacks."""
+    return [(prefix_target_token([BOS_ID] + src + [EOS_ID], tgt_lang, vocab),
+             None if visual_map is None else visual_map[image_id])
+            for src, image_id in zip(encode_lines(lines, vocab), image_ids)]
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -144,8 +140,7 @@ def _scorer(model, vocab, manifest, direction, beam, alpha, lowercase):
     ref_lines = manifest_lines(manifest, tgt_lang)
     image_ids = manifest_image_ids(manifest, len(src_lines))
     requests = build_requests(src_lines, image_ids, tgt_lang, vocab,
-                              visual_tokens_for(model, manifest.vtok_path),
-                              manifest.vtok_path)
+                              visual_tokens_for(model, manifest.vtok_path))
 
     def score(mask_ratio, mask_seed) -> EvalReport:
         sentences, hyp_tok, ref_tok = [], [], []
@@ -192,15 +187,17 @@ def mask_sweep(model: MultimodalTranslator, vocab: Vocabulary,
     """Evaluate under each masking ratio, averaged over seeds.
 
     The direction is loaded once for every run. Ratio 0 is a no-op mask,
-    so it is decoded once and reused for every seed. A ratio or a seed
-    given twice is refused: its runs would count twice in a row's mean and
+    so it is decoded once and reused for every seed. Before the direction
+    is loaded, an empty ratio or seed list is refused, and so is a ratio
+    or a seed given twice: its runs would count twice in a row's mean and
     std, or write the row twice. Returns the individual reports plus
     {ratio, mean_bleu, std} summary rows for plotting.
     """
-    if len(seeds) == 0:
-        raise ConfigError("mask_sweep: seeds is empty; a mean over no mask "
-                          "seeds is undefined")
-    for name, values in (("ratio", ratios), ("seed", seeds)):
+    for name, values, empty in (
+            ("ratio", ratios, "a sweep over no masking ratios has no rows"),
+            ("seed", seeds, "a mean over no mask seeds is undefined")):
+        if len(values) == 0:
+            raise ConfigError(f"mask_sweep: {name}s is empty; {empty}")
         twice = next((v for i, v in enumerate(values) if v in values[:i]),
                      None)
         if twice is not None:

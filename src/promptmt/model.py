@@ -458,15 +458,20 @@ class MultimodalTranslator:
         return s
 
     def check_vocabulary(self, vocab) -> None:
-        """Refuse a vocabulary of another size than the embedding table,
-        and, where the config records the vocabulary the model was trained
-        with, one whose tags name other languages or another order, or
-        whose merges differ."""
+        """Refuse a vocabulary of another size than the embedding table or,
+        where the config records ``n_langs``, with another number of
+        languages; and, where the config records the vocabulary the model
+        was trained with, one whose tags name other languages or another
+        order, or whose merges differ."""
         cfg = self.config
         if len(vocab) != cfg.vocab_size:
             raise ConfigError(f"vocabulary of {len(vocab)} tokens does not "
                               f"match the model's {cfg.vocab_size}-token "
                               "embedding table")
+        if cfg.n_langs and cfg.n_langs != len(vocab.languages):
+            raise ConfigError(f"vocabulary tags {len(vocab.languages)} "
+                              f"languages, the model's n_langs is "
+                              f"{cfg.n_langs}")
         if (cfg.vocab_languages is not None
                 and cfg.vocab_languages != vocab.languages):
             raise ConfigError(f"vocabulary tags the languages "
@@ -602,7 +607,10 @@ class MultimodalTranslator:
         """Mean label-smoothed cross entropy over all non-pad target tokens
         of a batch; directions may be mixed freely. The batch runs as one
         graph over its padded [B, S] sources and [B, T] targets: PAD keys
-        are masked out of every attention, PAD labels out of the loss."""
+        are masked out of every attention, PAD labels out of the loss.
+        A vision variant indexes ``visual_map`` by each example's image id,
+        so a ``read_vtok`` table refuses an id it lacks naming its file;
+        with no map, ``prepare_source`` refuses the batch."""
         if not batch.examples:
             raise ConfigError("forward_loss: empty batch")
         for ex in batch.examples:
@@ -610,9 +618,8 @@ class MultimodalTranslator:
                 raise ConfigError(f"example {ex.example_id}: target must "
                                   "begin with BOS")
         visual = None
-        if self.config.variant != "text_only":
-            visual = [self._lookup_visual(ex, visual_map)
-                      for ex in batch.examples]
+        if self.config.variant != "text_only" and visual_map is not None:
+            visual = [visual_map[ex.image_id] for ex in batch.examples]
         memory, key_mask = self.prepare_source(batch.padded("source"), visual)
         target = batch.padded("target")
         logits = self.decode(memory, target[:, :-1], key_mask)
@@ -620,12 +627,6 @@ class MultimodalTranslator:
             ad.reshape(logits, (-1, logits.shape[-1])),
             target[:, 1:].reshape(-1), self.config.eps_ls, PAD_ID)
         return ad.scale(loss_sum, 1.0 / batch.n_target_tokens)
-
-    def _lookup_visual(self, example, visual_map) -> VisualTokens:
-        if visual_map is None or example.image_id not in visual_map:
-            raise ConfigError(f"no visual tokens for image {example.image_id!r} "
-                              f"(required by variant {self.config.variant!r})")
-        return visual_map[example.image_id]
 
 
 @dataclass

@@ -548,11 +548,17 @@ class CorpusManifest:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read and validate a JSON corpus manifest.
 
-    All per-language text files must exist and be line-aligned; a length
-    mismatch is a hard error naming the offending files.
+    A key that names no ``CorpusManifest`` field is refused, naming the
+    key and the manifest. All per-language text files must exist and be
+    line-aligned; a length mismatch is a hard error naming the offending
+    files.
     """
     path = Path(path)
     raw = read_json(path, "manifest")
+    unknown = sorted(set(raw) - set(CorpusManifest.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"manifest {path}: unknown key(s) "
+                          + ", ".join(map(repr, unknown)))
     for key, kind in (("split", str), ("languages", list),
                       ("text_paths", dict)):
         if not isinstance(raw.get(key), kind):

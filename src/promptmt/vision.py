@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .files import BinaryReader, BinaryWriter, about
 from .seeding import rng_for
 
@@ -69,15 +69,28 @@ def write_vtok(records: Iterable[VisualTokens], path: str | Path):
     out.write(path, "VTOK file")
 
 
-def read_vtok(path: str | Path) -> dict[str, VisualTokens]:
-    """Parse a VTOK file into an id -> VisualTokens map.
+class VisualTable(dict):
+    """The image id -> VisualTokens map of the VTOK file ``path``. Looking
+    up an id the file lacks raises ConfigError naming the id and the file;
+    an id it holds is looked up as in a plain dict."""
+    path: Path
+
+    def __missing__(self, image_id):
+        raise ConfigError(f"no visual tokens for image id {image_id!r} "
+                          f"in {self.path}")
+
+
+def read_vtok(path: str | Path) -> VisualTable:
+    """Parse a VTOK file into its id -> VisualTokens table, which refuses
+    an id it lacks by naming the file.
 
     Structural defects (bad magic, truncation, duplicate ids) raise
     FormatError carrying the byte offset of the problem.
     """
     reader = BinaryReader(path, "VTOK file", MAGIC, VERSION)
     count, m_v, d_v = reader.unpack("<III", "header")
-    out: dict[str, VisualTokens] = {}
+    out = VisualTable()
+    out.path = reader.path
     for i in range(count):
         ident = reader.text("<H", f"id of record {i}")
         if ident in out:

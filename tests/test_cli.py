@@ -558,6 +558,28 @@ def test_train_cli_full_variant_needs_vtok(workspace, tmp_path, capsys, d_v):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_cli_refuses_image_missing_from_vtok(workspace, tmp_path,
+                                                   capsys):
+    # ran a step, wrote run/bpe.* and a metrics.csv row, then failed
+    manifest = json.loads((workspace / "train.json").read_text())
+    manifest["text_paths"] = {lang: str(workspace / path) for lang, path
+                              in manifest["text_paths"].items()}
+    manifest["vtok_path"] = str(workspace / manifest["vtok_path"])
+    ids = (workspace / manifest["image_ids_path"]).read_text().splitlines()
+    (tmp_path / "train.ids").write_text(
+        "\n".join(ids[:-1] + ["train-999999"]) + "\n", encoding="utf-8")
+    manifest["image_ids_path"] = "train.ids"
+    (tmp_path / "train.json").write_text(json.dumps(manifest),
+                                         encoding="utf-8")
+    config = _train_config(workspace, tmp_path, tmp_path / "train.json",
+                           {"d_model": 16, "n_heads": 2})
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no visual tokens for image id 'train-999999' in "
+        f"{workspace / 'train.vtok'}\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("languages, text", [(["en", "de"], ""),
                                              (["en"], "a man\n")],
                          ids=["empty text files", "pivot only"])
@@ -652,7 +674,7 @@ def test_train_cli_rejects_config_without_data_object(tmp_path, capsys, text):
     assert main(["train", "--config", str(config)]) != 0
     err = capsys.readouterr().err
     # a top level that is no object is refused by the JSON reader itself
-    message = ('"data" object' if text.startswith("{")
+    message = ('expected "data" to be a JSON object' if text.startswith("{")
                else "expected a JSON object, got list")
     assert str(config) in err and message in err
 
@@ -680,7 +702,9 @@ def test_train_cli_names_unknown_config_key(workspace, tmp_path, capsys,
     ({"vocab_languages": ["en", "fr", "de"]},
      "vocabulary tags the languages ['en', 'de', 'fr'], the model was "
      "trained with ['en', 'fr', 'de'] in that order"),
-], ids=["size", "languages"])
+    # wrote run/ and failed its first step on a tag outside 5..5
+    ({"n_langs": 1}, "vocabulary tags 3 languages, the model's n_langs is 1"),
+], ids=["size", "languages", "n_langs"])
 def test_train_cli_refuses_model_section_at_odds_with_vocabulary(
         workspace, tmp_path, capsys, model, message):
     config = tmp_path / "config.json"
@@ -761,7 +785,8 @@ def _mask_sweep(ws, tmp, ratios, seeds):
 
 def _mask_sweep_no_ratio(ws, tmp):
     return (_mask_sweep(ws, tmp, ",", "1"),
-            "need at least one ratio and one seed")
+            "mask_sweep: ratios is empty; a sweep over no masking ratios "
+            "has no rows")
 
 
 # --seeds 1,1 reported std 0.00 over two copies of one run, and --ratios

@@ -137,6 +137,19 @@ def test_mask_sweep_rejects_empty_seeds(workspace, ratios):
                    ratios=ratios, seeds=[], beam=2)
 
 
+def test_mask_sweep_rejects_empty_ratios_before_loading(workspace,
+                                                       monkeypatch):
+    # loaded the direction and returned two empty lists
+    manifest, vocab = workspace
+    # _scorer loads the direction; calling it now would raise TypeError
+    monkeypatch.setattr(sys.modules["promptmt.evaluate"], "_scorer", None)
+    with pytest.raises(ConfigError) as err:
+        mask_sweep(small_model(vocab), vocab, manifest, "en-de", ratios=[],
+                   seeds=[1], beam=1)
+    assert str(err.value) == ("mask_sweep: ratios is empty; a sweep over no "
+                              "masking ratios has no rows")
+
+
 @pytest.mark.parametrize("ratios, seeds, twice", [
     ([0.2, 0.2], [1], "ratio 0.2"),
     ([0, 0.0], [1, 2], "ratio 0.0"),

@@ -196,6 +196,9 @@ def test_manifest_json(frozen):
     ("split", None, "'split' missing or not a str"),
     ("languages", ["en", 2], "must be strings"),
     ("vtok_path", 7, "must be strings"),
+    # a misspelled key loaded, ignored: without image_ids_path its lines
+    # would take the train-000000 style ids
+    ("image_id_path", "train.ids", r"unknown key\(s\) 'image_id_path'"),
 ])
 def test_manifest_field_types(frozen, key, value, message):
     path = frozen / "train.json"

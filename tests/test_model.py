@@ -554,8 +554,10 @@ def test_duplicated_example_keeps_mean_loss():
 
 
 def test_forward_loss_missing_visual_entry():
+    # the map is indexed as given: a plain dict raises KeyError, a read_vtok
+    # table its own ConfigError naming the file (tests/test_vision.py)
     m = tiny_model()
-    with pytest.raises(ConfigError, match="img0"):
+    with pytest.raises(KeyError, match="img0"):
         m.forward_loss(Batch(examples=[example()]), {})
 
 
@@ -587,8 +589,11 @@ def test_forward_loss_rejects_mixed_prompt_lengths():
      VariantError, "text_only variant has no visual prompts"),
     (lambda: tiny_model().forward_loss(Batch(examples=[]), visual_map()),
      ConfigError, "forward_loss: empty batch"),
+    (lambda: tiny_model().forward_loss(Batch(examples=[example()])),
+     ConfigError, "variant 'full' requires visual tokens, none provided"),
 ], ids=["prepare_source without visual tokens", "self_fuse empty text",
-        "visual_prompt under text_only", "forward_loss empty batch"])
+        "visual_prompt under text_only", "forward_loss empty batch",
+        "forward_loss without a visual map"])
 def test_model_stages_refuse_by_name(call, error, message):
     with pytest.raises(error) as exc:
         call()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from promptmt.errors import FormatError
+from promptmt.errors import ConfigError, FormatError
 from promptmt.files import BinaryWriter
 from promptmt.vision import (MAGIC, VERSION, VisualTokens, make_pseudo_vtok,
                              pseudo_visual_tokens, read_vtok, write_vtok)
@@ -28,6 +28,18 @@ def test_roundtrip_bit_identical(tmp_path):
     for rec in records:
         assert np.array_equal(loaded[rec.image_id].tokens, rec.tokens)
         assert loaded[rec.image_id].tokens.dtype == np.float32
+
+
+def test_table_refuses_unknown_id_naming_its_file(tmp_path):
+    # a lookup of an id the file lacks used to raise a bare KeyError, and
+    # each caller stated its own refusal
+    path = tmp_path / "t.vtok"
+    write_vtok(some_records(), path)
+    table = read_vtok(path)
+    with pytest.raises(ConfigError) as err:
+        table["img9"]
+    assert str(err.value) == f"no visual tokens for image id 'img9' in {path}"
+    assert "img9" not in table and table.get("img9") is None
 
 
 @settings(max_examples=25, deadline=None)
