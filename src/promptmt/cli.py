@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,9 +20,8 @@ from .errors import ConfigError, PromptMtError
 from .evaluate import (build_requests, evaluate, mask_sweep,
                        visual_tokens_for, write_report_csv,
                        write_sentences_tsv, write_sweep_csv)
-from .files import about, read_json, read_lines
-from .model import (ModelConfig, MultimodalTranslator, config_from_dict,
-                    load_checkpoint)
+from .files import about, config_from_dict, read_json, read_lines
+from .model import ModelConfig, MultimodalTranslator, load_checkpoint
 from .text import (Vocabulary, decode, load_manifest, load_parallel_examples,
                    train_bpe)
 from .train import TrainConfig, TrainState, train_loop
@@ -34,40 +33,43 @@ def _load_model(args) -> tuple[MultimodalTranslator, Vocabulary]:
     return model, Vocabulary.load(args.vocab or Path(args.ckpt).parent / "bpe")
 
 
+@dataclass
+class RunConfig:
+    """The top-level keys of a ``promptmt train`` config file."""
+    data: dict
+    out_dir: str = "run"
+    model: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+
+
+@dataclass
+class DataConfig:
+    """The keys of its ``data`` section."""
+    vocab: str
+    train_manifest: str
+    pivot: str = "en"
+
+
 def cmd_train(args) -> int:
     cfg_path = Path(args.config)
     raw = read_json(cfg_path, "config file")
     base = cfg_path.parent   # "/abs" joined to it stays "/abs"
-
-    def section(name):
-        values = raw.get(name, {})
-        if not isinstance(values, dict):
-            raise ConfigError(f"{cfg_path}: expected \"{name}\" to be a "
-                              "JSON object")
-        return dict(values)
-
-    data = section("data")
-
-    def data_path(key):
-        if key not in data:
-            raise ConfigError(f"{cfg_path}: missing key data.{key}")
-        return base / data[key]
-
-    def build(name, cls, values):
-        with about(cfg_path):
-            return config_from_dict(cls, values, prefix=f"{name}.")
-
-    out_dir = base / raw.get("out_dir", "run")
-    vocab_prefix = data_path("vocab")
-    manifest_path = data_path("train_manifest")
-    tcfg = build("train", TrainConfig, section("train"))
-    vocab = Vocabulary.load(vocab_prefix)
+    with about(cfg_path):
+        run = config_from_dict(RunConfig, raw)
+        data = config_from_dict(DataConfig, run.data, prefix="data.")
+        tcfg = config_from_dict(TrainConfig, run.train, prefix="train.")
+    out_dir = base / run.out_dir
+    vocab = Vocabulary.load(base / data.vocab)
+    manifest_path = base / data.train_manifest
     manifest = load_manifest(manifest_path)
-    pivot = data.get("pivot", "en")
-    examples = load_parallel_examples(manifest, vocab, pivot=pivot)
+    if data.pivot not in manifest.languages:
+        raise ConfigError(f"{cfg_path}: data.pivot {data.pivot!r} is not a "
+                          f"language of manifest {manifest_path} (has "
+                          f"{manifest.languages})")
+    examples = load_parallel_examples(manifest, vocab, pivot=data.pivot)
     if not examples:
         raise ConfigError(f"manifest {manifest_path}: no examples to train "
-                          f"on (no lines, or no language but {pivot!r})")
+                          f"on (no lines, or no language but {data.pivot!r})")
 
     if args.resume:
         model, ck_state = load_checkpoint(args.resume)
@@ -77,19 +79,24 @@ def cmd_train(args) -> int:
         with about(args.resume):
             model.check_vocabulary(vocab)
             state = TrainState.from_checkpoint_dict(ck_state)
-        # the run continues under the checkpoint's trainer config, so a
-        # train section that says otherwise would be silently ignored
-        stored = asdict(state.config)
-        changed = [f"train.{key} {value!r} (checkpoint {stored[key]!r})"
-                   for key, value in asdict(tcfg).items()
-                   if value != stored[key]]
-        if changed:
-            raise ConfigError(f"{cfg_path}: train section differs from the "
-                              f"trainer config in {args.resume}: "
-                              + ", ".join(changed))
+        # the run continues under the checkpoint's configs, so a section
+        # that says otherwise would be silently ignored; the model section
+        # is read over the stored config, the train section from defaults
+        with about(cfg_path):
+            section = config_from_dict(ModelConfig, {**asdict(model.config),
+                                                     **run.model}, "model.")
+            changed = [f"{name}.{key} {value!r} (checkpoint {stored[key]!r})"
+                       for name, config, stored in (
+                           ("model", section, asdict(model.config)),
+                           ("train", tcfg, asdict(state.config)))
+                       for key, value in asdict(config).items()
+                       if value != stored[key]]
+            if changed:
+                raise ConfigError("sections differ from the configs in "
+                                  f"{args.resume}: " + ", ".join(changed))
         visual = visual_tokens_for(model, manifest.vtok_path)
     else:
-        mcfg = section("model")
+        mcfg = dict(run.model)
         mcfg.setdefault("vocab_size", len(vocab))
         mcfg.setdefault("n_langs", len(vocab.languages))
         mcfg.setdefault("vocab_languages", list(vocab.languages))
@@ -100,9 +107,9 @@ def cmd_train(args) -> int:
         visual = visual_tokens_for(unbuilt, manifest.vtok_path)
         if visual and not mcfg.get("d_v"):
             mcfg["d_v"] = next(iter(visual.values())).tokens.shape[1]
-        model = MultimodalTranslator(build("model", ModelConfig, mcfg),
-                                     seed=tcfg.seed)
         with about(cfg_path):   # a model section at odds with the vocabulary
+            model = MultimodalTranslator(
+                config_from_dict(ModelConfig, mcfg, "model."), seed=tcfg.seed)
             model.check_vocabulary(vocab)
         state = TrainState.fresh(model, tcfg)
     if visual is not None:   # every example's image, before run/ is written

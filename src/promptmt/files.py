@@ -12,6 +12,10 @@ Each kind of defect has one rule, written here once:
   line, with the byte offset;
 - malformed JSON raises ``ConfigError`` naming the path, line and column,
   and a top level that is not an object is refused;
+- a settings object read from JSON (a train config file, each of its
+  sections, a corpus manifest) is a dataclass built by
+  ``config_from_dict``, which refuses an unknown key, a missing required
+  key and a value of the wrong type, naming the dotted key;
 - in a binary file, truncation, a wrong magic or version, a string that is
   not UTF-8, malformed embedded JSON and trailing bytes raise
   ``FormatError`` with the byte offset.
@@ -32,10 +36,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import struct
+import typing
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +100,45 @@ def about(path):
     except PromptMtError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+def config_from_dict(cls, d: typing.Mapping, prefix: str = ""):
+    """``cls(**d)`` for a settings dataclass, refusing a key that names no
+    field instead of dropping it, a field without a default that ``d``
+    lacks, and a value that does not have its field's annotated type:
+    ``bool`` is no ``int``, an ``int`` is a ``float``, ``Optional`` takes
+    ``None``, and ``list`` or ``dict`` say nothing of the items. ``prefix``
+    (say ``"model."``) is put before each key the error names."""
+    fields = cls.__dataclass_fields__
+    unknown = sorted(set(d) - set(fields))
+    missing = [key for key, f in fields.items() if key not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ConfigError(f"{problem} {cls.__name__} key(s): "
+                              + ", ".join(repr(prefix + k) for k in keys))
+    field_kinds = _field_kinds(cls)
+    for key, value in d.items():
+        kinds = field_kinds[key]
+        if isinstance(value, bool) and bool not in kinds \
+                or not isinstance(value, kinds):
+            expected = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{cls.__name__} key {prefix + key!r} must be "
+                              f"{expected}, got {value!r}")
+    return cls(**d)
+
+
+@functools.cache
+def _field_kinds(cls) -> dict[str, tuple[type, ...]]:
+    """The types each annotated name of ``cls`` accepts, an ``int`` for a
+    ``float`` included. Worked out once per class: ``get_type_hints``
+    compiles the string annotations again on every call."""
+    kinds = {}
+    for key, hint in typing.get_type_hints(cls).items():
+        kinds[key] = typing.get_args(hint) or (hint,)
+        if float in kinds[key]:
+            kinds[key] += (int,)
+    return kinds
 
 
 class BinaryReader:

@@ -22,8 +22,6 @@ Variants (ablation switches):
 
 from __future__ import annotations
 
-import functools
-import typing
 from dataclasses import dataclass, asdict, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -33,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError, VariantError
-from .files import BinaryReader, BinaryWriter, about
+from .files import BinaryReader, BinaryWriter, about, config_from_dict
 from .seeding import derive_seed, rng_for
 from .text import BOS_ID, PAD_ID, RESERVED_TOKENS
 from .vision import VisualTokens
@@ -94,40 +92,6 @@ class ModelConfig:
                               f"n_heads={self.n_heads}")
         if self.variant != "text_only" and self.d_v <= 0:
             raise ConfigError(f"variant {self.variant!r} requires d_v > 0")
-
-
-def config_from_dict(cls, d: Mapping, prefix: str = ""):
-    """``cls(**d)`` for a config dataclass, refusing a key that names no
-    field instead of dropping it, and a value that does not have its
-    field's annotated type: ``bool`` is no ``int``, an ``int`` is a
-    ``float``, ``Optional`` takes ``None``. ``prefix`` (say ``"model."``)
-    is put before each key the error names."""
-    unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} key(s): "
-                          + ", ".join(repr(prefix + k) for k in unknown))
-    field_kinds = _field_kinds(cls)
-    for key, value in d.items():
-        kinds = field_kinds[key]
-        if isinstance(value, bool) and bool not in kinds \
-                or not isinstance(value, kinds):
-            expected = " or ".join(k.__name__ for k in kinds)
-            raise ConfigError(f"{cls.__name__} key {prefix + key!r} must be "
-                              f"{expected}, got {value!r}")
-    return cls(**d)
-
-
-@functools.cache
-def _field_kinds(cls) -> dict[str, tuple[type, ...]]:
-    """The types each annotated name of ``cls`` accepts, an ``int`` for a
-    ``float`` included. Worked out once per class: ``get_type_hints``
-    compiles the string annotations again on every call."""
-    kinds = {}
-    for key, hint in typing.get_type_hints(cls).items():
-        kinds[key] = typing.get_args(hint) or (hint,)
-        if float in kinds[key]:
-            kinds[key] += (int,)
-    return kinds
 
 
 def check_fields(config, names, ok, rule: str):

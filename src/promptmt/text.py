@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, LanguageError, VocabularyError
-from .files import about, read_json, read_lines, write_file
+from .files import (about, config_from_dict, read_json, read_lines,
+                    write_file)
 from .seeding import rng_for
 
 PAD_ID = 0
@@ -545,32 +546,35 @@ class CorpusManifest:
     image_ids_path: Optional[Path] = None
 
 
+@dataclass
+class ManifestFile:
+    """The keys of a manifest file, as its JSON gives them."""
+    split: str
+    languages: list
+    text_paths: dict
+    vtok_path: Optional[str] = None
+    image_ids_path: Optional[str] = None
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read and validate a JSON corpus manifest.
 
-    A key that names no ``CorpusManifest`` field is refused, naming the
-    key and the manifest. All per-language text files must exist and be
+    Its keys are read by ``files.config_from_dict`` into a
+    ``ManifestFile``: a key that names no field, a missing ``split``,
+    ``languages`` or ``text_paths`` and a value of the wrong type are
+    refused, naming the key and the manifest; so are languages and text
+    paths that are not strings. The paths are resolved against the
+    manifest's directory. All per-language text files must exist and be
     line-aligned; a length mismatch is a hard error naming the offending
     files.
     """
     path = Path(path)
     raw = read_json(path, "manifest")
-    unknown = sorted(set(raw) - set(CorpusManifest.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"manifest {path}: unknown key(s) "
-                          + ", ".join(map(repr, unknown)))
-    for key, kind in (("split", str), ("languages", list),
-                      ("text_paths", dict)):
-        if not isinstance(raw.get(key), kind):
-            raise ConfigError(f"manifest {path}: key {key!r} missing or "
-                              f"not a {kind.__name__}")
-    languages, paths = raw["languages"], raw["text_paths"]
-    if not all(isinstance(v, str) for v in (
-            *languages, *paths.values(), raw.get("vtok_path") or "",
-            raw.get("image_ids_path") or "")):
-        raise ConfigError(f"manifest {path}: languages, text paths, "
-                          "vtok_path and image_ids_path must be strings")
     with about(f"manifest {path}"):
+        keys = config_from_dict(ManifestFile, raw)
+        languages, paths = keys.languages, keys.text_paths
+        if not all(isinstance(v, str) for v in (*languages, *paths.values())):
+            raise ConfigError("languages and text paths must be strings")
         _tags(languages)   # each direction once
     base = path.parent   # "/abs" joined to it stays "/abs"
     text_paths = {}
@@ -580,12 +584,12 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         text_paths[lang] = base / paths[lang]
 
     manifest = CorpusManifest(
-        split=raw["split"],
+        split=keys.split,
         languages=list(languages),
         text_paths=text_paths,
-        vtok_path=base / raw["vtok_path"] if raw.get("vtok_path") else None,
-        image_ids_path=(base / raw["image_ids_path"]
-                        if raw.get("image_ids_path") else None),
+        vtok_path=base / keys.vtok_path if keys.vtok_path else None,
+        image_ids_path=(base / keys.image_ids_path
+                        if keys.image_ids_path else None),
     )
     counts = {lang: len(read_lines(tp, "text file"))
               for lang, tp in text_paths.items()}

@@ -21,9 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError
-from .files import append_text, csv_text, write_file
-from .model import (MultimodalTranslator, check_fields, config_from_dict,
-                    save_checkpoint)
+from .files import append_text, config_from_dict, csv_text, write_file
+from .model import MultimodalTranslator, check_fields, save_checkpoint
 from .seeding import derive_seed, rng_for
 from .text import ParallelExample, make_batches
 from .vision import VisualTokens

@@ -674,7 +674,8 @@ def test_train_cli_rejects_config_without_data_object(tmp_path, capsys, text):
     assert main(["train", "--config", str(config)]) != 0
     err = capsys.readouterr().err
     # a top level that is no object is refused by the JSON reader itself
-    message = ('expected "data" to be a JSON object' if text.startswith("{")
+    message = ("RunConfig key 'data' must be dict, got 'bpe'"
+               if text.startswith("{")
                else "expected a JSON object, got list")
     assert str(config) in err and message in err
 
@@ -728,7 +729,69 @@ def test_train_cli_rejects_non_object_section(workspace, tmp_path, capsys,
         section: value}), encoding="utf-8")
     assert main(["train", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    assert str(config) in err and f'"{section}" to be a JSON object' in err
+    assert str(config) in err
+    assert f"RunConfig key '{section}' must be dict, got {value!r}" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    # each trained under the defaults and exited 0, or ended in a bare
+    # TypeError traceback, or named neither the config nor the manifest
+    (lambda c: c.update(out_dir=5),
+     "RunConfig key 'out_dir' must be str, got 5"),
+    (lambda c: c["data"].update(vocab=7),
+     "DataConfig key 'data.vocab' must be str, got 7"),
+    (lambda c: c.update(trian=c.pop("train")),
+     "unknown RunConfig key(s): 'trian'"),
+    (lambda c: c["data"].update(pivto=c["data"].pop("pivot")),
+     "unknown DataConfig key(s): 'data.pivto'"),
+    (lambda c: c.pop("data"), "missing RunConfig key(s): 'data'"),
+    (lambda c: c["data"].update(pivot="xx"),
+     "data.pivot 'xx' is not a language of manifest {manifest} (has "
+     "['en', 'de', 'fr'])"),
+], ids=["out_dir_not_str", "vocab_not_str", "unknown_section",
+        "unknown_data_key", "no_data", "pivot_not_in_manifest"])
+def test_train_cli_refuses_config_naming_file_and_key(workspace, tmp_path,
+                                                      capsys, edit, message):
+    manifest = workspace / "train.json"
+    config = _train_config(workspace, tmp_path, manifest,
+                           {"d_model": 16, "n_heads": 2})
+    raw = json.loads(config.read_text())
+    raw["data"]["pivot"] = "en"
+    edit(raw)
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["train", "--config", str(config)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {config}: {message.format(manifest=manifest)}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("model, changed", [
+    # the stored model trained on and exited 0
+    ({"d_model": 32, "variant": "text_only"},
+     "model.d_model 32 (checkpoint 16), "
+     "model.variant 'text_only' (checkpoint 'full')"),
+    # 0 stands for 4 * d_model, as the checkpoint stores it
+    ({"d_ffn": 0}, None),
+], ids=["changed", "d_ffn_default"])
+def test_train_cli_resume_reads_model_section(workspace, tmp_path, capsys,
+                                              model, changed):
+    config = json.loads((workspace / "config.json").read_text())
+    config["model"].update(model)
+    config["out_dir"] = str(tmp_path / "run")
+    config["data"].update(train_manifest=str(workspace / "train.json"),
+                          vocab=str(workspace / "bpe"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    ckpt = workspace / "run" / "checkpoint_last.lvpm"
+    rc = main(["train", "--config", str(path), "--resume", str(ckpt)])
+    if changed is None:
+        assert rc == 0
+        return
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}: sections differ from the configs in {ckpt}: "
+            f"{changed}\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("ratios, seeds, named", [

@@ -17,16 +17,16 @@ import numpy as np
 import pytest
 
 import promptmt.autodiff as ad
-import promptmt.model as model_mod
+import promptmt.files as files
 from promptmt.checks import full_model_batch
 from promptmt.decoding import beam_search
 from promptmt.errors import (ConfigError, NumericError, ShapeError,
                              VariantError, VocabularyError)
 from promptmt.evaluate import visual_tokens_for
+from promptmt.files import config_from_dict
 from promptmt.model import (VARIANTS, ModelConfig, MultimodalTranslator,
-                            check_model_gradients, config_from_dict,
-                            load_checkpoint, save_checkpoint,
-                            sinusoidal_positions)
+                            check_model_gradients, load_checkpoint,
+                            save_checkpoint, sinusoidal_positions)
 from promptmt.seeding import rng_for
 from promptmt.text import (BOS_ID, EOS_ID, PAD_ID, Batch, ParallelExample,
                            Vocabulary, encode, load_manifest,
@@ -105,6 +105,13 @@ def test_config_from_dict_rejects_unknown_keys(extra, named):
     assert "ModelConfig" in str(err.value) and named in str(err.value)
 
 
+def test_config_from_dict_names_missing_keys():
+    # a field without a default used to end in a bare TypeError from cls()
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(ModelConfig, {"d_v": 4}, prefix="model.")
+    assert str(err.value) == "missing ModelConfig key(s): 'model.vocab_size'"
+
+
 @pytest.mark.parametrize("key, value", [
     ("d_model", "64"), ("n_heads", True), ("dropout", "0.1"),
     ("variant", 3), ("n_langs", 2.0),
@@ -132,7 +139,7 @@ def test_config_from_dict_reads_type_hints_once_per_class(monkeypatch):
         return real_get_type_hints(cls, *args, **kwargs)
 
     monkeypatch.setattr(typing, "get_type_hints", counting)
-    model_mod._field_kinds.cache_clear()
+    files._field_kinds.cache_clear()
     base = {"vocab_size": 10, "d_v": 4}
     refused = [
         (ModelConfig, {**base, "d_model": "64"}, "model.",

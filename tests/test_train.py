@@ -8,9 +8,9 @@ import pytest
 
 import promptmt.autodiff as ad
 from promptmt.errors import ConfigError, NumericError
+from promptmt.files import config_from_dict
 from promptmt.model import (ModelConfig, MultimodalTranslator,
-                            config_from_dict, load_checkpoint,
-                            save_checkpoint)
+                            load_checkpoint, save_checkpoint)
 from promptmt.text import BOS_ID, EOS_ID, ParallelExample, make_batches
 from promptmt.train import (TrainConfig, TrainState, adam_step, lr_schedule,
                             train_loop)
