@@ -191,13 +191,17 @@ def test_manifest_json(frozen):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("languages", "en", "ManifestFile key 'languages' must be list, got 'en'"),
-    ("text_paths", ["train.en"],
-     "ManifestFile key 'text_paths' must be dict, got ['train.en']"),
+    pytest.param("languages", "en",
+                 "ManifestFile key 'languages' must be list, got 'en'",
+                 id="languages-en-'languages' missing or not a list"),
+    pytest.param("text_paths", ["train.en"],
+                 "ManifestFile key 'text_paths' must be dict, got ['train.en']",
+                 id="text_paths-value1-'text_paths' missing or not a dict"),
     ("split", None, "ManifestFile key 'split' must be str, got None"),
     ("languages", ["en", 2], "must be strings"),
-    ("vtok_path", 7, "ManifestFile key 'vtok_path' must be str or NoneType, "
-                     "got 7"),
+    pytest.param("vtok_path", 7,
+                 "ManifestFile key 'vtok_path' must be str or NoneType, got 7",
+                 id="vtok_path-7-must be strings"),
     # a misspelled key loaded, ignored: without image_ids_path its lines
     # would take the train-000000 style ids
     ("image_id_path", "train.ids",
